@@ -1,21 +1,22 @@
 """Recurrent intra prediction at desk scale.
 
 A self-contained pipeline around a progressive spatial recurrent predictor:
-a minimal float32 tensor substrate with exact manual gradients, the tiled
-Hadamard SATD loss with its smoothed analytic gradient, an HEVC-style
-35-mode angular baseline, quantization-noise data preparation, a
-deterministic trainer, and an RDO-lite evaluation harness that races the
+batched float64 convolution and GRU-sweep kernels with exact manual
+gradients, the tiled Hadamard SATD loss with its smoothed analytic gradient,
+an HEVC-style 35-mode angular baseline, quantization-noise data preparation,
+a deterministic trainer, and an RDO-lite evaluation harness that races the
 network against the baseline under an SATD + lambda * bits cost.
 """
 
 from .errors import (ConfigError, DivergenceError, FormatError, IntegrityError,
                      ModeError, PartitionError, ShapeError, SizeError,
                      UsageError, VersionError)
-from .hadamard import SatdConfig, hadamard_matrix, hadamard_transform, satd, satd_loss_grad
-from .layers import AdamState, GruParams, GruStep, LrSchedule, adam_step, gru_backward, gru_forward, lr_at
-from .model import (NetworkConfig, PsRnnNetwork, PsRnnPlus, build_network,
-                    build_psrnn_plus, load_model, network_backward,
-                    network_forward, save_model, unit_forward)
-from .training import EvalConfig, EvalReport, RdCost, TrainConfig, evaluate, loss_and_grad, train
+from .hadamard import SatdConfig, hadamard_matrix, satd, satd_batch, satd_loss_grad_batch
+from .layers import (AdamState, GruParams, LrSchedule, adam_step, gru_sweep_backward,
+                     gru_sweep_forward, lr_at)
+from .model import (NetworkConfig, PsRnnNetwork, PsRnnPlus, backward_batch,
+                    build_network, build_psrnn_plus, forward_batch, load_model,
+                    network_forward, save_model)
+from .training import EvalConfig, EvalReport, TrainConfig, evaluate, loss_and_grad, train
 
 __version__ = "0.1.0"

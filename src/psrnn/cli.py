@@ -1,7 +1,7 @@
 """Batch command-line front end.
 
 Verbs: prepare, train, eval, demo, compare-losses, ablate-units.
-Common flags: --config PATH, --seed U64, --threads N, --out DIR, --oracle.
+Common flags: --config PATH, --seed U64, --out DIR, --set KEY=VALUE, --oracle.
 
 Runs are driven by plain key=value config files (one pair per line, #
 comments allowed). Unknown keys are rejected, and every run writes its fully
@@ -31,9 +31,8 @@ import numpy as np
 from . import data as D
 from .errors import ConfigError, UsageError
 from .hadamard import SatdConfig
-from .model import (NetworkConfig, build_network, build_psrnn_plus, load_model,
-                    network_forward, save_model)
-from .training import (EvalConfig, Predictor, TrainConfig, ablate_units,
+from .model import NetworkConfig, build_network, load_model, network_forward, save_model
+from .training import (EvalConfig, TrainConfig, ablate_units,
                        compare_losses, evaluate, train, write_training_log)
 from .intra import best_mode_search, build_reference_samples, hm_lambda, predict_mode
 
@@ -106,7 +105,6 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "seed": (int, 0),
         "eval_size": (int, 128),
         "eval_count": (int, 4),
-        "psrnn_plus_base": (str, ""),
     },
     "demo": {
         "out": (str, "demo_out"),
@@ -345,15 +343,6 @@ def cmd_eval(resolved: dict) -> int:
         for path in resolved["models"]:
             net = load_model(path)
             nets[net.config.pu_size] = net
-        if resolved["psrnn_plus_base"]:
-            base = load_model(resolved["psrnn_plus_base"])
-            composites = {t: build_psrnn_plus(base, t, seed=resolved["seed"])
-                          for t in (16, 32) if t in sizes and t not in nets}
-            nets = Predictor(nets=nets, composites=composites)
-        missing = [n for n in sizes
-                   if not (nets.supports(n) if hasattr(nets, "supports") else n in nets)]
-        if missing and not resolved["oracle"]:
-            raise ConfigError(f"no model loaded for block sizes {missing}")
     elif not resolved["oracle"]:
         print("no models given: baseline-only evaluation", file=sys.stderr)
     cfg = EvalConfig(block_sizes=sizes, policy=resolved["block_policy"],
@@ -471,9 +460,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--seed", type=int, help="overrides the config seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker bound; the pipeline runs serially for "
-                             "bit-reproducibility (default 1)")
     parser.add_argument("--out", help="overrides the config output directory")
     parser.add_argument("--oracle", action="store_true",
                         help="eval only: use the ground-truth oracle predictor")
@@ -482,8 +468,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.threads < 1:
-            raise UsageError("--threads must be >= 1")
         raw = parse_config_file(args.config) if args.config else {}
         for item in args.set:
             if "=" not in item:

@@ -18,6 +18,7 @@ runs in float64 internally.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,85 +63,39 @@ class SatdConfig:
             raise ShapeError(f"epsilon must be positive, got {self.epsilon}")
 
 
-def hadamard_transform(d: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Two-sided transform H @ D @ H of a square residue block, in float64."""
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ShapeError(f"residue block must be square rank-2, got {d.shape}")
-    if d.shape[0] != h.shape[0]:
-        raise ShapeError(f"block size {d.shape[0]} != transform order {h.shape[0]}")
-    hf = h.astype(np.float64)
-    return hf @ d.astype(np.float64) @ hf
-
-
-def _tiles(d: np.ndarray, p: int):
-    if d.ndim != 2:
-        raise ShapeError(f"residue must be rank-2, got shape {d.shape}")
-    rows, cols = d.shape
-    if rows % p or cols % p:
-        raise PartitionError(f"residue {d.shape} not divisible by partition {p}")
-    for i in range(0, rows, p):
-        for j in range(0, cols, p):
-            yield i, j, d[i : i + p, j : j + p]
-
-
 def satd(d: np.ndarray, cfg: SatdConfig = SatdConfig()) -> float:
-    """Sum of absolute transformed differences over raster-order tiles."""
-    h = hadamard_matrix(cfg.partition).astype(np.float64)
-    total = 0.0
-    for _, _, tile in _tiles(d, cfg.partition):
-        total += float(np.abs(h @ tile.astype(np.float64) @ h).sum())
-    return total
-
-
-def satd_smooth(d: np.ndarray, cfg: SatdConfig = SatdConfig()) -> float:
-    """The eps-smoothed objective whose exact gradient is satd_loss_grad."""
-    h = hadamard_matrix(cfg.partition).astype(np.float64)
-    total = 0.0
-    for _, _, tile in _tiles(d, cfg.partition):
-        t = h @ tile.astype(np.float64) @ h
-        total += float(np.sqrt(t * t + cfg.epsilon).sum())
-    return total
-
-
-def satd_loss_grad(d: np.ndarray, cfg: SatdConfig = SatdConfig()) -> np.ndarray:
-    """Gradient of the smoothed SATD with respect to every residue entry."""
-    grad = satd_loss_grad64(np.asarray(d, dtype=np.float64), cfg)
-    return grad.astype(np.float32)
-
-
-def satd_loss_grad64(d: np.ndarray, cfg: SatdConfig = SatdConfig()) -> np.ndarray:
-    h = hadamard_matrix(cfg.partition).astype(np.float64)
-    p = cfg.partition
-    grad = np.zeros(d.shape, dtype=np.float64)
-    for i, j, tile in _tiles(d, p):
-        t = h @ tile.astype(np.float64) @ h
-        g = t / np.sqrt(t * t + cfg.epsilon)
-        grad[i : i + p, j : j + p] = h @ g @ h
-    return grad
+    """SATD of one (rows, cols) residue block: satd_batch on a batch of one."""
+    return float(satd_batch(d[None], cfg)[0])
 
 
 def satd_batch(d: np.ndarray, cfg: SatdConfig = SatdConfig()) -> np.ndarray:
-    """Per-sample SATD for a (b, n, n) stack of residues, in float64."""
-    h = hadamard_matrix(cfg.partition).astype(np.float64)
-    t = _transform_tiles_batch(d, h, cfg.partition)
-    return np.abs(t).sum(axis=(1, 2, 3, 4))
+    """Per-sample SATD for a (b, rows, cols) stack of residues, in float64."""
+    return np.abs(_transform_tiles(d, cfg.partition)).sum(axis=(1, 2, 3, 4))
 
 
 def satd_loss_grad_batch(d: np.ndarray, cfg: SatdConfig = SatdConfig()) -> np.ndarray:
-    """Smoothed-SATD gradients for a (b, n, n) stack of residues."""
-    h = hadamard_matrix(cfg.partition).astype(np.float64)
+    """Smoothed-SATD gradients for a (b, rows, cols) stack of residues."""
     p = cfg.partition
-    t = _transform_tiles_batch(d, h, p)
-    g = t / np.sqrt(t * t + cfg.epsilon)
-    gd = np.einsum("ik,boukl,lj->bouij", h, g, h, optimize=True)
-    b = d.shape[0]
-    n_r, n_c = d.shape[1] // p, d.shape[2] // p
-    return gd.transpose(0, 1, 3, 2, 4).reshape(b, n_r * p, n_c * p)
+    t = _transform_tiles(d, p)
+    h = _h64(p)
+    gd = h @ (t / np.sqrt(t * t + cfg.epsilon)) @ h
+    return gd.transpose(0, 1, 3, 2, 4).reshape(d.shape)
 
 
-def _transform_tiles_batch(d: np.ndarray, h: np.ndarray, p: int) -> np.ndarray:
+@functools.cache
+def _h64(order: int) -> np.ndarray:
+    h = hadamard_matrix(order).astype(np.float64)
+    h.flags.writeable = False
+    return h
+
+
+def _transform_tiles(d: np.ndarray, p: int) -> np.ndarray:
+    """H T H for every p x p tile T of a (b, rows, cols) stack.
+
+    Returns (b, rows/p, cols/p, p, p) in float64; tiles are in raster order.
+    """
     if d.ndim != 3:
-        raise ShapeError(f"expected (b, n, n) residues, got {d.shape}")
+        raise ShapeError(f"expected (b, rows, cols) residues, got {d.shape}")
     b, rows, cols = d.shape
     if rows % p or cols % p:
         raise PartitionError(f"residues {d.shape[1:]} not divisible by partition {p}")
@@ -149,4 +104,5 @@ def _transform_tiles_batch(d: np.ndarray, h: np.ndarray, p: int) -> np.ndarray:
         .reshape(b, rows // p, p, cols // p, p)
         .transpose(0, 1, 3, 2, 4)
     )
-    return np.einsum("ik,boukl,lj->bouij", h, tiles, h, optimize=True)
+    h = _h64(p)
+    return h @ tiles @ h

@@ -10,15 +10,16 @@ where g is sigmoid by default. A tanh gate variant is selectable through
 `gate_activation`, since negative gates are a defensible alternative reading
 of the recurrence, but it is not the default.
 
-All parameters are stored float32; every forward/backward runs in float64
-internally. Backward passes are exact gradients of the unrolled recurrence,
-checked against finite differences in the test suite.
+The cell only ever runs as a sweep over a whole plane sequence
+(gru_sweep_forward / gru_sweep_backward). All parameters are stored float32;
+every forward/backward runs in float64 internally. Backward passes are exact
+gradients of the unrolled recurrence, checked against finite differences and
+against a step-by-step reference recurrence in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -68,35 +69,6 @@ class GruParams:
         return {k: getattr(self, k) for k in ("Wz", "Uz", "Wr", "Ur", "W", "U", "b")}
 
 
-@dataclass
-class GruStep:
-    """One recorded recurrence step: inputs, gates, output, pre-activations."""
-
-    x: np.ndarray
-    h_prev: np.ndarray
-    z: np.ndarray
-    r: np.ndarray
-    h: np.ndarray
-    az: np.ndarray
-    ar: np.ndarray
-    ac: np.ndarray
-    c: np.ndarray
-
-
-class _P64:
-    """Float64 view of GruParams with transposes cached for the hot loop."""
-
-    def __init__(self, p: GruParams):
-        for k, v in p.named().items():
-            setattr(self, k, v.astype(np.float64))
-        self.WzT = self.Wz.T
-        self.UzT = self.Uz.T
-        self.WrT = self.Wr.T
-        self.UrT = self.Ur.T
-        self.WT = self.W.T
-        self.UT = self.U.T
-
-
 def _gate_fn(gate_activation: str):
     if gate_activation == "sigmoid":
         return sigmoid64, lambda g: g * (1.0 - g)
@@ -105,134 +77,13 @@ def _gate_fn(gate_activation: str):
     raise UsageError(f"gate_activation must be one of {GATE_ACTIVATIONS}")
 
 
-def gru_forward(params: GruParams, x_t: np.ndarray, h_prev: np.ndarray,
-                gate_activation: str = "sigmoid") -> GruStep:
-    """Run one recurrence step; accepts (d,) vectors or (batch, d) stacks."""
-    params.validate()
-    squeeze = x_t.ndim == 1
-    x = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
-    h = np.atleast_2d(np.asarray(h_prev, dtype=np.float64))
-    if x.shape[1] != params.input_dim or h.shape[1] != params.hidden:
-        raise ShapeError(
-            f"step dims {x.shape[1]}/{h.shape[1]} != params "
-            f"{params.input_dim}/{params.hidden}"
-        )
-    if x.shape[0] != h.shape[0]:
-        raise ShapeError(f"batch mismatch: {x.shape[0]} vs {h.shape[0]}")
-    step = _step_forward(_P64(params), x, h, gate_activation)
-    if squeeze:
-        step = GruStep(**{k: v[0] for k, v in step.__dict__.items()})
-    return step
-
-
-def _step_forward(p: _P64, x: np.ndarray, h_prev: np.ndarray, gate_activation: str) -> GruStep:
-    act, _ = _gate_fn(gate_activation)
-    az = x @ p.WzT + h_prev @ p.UzT
-    ar = x @ p.WrT + h_prev @ p.UrT
-    z = act(az)
-    r = act(ar)
-    ac = x @ p.WT + (r * h_prev) @ p.UT + p.b
-    c = np.tanh(ac)
-    h = z * h_prev + (1.0 - z) * c
-    return GruStep(x=x, h_prev=h_prev, z=z, r=r, h=h, az=az, ar=ar, ac=ac, c=c)
-
-
-def gru_sequence_forward(params: GruParams, xs: Sequence[np.ndarray], h0: np.ndarray,
-                         gate_activation: str = "sigmoid") -> list[GruStep]:
-    """Unroll the recurrence over xs (each (batch, d)), starting from h0."""
-    p = _P64(params)
-    h = np.asarray(h0, dtype=np.float64)
-    steps = []
-    for x in xs:
-        step = _step_forward(p, np.asarray(x, dtype=np.float64), h, gate_activation)
-        steps.append(step)
-        h = step.h
-    return steps
-
-
-def _zero_grads(params: GruParams) -> dict[str, np.ndarray]:
-    return {k: np.zeros(v.shape, dtype=np.float64) for k, v in params.named().items()}
-
-
-def gru_sequence_backward(params: GruParams, steps: Sequence[GruStep],
-                          grads_h_per_step: Sequence[np.ndarray] | None = None,
-                          grad_h_final: np.ndarray | None = None,
-                          gate_activation: str = "sigmoid"):
-    """Exact gradients through the unrolled recurrence.
-
-    grads_h_per_step holds the upstream gradient flowing into each step's
-    output h_t (None entries allowed); grad_h_final is extra gradient on the
-    last state. Returns (param_grads, grad_h0, grad_x_per_step) in float64.
-    """
-    if not steps:
-        raise UsageError("cannot backpropagate through an empty step sequence")
-    p = _P64(params)
-    _, act_deriv = _gate_fn(gate_activation)
-    grads = _zero_grads(params)
-    carried = np.zeros_like(steps[-1].h)
-    if grad_h_final is not None:
-        carried = carried + grad_h_final
-    grad_xs: list[np.ndarray | None] = [None] * len(steps)
-    for t in range(len(steps) - 1, -1, -1):
-        s = steps[t]
-        gh = carried
-        if grads_h_per_step is not None and grads_h_per_step[t] is not None:
-            gh = gh + grads_h_per_step[t]
-        dz = gh * (s.h_prev - s.c)
-        dc = gh * (1.0 - s.z)
-        dh_prev = gh * s.z
-        dac = dc * (1.0 - s.c * s.c)
-        rh = s.r * s.h_prev
-        grads["W"] += dac.T @ s.x
-        grads["U"] += dac.T @ rh
-        grads["b"] += dac.sum(axis=0)
-        drh = dac @ p.U
-        dr = drh * s.h_prev
-        dh_prev = dh_prev + drh * s.r
-        dar = dr * act_deriv(s.r)
-        daz = dz * act_deriv(s.z)
-        grads["Wr"] += dar.T @ s.x
-        grads["Ur"] += dar.T @ s.h_prev
-        grads["Wz"] += daz.T @ s.x
-        grads["Uz"] += daz.T @ s.h_prev
-        dh_prev = dh_prev + dar @ p.Ur + daz @ p.Uz
-        grad_xs[t] = dac @ p.W + dar @ p.Wr + daz @ p.Wz
-        carried = dh_prev
-    return grads, carried, grad_xs
-
-
-def gru_backward(steps: Sequence[GruStep], params: GruParams,
-                 grad_h_final: np.ndarray | None = None,
-                 grads_h_per_step: Sequence[np.ndarray] | None = None,
-                 gate_activation: str = "sigmoid"):
-    """Float32 wrapper over gru_sequence_backward for recorded GruSteps."""
-    steps2 = [
-        s if s.x.ndim == 2 else GruStep(**{k: np.atleast_2d(v) for k, v in s.__dict__.items()})
-        for s in steps
-    ]
-    gfin = None if grad_h_final is None else np.atleast_2d(np.asarray(grad_h_final, dtype=np.float64))
-    gper = None
-    if grads_h_per_step is not None:
-        gper = [
-            None if g is None else np.atleast_2d(np.asarray(g, dtype=np.float64))
-            for g in grads_h_per_step
-        ]
-    grads, gh0, gxs = gru_sequence_backward(params, steps2, gper, gfin, gate_activation)
-    squeeze = steps[0].x.ndim == 1
-    param_grads = GruParams(**{k: v.astype(np.float32) for k, v in grads.items()})
-    if squeeze:
-        return param_grads, gh0[0].astype(np.float32), [g[0].astype(np.float32) for g in gxs]
-    return param_grads, gh0.astype(np.float32), [g.astype(np.float32) for g in gxs]
-
-
 # ---------------------------------------------------------------------------
-# Fast sweep path used by the network
+# Sweep over a plane sequence
 #
 # The input-side projections of all steps share no recurrence, so they are
 # hoisted into one matrix product per sweep; only the hidden-side products
 # stay inside the step loop. Weight gradients are likewise accumulated with
-# single stacked products after the backward loop. This computes exactly the
-# recurrence above, just with fewer BLAS calls.
+# single stacked products after the backward loop.
 # ---------------------------------------------------------------------------
 
 
@@ -266,8 +117,14 @@ def gru_sweep_forward(params: GruParams, xs: np.ndarray, h0: np.ndarray,
                       gate_activation: str = "sigmoid"):
     """Unroll over xs of shape (n_steps, batch, input_dim); returns (hs, cache)."""
     act, _ = _gate_fn(gate_activation)
+    params.validate()
+    n, b, d = xs.shape
+    if n < 1:
+        raise UsageError("cannot sweep an empty step sequence")
+    if d != params.input_dim or h0.shape != (b, params.hidden):
+        raise ShapeError(f"sweep of {xs.shape} from h0 {h0.shape} does not fit params "
+                         f"{params.input_dim}->{params.hidden}")
     p = _SweepP64(params)
-    n, b, _ = xs.shape
     h = p.h
     xproj = (xs.reshape(n * b, -1) @ p.WstackT).reshape(n, b, 3 * h)
     h_prevs = np.empty((n, b, h))
@@ -354,16 +211,6 @@ def prelu_backward(x: np.ndarray, alpha: np.ndarray, grad_out: np.ndarray):
     axes = tuple(range(x.ndim - 1))
     grad_alpha = np.where(neg, grad_out * x, 0.0).sum(axis=axes)
     return grad_x, grad_alpha
-
-
-def prelu(x: np.ndarray, alpha: np.ndarray, direction: str = "forward", grad_out=None):
-    if direction == "forward":
-        return prelu_forward(x, alpha)
-    if direction == "backward":
-        if grad_out is None:
-            raise UsageError("backward direction needs grad_out")
-        return prelu_backward(x, alpha, grad_out)
-    raise UsageError(f"direction must be forward or backward, got {direction!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -234,41 +234,64 @@ def _conv_backward(layer: ConvLayer, cache, grad_out, grads: dict, prefix: str):
     return gx
 
 
+HORIZONTAL = "horizontal"
+VERTICAL = "vertical"
+_PLANE_ORDER = {HORIZONTAL: ((1, 0, 2, 3), (1, 0, 2, 3)),
+                VERTICAL: ((2, 0, 1, 3), (1, 2, 0, 3))}
+
+
+def _to_planes(fmap: np.ndarray, axis: str) -> np.ndarray:
+    """Split a (b, n, n, c) map into a step-major (n, b, n * c) plane stack.
+
+    `horizontal` steps through the rows top to bottom, `vertical` through
+    the columns left to right; each plane is flattened to one vector per
+    sample. _from_planes inverts this bit for bit.
+    """
+    if fmap.ndim != 4 or fmap.shape[1] != fmap.shape[2]:
+        raise ShapeError(f"expected a spatially square (b, n, n, c) map, got {fmap.shape}")
+    b, n, _, c = fmap.shape
+    split, _ = _PLANE_ORDER[axis]
+    return np.ascontiguousarray(fmap.transpose(split)).reshape(n, b, n * c)
+
+
+def _from_planes(planes: np.ndarray, axis: str, channels: int) -> np.ndarray:
+    """Reassemble an (n, b, n * channels) plane stack into a (b, n, n, channels) view."""
+    n, b, _ = planes.shape
+    _, merge = _PLANE_ORDER[axis]
+    return planes.reshape(n, b, n, channels).transpose(merge)
+
+
 def unit_forward_batch(unit: PsRnnUnitParams, feat: np.ndarray, gate_activation: str,
                        keep_cols: bool = True):
     """One recurrent unit over a (b, n, n, c) float64 feature stack."""
-    b, n, n2, c = feat.shape
-    if n != n2:
-        raise ShapeError(f"unit input must be spatially square, got {feat.shape}")
-    # step-major plane stacks: rows swept top->bottom, columns left->right
-    xs_h = np.ascontiguousarray(feat.transpose(1, 0, 2, 3)).reshape(n, b, n * c)
-    xs_v = np.ascontiguousarray(feat.transpose(2, 0, 1, 3)).reshape(n, b, n * c)
+    xs_h = _to_planes(feat, HORIZONTAL)
+    xs_v = _to_planes(feat, VERTICAL)
+    b, c = feat.shape[0], feat.shape[3]
     h0 = np.zeros((b, unit.gru_h.hidden), dtype=np.float64)
     hs_h, cache_h = gru_sweep_forward(unit.gru_h, xs_h, h0, gate_activation)
     hs_v, cache_v = gru_sweep_forward(unit.gru_v, xs_v, h0, gate_activation)
     ch = unit.hidden_per_pos
-    map_h = hs_h.reshape(n, b, n, ch).transpose(1, 0, 2, 3)
-    map_v = hs_v.reshape(n, b, n, ch).transpose(1, 2, 0, 3)
-    concat = np.concatenate([map_h, map_v], axis=-1)
+    concat = np.concatenate([_from_planes(hs_h, HORIZONTAL, ch),
+                             _from_planes(hs_v, VERTICAL, ch)], axis=-1)
     out, fuse_cache = _conv_forward(unit.fusion, concat, keep_cols)
-    return out, ((b, n, c), cache_h, cache_v, fuse_cache)
+    return out, (c, cache_h, cache_v, fuse_cache)
 
 
 def unit_backward_batch(unit: PsRnnUnitParams, cache, grad_out, grads: dict,
                         prefix: str):
-    (b, n, c), cache_h, cache_v, fuse_cache = cache
+    c, cache_h, cache_v, fuse_cache = cache
     ch = unit.hidden_per_pos
     g_concat = _conv_backward(unit.fusion, fuse_cache, grad_out, grads, f"{prefix}.fuse")
-    gh = np.ascontiguousarray(g_concat[..., :ch].transpose(1, 0, 2, 3)).reshape(n, b, n * ch)
-    gv = np.ascontiguousarray(g_concat[..., ch:].transpose(2, 0, 1, 3)).reshape(n, b, n * ch)
-    gp_h, _, gx_h = gru_sweep_backward(unit.gru_h, cache_h, gh)
-    gp_v, _, gx_v = gru_sweep_backward(unit.gru_v, cache_v, gv)
+    gp_h, _, gx_h = gru_sweep_backward(unit.gru_h, cache_h,
+                                       _to_planes(g_concat[..., :ch], HORIZONTAL))
+    gp_v, _, gx_v = gru_sweep_backward(unit.gru_v, cache_v,
+                                       _to_planes(g_concat[..., ch:], VERTICAL))
     for k, v in gp_h.items():
         grads[f"{prefix}.h.{k}"] = v
     for k, v in gp_v.items():
         grads[f"{prefix}.v.{k}"] = v
-    g_feat = gx_h.reshape(n, b, n, c).transpose(1, 0, 2, 3).copy()
-    g_feat += gx_v.reshape(n, b, n, c).transpose(1, 2, 0, 3)
+    g_feat = _from_planes(gx_h, HORIZONTAL, c).copy()
+    g_feat += _from_planes(gx_v, VERTICAL, c)
     return g_feat
 
 
@@ -326,15 +349,6 @@ def backward_batch(net: PsRnnNetwork, caches, grad_pred: np.ndarray) -> dict[str
     return grads
 
 
-def unit_forward(unit: PsRnnUnitParams, feat: np.ndarray,
-                 gate_activation: str = "sigmoid") -> np.ndarray:
-    """Single-sample (n, n, c) -> (n, n, hidden_per_pos) unit application."""
-    if feat.ndim != 3:
-        raise ShapeError(f"expected (n, n, c) feature tensor, got {feat.shape}")
-    out, _ = unit_forward_batch(unit, feat.astype(np.float64)[None], gate_activation)
-    return out[0].astype(np.float32)
-
-
 def network_forward(net: PsRnnNetwork, context: np.ndarray) -> np.ndarray:
     """Predict the N x N bottom-right region from one 2N x 2N context."""
     cs = net.config.context_size
@@ -342,19 +356,6 @@ def network_forward(net: PsRnnNetwork, context: np.ndarray) -> np.ndarray:
         raise ShapeError(f"context must be ({cs}, {cs}), got {context.shape}")
     pred, _ = forward_batch(net, np.asarray(context, dtype=np.float64)[None])
     return pred[0].astype(np.float32)
-
-
-def network_backward(net: PsRnnNetwork, context: np.ndarray,
-                     grad_prediction: np.ndarray) -> dict[str, np.ndarray]:
-    """Parameter gradients for a single context; recomputes forward caches."""
-    cs, n = net.config.context_size, net.config.pu_size
-    if context.shape != (cs, cs):
-        raise ShapeError(f"context must be ({cs}, {cs}), got {context.shape}")
-    if grad_prediction.shape != (n, n):
-        raise ShapeError(f"grad_prediction must be ({n}, {n}), got {grad_prediction.shape}")
-    _, caches = forward_batch(net, np.asarray(context, dtype=np.float64)[None])
-    grads = backward_batch(net, caches, np.asarray(grad_prediction, dtype=np.float64)[None])
-    return {k: v.astype(np.float32) for k, v in grads.items()}
 
 
 def clone_network(net: PsRnnNetwork) -> PsRnnNetwork:
@@ -442,7 +443,7 @@ class _Reader:
 def load_model(path, expected_config: NetworkConfig | None = None) -> PsRnnNetwork:
     """Read a model file; verifies checksum, magic and version.
 
-    When expected_config is given, a mismatching stored config raises
+    Any unreadable content raises IntegrityError. When expected_config is given, a mismatching stored config raises
     ConfigError (for example an N=8 model loaded into an N=16 pipeline).
     """
     with open(path, "rb") as fh:
@@ -458,19 +459,24 @@ def load_model(path, expected_config: NetworkConfig | None = None) -> PsRnnNetwo
     version = r.u32()
     if version != MODEL_VERSION:
         raise VersionError(f"unsupported model version {version}")
-    config = _config_from_text(r.take(r.u32()).decode("utf-8"))
+    records: dict[str, np.ndarray] = {}
+    try:
+        # a CRC-valid file can still carry text that does not parse: a missing
+        # key, a non-numeric value, bytes that are not UTF-8
+        config = _config_from_text(r.take(r.u32()).decode("utf-8"))
+        while r.pos < len(r.data):
+            name = r.take(r.u32()).decode("utf-8")
+            rank = r.u8()
+            shape = tuple(r.u32() for _ in range(rank))
+            count = int(np.prod(shape))
+            arr = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
+            records[name] = np.ascontiguousarray(arr)
+    except (KeyError, ValueError) as exc:
+        raise IntegrityError(f"corrupt model file content: {type(exc).__name__}: {exc}") from None
     if expected_config is not None and config != expected_config:
         raise ConfigError(
             f"model config {config} does not match expected {expected_config}"
         )
-    records: dict[str, np.ndarray] = {}
-    while r.pos < len(r.data):
-        name = r.take(r.u32()).decode("utf-8")
-        rank = r.u8()
-        shape = tuple(r.u32() for _ in range(rank))
-        count = int(np.prod(shape))
-        arr = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
-        records[name] = np.ascontiguousarray(arr)
     net = build_network(config, seed=0)
     params = parameters(net)
     if set(params) != set(records):
@@ -612,11 +618,6 @@ def psrnn_plus_forward_batch(plus: PsRnnPlus, contexts: np.ndarray):
     caches["post_raw"] = x[..., 0]
     pred = np.clip(x[..., 0], 0.0, 1.0)
     return pred, caches
-
-
-def psrnn_plus_forward(plus: PsRnnPlus, context: np.ndarray) -> np.ndarray:
-    pred, _ = psrnn_plus_forward_batch(plus, np.asarray(context, dtype=np.float64)[None])
-    return pred[0].astype(np.float32)
 
 
 def psrnn_plus_backward_batch(plus: PsRnnPlus, caches, grad_pred) -> dict[str, np.ndarray]:

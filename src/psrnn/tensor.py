@@ -1,160 +1,19 @@
-"""Dense-array substrate for the predictor.
-
-Tensors are plain numpy float32 arrays of rank <= 4 in row-major order.
-Storage is float32 throughout; any reduction (matrix products, convolution
-sums) accumulates in float64 before rounding back, which keeps desk-scale
-training stable without a real mixed-precision design.
+"""Batched 2-D convolution kernels with exact manual gradients.
 
 Convolution follows the usual deep-learning convention: cross-correlation
-(no kernel flip), zero padding, HWC layout with weights (kh, kw, cin, cout).
-The batched kernels at the bottom are shared with the network code, which
-keeps activations in float64 internally and only stores parameters in
-float32.
+(no kernel flip), zero padding, NHWC layout with weights (kh, kw, cin,
+cout). The network keeps activations in float64 and only stores parameters
+in float32; these kernels compute in whatever dtype they are handed, which
+is float64 throughout the package. A single sample is a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ShapeError
-
-MAX_RANK = 4
-
-
-def _check_shape(shape: Sequence[int]) -> tuple[int, ...]:
-    shape = tuple(int(s) for s in shape)
-    if not shape or len(shape) > MAX_RANK:
-        raise ShapeError(f"rank must be 1..{MAX_RANK}, got shape {shape}")
-    if any(s < 1 for s in shape):
-        raise ShapeError(f"all extents must be >= 1, got shape {shape}")
-    return shape
-
-
-def create(shape: Sequence[int], fill_value: float = 0.0) -> np.ndarray:
-    """Allocate a float32 tensor of `shape` filled with `fill_value`."""
-    return np.full(_check_shape(shape), fill_value, dtype=np.float32)
-
-
-def as_tensor(values) -> np.ndarray:
-    """Coerce nested lists / arrays to a float32 tensor, validating rank."""
-    arr = np.ascontiguousarray(values, dtype=np.float32)
-    _check_shape(arr.shape)
-    return arr
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rank-2 matrix product, accumulated in float64, stored as float32."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} vs {b.shape}")
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
-
-
-def _binary(a: np.ndarray, b: np.ndarray, op) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ShapeError(f"operand shapes differ: {a.shape} vs {b.shape}")
-    return op(a.astype(np.float64), b.astype(np.float64)).astype(np.float32)
-
-
-def add(a, b):
-    return _binary(a, b, np.add)
-
-
-def sub(a, b):
-    return _binary(a, b, np.subtract)
-
-
-def mul(a, b):
-    return _binary(a, b, np.multiply)
-
-
-def scale(a: np.ndarray, factor: float) -> np.ndarray:
-    return (a.astype(np.float64) * float(factor)).astype(np.float32)
-
-
-def sigmoid(a: np.ndarray) -> np.ndarray:
-    return _sigmoid64(a.astype(np.float64)).astype(np.float32)
-
-
-def tanh(a: np.ndarray) -> np.ndarray:
-    return np.tanh(a.astype(np.float64)).astype(np.float32)
-
-
-def clip01(a: np.ndarray) -> np.ndarray:
-    return np.clip(a, 0.0, 1.0).astype(np.float32)
-
-
-_ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "scale": scale,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "clip01": clip01,
-}
-
-
-def elementwise(op_tag: str, *operands) -> np.ndarray:
-    """Dispatch an elementwise op by tag; see _ELEMENTWISE for the set."""
-    try:
-        fn = _ELEMENTWISE[op_tag]
-    except KeyError:
-        raise ShapeError(f"unknown elementwise op {op_tag!r}") from None
-    return fn(*operands)
-
-
-def _sigmoid64(x: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp for large |x|.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Plane split / concat
-# ---------------------------------------------------------------------------
-
-HORIZONTAL = "horizontal"
-VERTICAL = "vertical"
-
-
-def _check_square_rank3(t: np.ndarray) -> None:
-    if t.ndim != 3:
-        raise ShapeError(f"expected rank-3 (n, n, c) tensor, got shape {t.shape}")
-    if t.shape[0] != t.shape[1]:
-        raise ShapeError(f"spatial extent must be square, got {t.shape}")
-
-
-def split_planes(t: np.ndarray, axis: str) -> list[np.ndarray]:
-    """Split (n, n, c) into n planes of shape (n, c).
-
-    `horizontal` yields the rows t[0], t[1], ... (top to bottom);
-    `vertical` yields the columns t[:, 0], t[:, 1], ... (left to right).
-    Concatenating the planes back along the same axis is bit-exact.
-    """
-    _check_square_rank3(t)
-    if axis == HORIZONTAL:
-        return [np.ascontiguousarray(t[i]) for i in range(t.shape[0])]
-    if axis == VERTICAL:
-        return [np.ascontiguousarray(t[:, j]) for j in range(t.shape[1])]
-    raise ShapeError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
-
-
-def concat_planes(planes: Sequence[np.ndarray], axis: str) -> np.ndarray:
-    """Inverse of split_planes."""
-    stack = np.stack(planes, axis=0 if axis == HORIZONTAL else 1)
-    if axis not in (HORIZONTAL, VERTICAL):
-        raise ShapeError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
-    _check_square_rank3(stack)
-    return np.ascontiguousarray(stack)
 
 
 # ---------------------------------------------------------------------------
@@ -188,43 +47,11 @@ class ConvSpec:
         return out
 
 
-def _check_conv_args(x, w, spec: ConvSpec, bias=None):
-    if x.ndim != 3:
-        raise ShapeError(f"conv input must be (h, w, cin), got {x.shape}")
+def _check_conv_shapes(x, w, spec: ConvSpec) -> None:
+    if x.ndim != 4 or x.shape[3] != spec.in_channels:
+        raise ShapeError(f"conv input must be (b, h, w, {spec.in_channels}), got {x.shape}")
     if w.shape != (spec.kernel_h, spec.kernel_w, spec.in_channels, spec.out_channels):
         raise ShapeError(f"weights {w.shape} inconsistent with {spec}")
-    if x.shape[2] != spec.in_channels:
-        raise ShapeError(f"input channels {x.shape[2]} != spec {spec.in_channels}")
-    if bias is not None and bias.shape != (spec.out_channels,):
-        raise ShapeError(f"bias shape {bias.shape} != ({spec.out_channels},)")
-
-
-def conv2d_forward(x: np.ndarray, w: np.ndarray, bias: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Cross-correlate one (h, w, cin) map; returns (oh, ow, cout) float32."""
-    _check_conv_args(x, w, spec, bias)
-    out = conv2d_forward_batch(
-        x.astype(np.float64)[None], w.astype(np.float64), bias.astype(np.float64), spec
-    )
-    return out[0].astype(np.float32)
-
-
-def conv2d_backward(x: np.ndarray, w: np.ndarray, spec: ConvSpec, grad_out: np.ndarray):
-    """Exact gradients of conv2d_forward.
-
-    Returns (grad_input, grad_weights, grad_bias) as float32 tensors with the
-    shapes of (x, w, bias).
-    """
-    _check_conv_args(x, w, spec)
-    oh = spec.out_extent(x.shape[0], spec.kernel_h)
-    ow = spec.out_extent(x.shape[1], spec.kernel_w)
-    if grad_out.shape != (oh, ow, spec.out_channels):
-        raise ShapeError(
-            f"grad_out shape {grad_out.shape} != forward output {(oh, ow, spec.out_channels)}"
-        )
-    gx, gw, gb = conv2d_backward_batch(
-        x.astype(np.float64)[None], w.astype(np.float64), spec, grad_out.astype(np.float64)[None]
-    )
-    return gx[0].astype(np.float32), gw.astype(np.float32), gb.astype(np.float32)
 
 
 def _pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
@@ -246,11 +73,14 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> 
 
 
 def conv2d_forward_batch(x, w, bias, spec: ConvSpec, return_cols: bool = False):
-    """Batched float64 conv kernel; x is (b, h, w, cin).
+    """Batched conv kernel; x is (b, h, w, cin), returns (b, oh, ow, cout).
 
     With return_cols the gathered patch matrix is handed back so a matching
     backward call can skip regathering it.
     """
+    _check_conv_shapes(x, w, spec)
+    if bias is not None and bias.shape != (spec.out_channels,):
+        raise ShapeError(f"bias shape {bias.shape} != ({spec.out_channels},)")
     b, h, ww_in, _ = x.shape
     oh = spec.out_extent(h, spec.kernel_h)
     ow = spec.out_extent(ww_in, spec.kernel_w)
@@ -264,11 +94,14 @@ def conv2d_forward_batch(x, w, bias, spec: ConvSpec, return_cols: bool = False):
 
 
 def conv2d_backward_batch(x, w, spec: ConvSpec, grad_out, cols: np.ndarray | None = None):
-    """Batched float64 gradients for conv2d_forward_batch."""
+    """Gradients (grad_x, grad_w, grad_bias) of conv2d_forward_batch."""
+    _check_conv_shapes(x, w, spec)
     b, h, ww_in, cin = x.shape
-    oh, ow = grad_out.shape[1], grad_out.shape[2]
     kh, kw, s = spec.kernel_h, spec.kernel_w, spec.stride
     cout = spec.out_channels
+    oh, ow = spec.out_extent(h, kh), spec.out_extent(ww_in, kw)
+    if grad_out.shape != (b, oh, ow, cout):
+        raise ShapeError(f"grad_out shape {grad_out.shape} != forward output {(b, oh, ow, cout)}")
     if cols is None:
         cols = _im2col(_pad_spatial(x, spec.padding), kh, kw, s, oh, ow)
     g2 = grad_out.reshape(b * oh * ow, cout)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import ContextBlock, DegradeConfig, GrayImage, degrade, make_context
 from .errors import ConfigError, DivergenceError, UsageError
-from .hadamard import SatdConfig, satd, satd_batch, satd_loss_grad, satd_loss_grad_batch
+from .hadamard import SatdConfig, satd, satd_batch, satd_loss_grad_batch
 from .intra import (DEFAULT_MODE_BITS, NETWORK, NETWORK_FLAG_BITS, ModeCost,
                     best_mode_search, build_reference_samples, hm_lambda,
                     network_mode_cost, predict_mode, smooth_references)
@@ -31,8 +31,6 @@ from .model import (NetworkConfig, PsRnnNetwork, PsRnnPlus, backward_batch,
                     psrnn_plus_backward_batch, psrnn_plus_forward_batch,
                     psrnn_plus_parameters)
 from .rng import stream
-
-RdCost = ModeCost  # rate-distortion cost record shared with the mode search
 
 LOG_HEADER = "iteration,lr,train_loss,val_loss"
 
@@ -104,43 +102,27 @@ def as_sample_set(data) -> SampleSet:
 # ---------------------------------------------------------------------------
 
 
-def loss_and_grad(prediction: np.ndarray, target: np.ndarray, loss_kind: str,
-                  satd_cfg: SatdConfig = SatdConfig()):
-    """Per-sample loss value and gradient with respect to the prediction."""
-    if prediction.shape != target.shape:
-        raise UsageError(f"shapes differ: {prediction.shape} vs {target.shape}")
-    d = prediction.astype(np.float64) - target.astype(np.float64)
-    if loss_kind == "satd":
-        return satd(d, satd_cfg), satd_loss_grad(d, satd_cfg)
-    if loss_kind == "mse":
-        count = d.size
-        loss = float(np.mean(d * d))
-        return loss, (2.0 * d / count).astype(np.float32)
-    raise ConfigError(f"loss must be 'satd' or 'mse', got {loss_kind!r}")
+def loss_and_grad(preds: np.ndarray, targets: np.ndarray, loss_kind: str,
+                  satd_cfg: SatdConfig = SatdConfig(), need_grad: bool = True):
+    """Mean per-sample loss over a (b, n, n) stack and d(loss)/d(preds).
 
-
-def _batch_loss_grad(preds: np.ndarray, targets: np.ndarray, loss_kind: str,
-                     satd_cfg: SatdConfig):
-    """Mean loss over the batch and d(loss)/d(pred), float64."""
+    Both run in float64. With need_grad=False the gradient is skipped and
+    returned as None.
+    """
+    if preds.shape != targets.shape:
+        raise UsageError(f"shapes differ: {preds.shape} vs {targets.shape}")
     d = preds - targets.astype(np.float64)
     b = d.shape[0]
     if loss_kind == "satd":
         loss = float(satd_batch(d, satd_cfg).mean())
-        grad = satd_loss_grad_batch(d, satd_cfg) / b
-    else:
+        grad = satd_loss_grad_batch(d, satd_cfg) / b if need_grad else None
+    elif loss_kind == "mse":
         per = d.shape[1] * d.shape[2]
         loss = float((d * d).sum(axis=(1, 2)).mean() / per)
-        grad = 2.0 * d / (per * b)
+        grad = 2.0 * d / (per * b) if need_grad else None
+    else:
+        raise ConfigError(f"loss must be 'satd' or 'mse', got {loss_kind!r}")
     return loss, grad
-
-
-def _batch_metric(preds: np.ndarray, targets: np.ndarray, loss_kind: str,
-                  satd_cfg: SatdConfig) -> float:
-    d = preds - targets.astype(np.float64)
-    if loss_kind == "satd":
-        return float(satd_batch(d, satd_cfg).mean())
-    per = d.shape[1] * d.shape[2]
-    return float((d * d).sum(axis=(1, 2)).mean() / per)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +159,7 @@ def _forward_chunked(net: PsRnnNetwork, contexts: np.ndarray, chunk: int = 128) 
 def validation_metric(net: PsRnnNetwork, contexts, targets, loss_kind: str,
                       satd_cfg: SatdConfig) -> float:
     preds = _forward_chunked(net, contexts)
-    return _batch_metric(preds, targets, loss_kind, satd_cfg)
+    return loss_and_grad(preds, targets, loss_kind, satd_cfg, need_grad=False)[0]
 
 
 def train(net: PsRnnNetwork, data, cfg: TrainConfig):
@@ -225,7 +207,7 @@ def train(net: PsRnnNetwork, data, cfg: TrainConfig):
         idx = batches.integers(0, len(train_idx), size=cfg.batch_size)
         pick = train_idx[idx]
         preds, caches = forward_batch(net, samples.contexts[pick])
-        loss, grad_pred = _batch_loss_grad(preds, samples.targets[pick], cfg.loss, cfg.satd)
+        loss, grad_pred = loss_and_grad(preds, samples.targets[pick], cfg.loss, cfg.satd)
         if not math.isfinite(loss):
             raise DivergenceError(it)
         grads = backward_batch(net, caches, grad_pred)
@@ -306,56 +288,39 @@ class EvalReport:
                    f"{net_satd},{net_bits},{net_total},{r.winner}")
 
 
-class Predictor:
-    """Uniform interface over the per-size model set and the composite."""
-
-    def __init__(self, nets: dict[int, PsRnnNetwork] | None = None,
-                 composites: dict[int, PsRnnPlus] | None = None):
-        self.nets = nets or {}
-        self.composites = composites or {}
-
-    def supports(self, n: int) -> bool:
-        return n in self.nets or n in self.composites
-
-    def context_spec(self, n: int) -> tuple[str, float]:
-        if n in self.nets:
-            c = self.nets[n].config
-        else:
-            c = self.composites[n].base.config
-        return c.availability_mode, c.fill_value
-
-    def predict_batch(self, n: int, contexts: np.ndarray) -> np.ndarray:
-        if n in self.nets:
-            preds, _ = forward_batch(self.nets[n], contexts)
-            return preds
-        preds, _ = psrnn_plus_forward_batch(self.composites[n], contexts)
-        return preds
-
-
-def evaluate(nets, images: list[GrayImage], qp: int,
+def evaluate(nets: dict[int, PsRnnNetwork] | None, images: list[GrayImage], qp: int,
              cfg: EvalConfig = EvalConfig()) -> EvalReport:
     """Tile images, race the angular baseline against the network per block.
 
-    `nets` may be a dict {n: PsRnnNetwork}, a Predictor, or None (baseline
-    only / oracle). Contexts are built with the availability mode and fill
-    value the corresponding model was trained with.
+    `nets` maps a block size to its network, or is None (baseline only /
+    oracle). Contexts are built with the availability mode and fill value
+    the corresponding model was trained with.
     """
-    predictor = nets if isinstance(nets, Predictor) else Predictor(nets)
-    if not cfg.oracle:
+    if nets is not None and not cfg.oracle:
         for n in cfg.block_sizes:
-            if nets is not None and not predictor.supports(n):
+            if n not in nets:
                 raise ConfigError(f"no model loaded for block size {n}")
+    live = {} if nets is None or cfg.oracle else nets
     lam = hm_lambda(qp)
     records: list[BlockRecord] = []
     for image in images:
         recon = degrade(image, DegradeConfig(qp=qp))
         if cfg.policy == "fixed":
             for n in cfg.block_sizes:
-                records.extend(_eval_fixed(predictor, image, recon, n, lam, cfg,
-                                           baseline_only=nets is None and not cfg.oracle))
+                records.extend(_eval_fixed(live.get(n), image, recon, n, lam, cfg))
         else:
-            records.extend(_eval_greedy(predictor, image, recon, lam, cfg))
+            records.extend(_eval_greedy(live, image, recon, lam, cfg))
     return _make_report(records, qp, lam)
+
+
+def _contexts(net: PsRnnNetwork, image: GrayImage, recon: GrayImage, origins) -> np.ndarray:
+    c = net.config
+    n = c.pu_size
+    return np.stack([
+        make_context(recon.pixels, image.pixels, (y - n, x - n), n,
+                     c.availability_mode, c.fill_value).context
+        for y, x in origins
+    ])
 
 
 def _tile_origins(shape: tuple[int, int], n: int):
@@ -388,28 +353,20 @@ def _block_record(image: GrayImage, recon: GrayImage,
                        winner=winner, base_mse=base_mse, net_mse=net_mse)
 
 
-def _eval_fixed(predictor: Predictor, image: GrayImage, recon: GrayImage, n: int,
-                lam: float, cfg: EvalConfig, baseline_only: bool) -> list[BlockRecord]:
+def _eval_fixed(net: PsRnnNetwork | None, image: GrayImage, recon: GrayImage, n: int,
+                lam: float, cfg: EvalConfig) -> list[BlockRecord]:
     origins = list(_tile_origins(image.pixels.shape, n))
-    net_preds: dict[tuple[int, int], np.ndarray] = {}
-    if not baseline_only and not cfg.oracle and predictor.supports(n):
-        mode, fill = predictor.context_spec(n)
-        contexts = np.stack([
-            make_context(recon.pixels, image.pixels, (y - n, x - n), n, mode, fill).context
-            for y, x in origins
-        ])
+    preds: list[np.ndarray | None] = [None] * len(origins)
+    if net is not None:
+        contexts = _contexts(net, image, recon, origins)
         for i in range(0, len(origins), 256):
-            chunk = predictor.predict_batch(n, contexts[i : i + 256])
-            for j, pred in enumerate(chunk):
-                net_preds[origins[i + j]] = pred
-    out = []
-    for origin in origins:
-        out.append(_block_record(image, recon, origin, n, lam, cfg,
-                                 net_preds.get(origin)))
-    return out
+            chunk, _ = forward_batch(net, contexts[i : i + 256], need_cache=False)
+            preds[i : i + len(chunk)] = list(chunk)
+    return [_block_record(image, recon, origin, n, lam, cfg, pred)
+            for origin, pred in zip(origins, preds)]
 
 
-def _eval_greedy(predictor: Predictor, image: GrayImage, recon: GrayImage,
+def _eval_greedy(nets: dict[int, PsRnnNetwork], image: GrayImage, recon: GrayImage,
                  lam: float, cfg: EvalConfig) -> list[BlockRecord]:
     sizes = sorted(cfg.block_sizes, reverse=True)
     if len(sizes) < 2:
@@ -417,12 +374,9 @@ def _eval_greedy(predictor: Predictor, image: GrayImage, recon: GrayImage,
 
     def eval_one(origin, n) -> BlockRecord:
         pred = None
-        if cfg.oracle or predictor.supports(n):
-            if not cfg.oracle:
-                mode, fill = predictor.context_spec(n)
-                ctx = make_context(recon.pixels, image.pixels,
-                                   (origin[0] - n, origin[1] - n), n, mode, fill).context
-                pred = predictor.predict_batch(n, ctx[None])[0]
+        if n in nets:
+            pred = forward_batch(nets[n], _contexts(nets[n], image, recon, [origin]),
+                                 need_cache=False)[0][0]
         return _block_record(image, recon, origin, n, lam, cfg, pred)
 
     def descend(origin, n) -> list[BlockRecord]:
@@ -556,7 +510,7 @@ def fine_tune_psrnn_plus(plus: PsRnnPlus, data, iters: int = 300,
     for it in range(iters):
         idx = batches.integers(0, len(samples), size=batch_size)
         preds, caches = psrnn_plus_forward_batch(plus, samples.contexts[idx])
-        loss, grad_pred = _batch_loss_grad(preds, samples.targets[idx], "satd", satd_cfg)
+        loss, grad_pred = loss_and_grad(preds, samples.targets[idx], "satd", satd_cfg)
         if not math.isfinite(loss):
             raise DivergenceError(it)
         grads = psrnn_plus_backward_batch(plus, caches, grad_pred)

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 from hypothesis import settings
 
@@ -104,3 +107,15 @@ def dyadic_residue(gen: np.random.Generator, shape, scale_bits: int = 12) -> np.
     """
     q = 1 << scale_bits
     return (gen.integers(-q, q + 1, size=shape) / q).astype(np.float64)
+
+
+def rewrite_config_text(path, old: bytes, new: bytes) -> None:
+    """Edit the stored config text of a model file and re-seal its CRC."""
+    data = bytearray(path.read_bytes())[:-4]
+    size = struct.unpack("<I", data[12:16])[0]
+    text = bytes(data[16 : 16 + size])
+    assert old in text
+    text = text.replace(old, new)
+    data[12 : 16 + size] = struct.pack("<I", len(text)) + text
+    data += struct.pack("<I", zlib.crc32(bytes(data)) & 0xFFFFFFFF)
+    path.write_bytes(bytes(data))

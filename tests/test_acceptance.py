@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import dyadic_residue, min_kink_margin, rel_err
+from oracles import satd_smooth
 from test_hadamard import brute_force_satd
 from psrnn import data as D
 from psrnn import hadamard as H
@@ -95,15 +96,15 @@ def test_satd_gradient_vs_finite_differences():
         # shrink with eps for the central difference to stay second-order
         h = 0.02 * np.sqrt(eps)
         d = gen.uniform(-1, 1, (side, side))
-        analytic = H.satd_loss_grad64(d, cfg)
+        analytic = H.satd_loss_grad_batch(d[None], cfg)[0]
         ref = np.zeros_like(d)
         for i in range(side):
             for j in range(side):
                 dp = d.copy(); dp[i, j] += h
                 dm = d.copy(); dm[i, j] -= h
-                ref[i, j] = (H.satd_smooth(dp, cfg) - H.satd_smooth(dm, cfg)) / (2 * h)
+                ref[i, j] = (satd_smooth(dp, cfg) - satd_smooth(dm, cfg)) / (2 * h)
         assert rel_err(analytic, ref) < 1e-4
-    ones = H.satd_loss_grad(np.ones((4, 4)), H.SatdConfig(partition=4, epsilon=1e-8))
+    ones = H.satd_loss_grad_batch(np.ones((1, 4, 4)), H.SatdConfig(partition=4, epsilon=1e-8))
     assert np.max(np.abs(ones - 1.0)) < 1e-3
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
@@ -170,14 +171,18 @@ def _check_conv_instances(count, gen):
             oh, ow = spec.out_extent(side, kh), spec.out_extent(side, kw)
         except Exception:
             continue
-        x = gen.uniform(-1, 1, (side, side, cin)).astype(np.float32)
+        # float32 storage, float64 compute, one map as a batch of one
+        x = gen.uniform(-1, 1, (1, side, side, cin)).astype(np.float32)
         w = gen.uniform(-1, 1, (kh, kw, cin, cout)).astype(np.float32)
         b = gen.uniform(-1, 1, cout).astype(np.float32)
-        probe = gen.uniform(-1, 1, (oh, ow, cout))
-        gx, gw, gb = T.conv2d_backward(x, w, spec, probe.astype(np.float32))
+        probe = gen.uniform(-1, 1, (1, oh, ow, cout))
+        gx, gw, gb = T.conv2d_backward_batch(x.astype(np.float64), w.astype(np.float64),
+                                             spec, probe)
 
         def loss():
-            return float(np.sum(T.conv2d_forward(x, w, b, spec).astype(np.float64) * probe))
+            out = T.conv2d_forward_batch(x.astype(np.float64), w.astype(np.float64),
+                                         b.astype(np.float64), spec)
+            return float(np.sum(out * probe))
 
         for arr, grad in ((x, gx), (w, gw), (b, gb)):
             assert rel_err(grad, _fd_tensor(loss, arr)) < 1e-4
@@ -205,20 +210,19 @@ def _check_gru_instances(count, gen):
     for _ in range(count):
         hidden, dim, batch, steps_n = 3, 4, 2, 8
         p = random_gru(gen, hidden, dim)
-        xs = [gen.uniform(-1, 1, (batch, dim)) for _ in range(steps_n)]
+        xs = np.stack([gen.uniform(-1, 1, (batch, dim)) for _ in range(steps_n)])
         h0 = gen.uniform(-1, 1, (batch, hidden))
-        probes = [gen.uniform(-1, 1, (batch, hidden)).astype(np.float32)
-                  for _ in range(steps_n)]
-        steps = L.gru_sequence_forward(p, xs, h0)
-        grads, _, _ = L.gru_backward(steps, p, grads_h_per_step=probes)
+        probes = np.stack([gen.uniform(-1, 1, (batch, hidden)).astype(np.float32)
+                           for _ in range(steps_n)]).astype(np.float64)
+        _, cache = L.gru_sweep_forward(p, xs, h0)
+        grads, _, _ = L.gru_sweep_backward(p, cache, probes)
 
         def loss():
-            ss = L.gru_sequence_forward(p, xs, h0)
-            return sum(float(np.sum(s.h * pr)) for s, pr in zip(ss, probes))
+            hs, _ = L.gru_sweep_forward(p, xs, h0)
+            return float(np.sum(hs * probes))
 
         for name, arr in p.named().items():
-            assert rel_err(np.asarray(getattr(grads, name)),
-                           _fd_tensor(loss, arr, h=1e-3)) < 1e-3, name
+            assert rel_err(grads[name], _fd_tensor(loss, arr, h=1e-3)) < 1e-3, name
 
 
 def _check_unit_instances(count, gen):
@@ -324,7 +328,8 @@ def test_gru_contract():
         p = random_gru(gen, 4, 6, scale=1.0)
         x = gen.uniform(-1, 1, 6).astype(np.float32)
         hv = gen.uniform(-1, 1, 4).astype(np.float32)
-        step = L.gru_forward(p, x, hv)
+        _, step = L.gru_sweep_forward(p, x.astype(np.float64).reshape(1, 1, 6),
+                                      hv.astype(np.float64).reshape(1, 4))
         assert np.all(step.z > 0) and np.all(step.z < 1)
         assert np.all(step.r > 0) and np.all(step.r < 1)
 
@@ -332,9 +337,9 @@ def test_gru_contract():
     p = random_gru(gen, 4, d)
     p.Wz[...] = 20.0 / d
     p.Uz[...] = 0.0
-    h_prev = gen.uniform(-1, 1, 4).astype(np.float32)
-    step = L.gru_forward(p, np.ones(d, np.float32), h_prev)
-    diff = float(np.linalg.norm(step.h - h_prev.astype(np.float64)))
+    h_prev = gen.uniform(-1, 1, 4).astype(np.float32).astype(np.float64)
+    hs, _ = L.gru_sweep_forward(p, np.ones((1, 1, d)), h_prev.reshape(1, 4))
+    diff = float(np.linalg.norm(hs[0, 0] - h_prev))
     assert diff < 1e-6
 
     net = M.build_network(M.NetworkConfig(pu_size=4, preproc_channels=(2, 2),
@@ -479,8 +484,8 @@ def test_variable_block_size():
     ratios = []
     for target in (16, 32):
         plus = M.build_psrnn_plus(base, target, seed=7)
-        ctx = gen.random((2 * target, 2 * target)).astype(np.float32)
-        pred = M.psrnn_plus_forward(plus, ctx)
+        ctx = gen.random((1, 2 * target, 2 * target)).astype(np.float32)
+        pred = M.psrnn_plus_forward_batch(plus, ctx)[0][0]
         assert pred.shape == (target, target)
         ratio = M.psrnn_plus_overhead_ratio(plus)
         assert ratio <= 0.10

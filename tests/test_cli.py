@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import rewrite_config_text
 from psrnn import cli
 from psrnn import data as D
 from psrnn.model import load_model
@@ -65,8 +66,10 @@ class TestConfigHandling:
         raw = cli.parse_config_file(cfg)
         assert raw == {"iters": "0"}
 
-    def test_threads_flag_validated(self, capsys):
-        assert run_cli("train", "--threads", "0") == 1
+    def test_threads_flag_removed(self, capsys):
+        # thread-count independence is tested on the model bytes instead
+        with pytest.raises(SystemExit):
+            run_cli("train", "--threads", "1")
 
 
 class TestPrepare:
@@ -195,6 +198,20 @@ class TestEval:
         selected = sum(r["winner"] == "network" for r in records)
         assert summary["selection_rate_pct"] == pytest.approx(
             100.0 * selected / len(records), rel=1e-9)
+
+    def test_composite_key_removed(self, trained, tmp_path, capsys):
+        assert run_cli("eval", "--out", str(tmp_path / "plus"),
+                       "--set", f"models={trained/'model.psrnn'}",
+                       "--set", f"psrnn_plus_base={trained/'model.psrnn'}") == 1
+        assert "psrnn_plus_base" in capsys.readouterr().err
+
+    def test_corrupt_model_config_is_runtime_error(self, trained, tmp_path, capsys):
+        bad = tmp_path / "bad.psrnn"
+        bad.write_bytes((trained / "model.psrnn").read_bytes())
+        rewrite_config_text(bad, b"fill_value=0.5\n", b"")
+        assert run_cli("eval", "--out", str(tmp_path / "ev"),
+                       "--set", f"models={bad}") == 2
+        assert "corrupt model file" in capsys.readouterr().err
 
     def test_sizes_without_models_rejected(self, trained, tmp_path):
         assert run_cli("eval", "--out", str(tmp_path / "bad"),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import dyadic_residue, fd_grad, rel_err
+from oracles import satd_smooth
 from psrnn import hadamard as H
 from psrnn.errors import PartitionError, ShapeError
 
@@ -57,27 +58,30 @@ class TestHadamardMatrix:
 
 
 class TestTransform:
+    # the one tile transform behind satd, satd_batch and the gradient
     def test_zero_residue(self):
-        out = H.hadamard_transform(np.zeros((4, 4)), H.hadamard_matrix(4))
+        out = H._transform_tiles(np.zeros((1, 4, 4)), 4)
         assert not out.any()
 
     def test_all_ones_concentrates_dc(self):
-        out = H.hadamard_transform(np.ones((4, 4)), H.hadamard_matrix(4))
+        out = H._transform_tiles(np.ones((1, 4, 4)), 4)[0, 0, 0]
         assert out[0, 0] == 16.0
         out[0, 0] = 0.0
         assert not out.any()
 
     def test_impulse_spreads_flat(self):
-        d = np.zeros((4, 4))
-        d[0, 0] = 1.0
-        out = H.hadamard_transform(d, H.hadamard_matrix(4))
+        d = np.zeros((1, 4, 4))
+        d[0, 0, 0] = 1.0
+        out = H._transform_tiles(d, 4)[0, 0, 0]
         np.testing.assert_array_equal(out, np.ones((4, 4)))
 
     def test_size_mismatch(self):
+        with pytest.raises(PartitionError):
+            H._transform_tiles(np.zeros((1, 4, 4)), 8)
+        with pytest.raises(PartitionError):
+            H._transform_tiles(np.zeros((1, 4, 2)), 4)
         with pytest.raises(ShapeError):
-            H.hadamard_transform(np.zeros((4, 4)), H.hadamard_matrix(8))
-        with pytest.raises(ShapeError):
-            H.hadamard_transform(np.zeros((4, 2)), H.hadamard_matrix(4))
+            H._transform_tiles(np.zeros((4, 4)), 4)
 
 
 class TestSatd:
@@ -102,12 +106,15 @@ class TestSatd:
             d = dyadic_residue(gen, (side, side))
             assert H.satd(d, cfg) == brute_force_satd(d, 4)
 
-    def test_batch_agrees_with_scalar_path(self):
-        gen = np.random.default_rng(9)
-        d = gen.uniform(-1, 1, (10, 8, 8))
-        got = H.satd_batch(d, H.SatdConfig(partition=4))
-        want = [H.satd(d[i], H.SatdConfig(partition=4)) for i in range(10)]
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+    @given(n=st.sampled_from([4, 8, 16, 32]), b=st.integers(1, 64),
+           seed=st.integers(0, 10_000))
+    def test_batch_agrees_with_scalar_path(self, n, b, seed):
+        # the per-block mode search and the batched loss must agree bit for bit
+        d = np.random.default_rng(seed).uniform(-1, 1, (b, n, n))
+        cfg = H.SatdConfig(partition=4)
+        got = H.satd_batch(d, cfg)
+        want = [H.satd(d[i], cfg) for i in range(b)]
+        assert got.tolist() == want
 
     @given(seed=st.integers(0, 10_000), scale=st.floats(-3.0, 3.0))
     def test_sign_symmetry_and_homogeneity(self, seed, scale):
@@ -121,15 +128,15 @@ class TestSatd:
         pred = np.random.default_rng(1).random((8, 8)).astype(np.float32)
         d = pred.astype(np.float64) - pred.astype(np.float64)
         assert H.satd(d) == 0.0
-        assert not H.satd_loss_grad(d).any()
+        assert not H.satd_loss_grad_batch(d[None]).any()
 
 
 class TestSatdGradient:
     def test_zero_residue_zero_gradient(self):
-        assert not H.satd_loss_grad(np.zeros((8, 8))).any()
+        assert not H.satd_loss_grad_batch(np.zeros((2, 8, 8))).any()
 
     def test_all_ones_gradient_is_one(self):
-        g = H.satd_loss_grad(np.ones((4, 4)), H.SatdConfig(partition=4, epsilon=1e-8))
+        g = H.satd_loss_grad_batch(np.ones((1, 4, 4)), H.SatdConfig(partition=4, epsilon=1e-8))
         assert np.max(np.abs(g - 1.0)) < 1e-3
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-8])
@@ -139,22 +146,23 @@ class TestSatdGradient:
         h = 0.02 * np.sqrt(eps)  # resolve the sqrt(eps)-scale curvature
         for _ in range(12):
             d = gen.uniform(-1, 1, (4, 4))
-            analytic = H.satd_loss_grad64(d, cfg)
-            ref = fd_grad(lambda x: H.satd_smooth(x, cfg), d, h=h)
+            analytic = H.satd_loss_grad_batch(d[None], cfg)[0]
+            ref = fd_grad(lambda x: satd_smooth(x, cfg), d, h=h)
             assert rel_err(analytic, ref) < 1e-4
 
     def test_batch_agrees_with_scalar_path(self):
+        # a stack's gradients are each item's gradient as a batch of one
         gen = np.random.default_rng(23)
         d = gen.uniform(-1, 1, (6, 8, 8))
         cfg = H.SatdConfig(partition=4)
         got = H.satd_loss_grad_batch(d, cfg)
         for i in range(6):
-            np.testing.assert_allclose(got[i], H.satd_loss_grad64(d[i], cfg), rtol=1e-12)
+            np.testing.assert_array_equal(got[i], H.satd_loss_grad_batch(d[i : i + 1], cfg)[0])
 
     def test_smoothed_loss_upper_bounds_satd(self):
         d = np.random.default_rng(3).uniform(-1, 1, (8, 8))
         cfg = H.SatdConfig(partition=4, epsilon=1e-6)
-        assert H.satd_smooth(d, cfg) >= H.satd(d, cfg)
+        assert satd_smooth(d, cfg) >= H.satd(d, cfg)
 
 
 class TestSatdConfig:

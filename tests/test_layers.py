@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import rel_err
+from oracles import gru_sequence_backward, gru_sequence_forward
 from psrnn import layers as L
 from psrnn.errors import ShapeError, UsageError
 
@@ -25,14 +26,21 @@ def zero_gru(hidden, input_dim):
                        b=z((hidden,)))
 
 
+def one_step(p, x, h, gate="sigmoid"):
+    """Sweep a single (d,) input from a single (hidden,) state; returns the cache."""
+    _, cache = L.gru_sweep_forward(p, np.asarray(x, np.float64).reshape(1, 1, -1),
+                                   np.asarray(h, np.float64).reshape(1, -1), gate)
+    return cache
+
+
 class TestGruForward:
     def test_zero_params_halve_state(self):
         v = np.array([0.4, -0.8, 1.2], dtype=np.float32)
-        step = L.gru_forward(zero_gru(3, 2), np.zeros(2, np.float32), v)
+        step = one_step(zero_gru(3, 2), np.zeros(2), v)
         np.testing.assert_allclose(step.z, 0.5)
         np.testing.assert_allclose(step.r, 0.5)
         np.testing.assert_allclose(step.c, 0.0)
-        np.testing.assert_allclose(step.h, 0.5 * v.astype(np.float64), rtol=1e-12)
+        np.testing.assert_allclose(step.hs[0, 0], 0.5 * v.astype(np.float64), rtol=1e-12)
 
     def test_copy_gate_limit(self):
         gen = np.random.default_rng(2)
@@ -42,18 +50,18 @@ class TestGruForward:
         p.Wz[...] = 20.0 / d
         p.Uz[...] = 0.0
         h_prev = gen.uniform(-1, 1, 4).astype(np.float32)
-        step = L.gru_forward(p, np.ones(d, np.float32), h_prev)
-        assert np.linalg.norm(step.h - h_prev.astype(np.float64)) < 1e-6
+        step = one_step(p, np.ones(d), h_prev)
+        assert np.linalg.norm(step.hs[0, 0] - h_prev.astype(np.float64)) < 1e-6
 
     def test_batched_matches_single(self):
         gen = np.random.default_rng(7)
         p = random_gru(gen, 3, 5)
-        xs = gen.uniform(-1, 1, (4, 5)).astype(np.float32)
-        hs = gen.uniform(-1, 1, (4, 3)).astype(np.float32)
-        batch = L.gru_forward(p, xs, hs)
+        xs = gen.uniform(-1, 1, (3, 4, 5))
+        h0 = gen.uniform(-1, 1, (4, 3))
+        batch, _ = L.gru_sweep_forward(p, xs, h0)
         for i in range(4):
-            single = L.gru_forward(p, xs[i], hs[i])
-            np.testing.assert_allclose(batch.h[i], single.h, rtol=1e-12)
+            single, _ = L.gru_sweep_forward(p, xs[:, i : i + 1], h0[i : i + 1])
+            np.testing.assert_allclose(batch[:, i], single[:, 0], rtol=1e-12)
 
     @given(seed=st.integers(0, 10_000))
     def test_gates_strictly_boxed(self, seed):
@@ -61,7 +69,7 @@ class TestGruForward:
         p = random_gru(gen, 4, 6, scale=1.0)
         x = gen.uniform(-1, 1, 6).astype(np.float32)
         h = gen.uniform(-1, 1, 4).astype(np.float32)
-        step = L.gru_forward(p, x, h)
+        step = one_step(p, x, h)
         assert np.all(step.z > 0) and np.all(step.z < 1)
         assert np.all(step.r > 0) and np.all(step.r < 1)
 
@@ -71,42 +79,43 @@ class TestGruForward:
         p = random_gru(gen, 4, 6, scale=2.0)
         x = gen.uniform(-2, 2, 6).astype(np.float32)
         h = gen.uniform(-2, 2, 4).astype(np.float32)
-        step = L.gru_forward(p, x, h)
+        step = one_step(p, x, h)
         bound = max(np.max(np.abs(h)), 1.0)
-        assert np.max(np.abs(step.h)) <= bound + 1e-9
+        assert np.max(np.abs(step.hs)) <= bound + 1e-9
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            L.gru_forward(zero_gru(3, 2), np.zeros(5, np.float32), np.zeros(3, np.float32))
+            one_step(zero_gru(3, 2), np.zeros(5), np.zeros(3))
+        with pytest.raises(ShapeError):
+            one_step(zero_gru(3, 2), np.zeros(2), np.zeros(4))
 
     def test_tanh_gate_variant(self):
         p = zero_gru(2, 2)
-        step = L.gru_forward(p, np.zeros(2, np.float32), np.ones(2, np.float32),
-                             gate_activation="tanh")
+        step = one_step(p, np.zeros(2), np.ones(2), gate="tanh")
         np.testing.assert_allclose(step.z, 0.0)  # tanh(0) = 0: no copy-through
-        np.testing.assert_allclose(step.h, 0.0)
+        np.testing.assert_allclose(step.hs, 0.0)
 
 
-def _sequence_loss_probe(params, xs, h0, probes, gate="sigmoid"):
-    steps = L.gru_sequence_forward(params, list(xs), h0, gate)
-    return sum(float(np.sum(s.h * probes[t])) for t, s in enumerate(steps))
+def _sweep_loss_probe(params, xs, h0, probes, gate="sigmoid"):
+    hs, _ = L.gru_sweep_forward(params, xs, h0, gate)
+    return float(np.sum(hs * probes))
 
 
 class TestGruBackward:
     def test_zero_upstream_zero_grads(self):
         gen = np.random.default_rng(0)
         p = random_gru(gen, 3, 4)
-        xs = [gen.uniform(-1, 1, (2, 4)) for _ in range(5)]
-        steps = L.gru_sequence_forward(p, xs, np.zeros((2, 3)))
-        grads, gh0, gxs = L.gru_backward(steps, p)
-        for v in grads.named().values():
+        xs = gen.uniform(-1, 1, (5, 2, 4))
+        _, cache = L.gru_sweep_forward(p, xs, np.zeros((2, 3)))
+        grads, gh0, gxs = L.gru_sweep_backward(p, cache, np.zeros((5, 2, 3)))
+        for v in grads.values():
             assert not v.any()
         assert not gh0.any()
-        assert not any(g.any() for g in gxs)
+        assert not gxs.any()
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(UsageError):
-            L.gru_backward([], zero_gru(2, 2))
+            L.gru_sweep_forward(zero_gru(2, 2), np.zeros((0, 1, 2)), np.zeros((1, 2)))
 
     def test_scalar_symbolic_oracle(self):
         gen = np.random.default_rng(13)
@@ -119,9 +128,9 @@ class TestGruBackward:
             # same values the implementation does
             wz, uz, wr, ur, w, u = (float(m[0, 0]) for m in (p.Wz, p.Uz, p.Wr, p.Ur, p.W, p.U))
             b = float(p.b[0])
-            step = L.gru_forward(p, np.array([x], np.float32), np.array([h0], np.float32))
             x = float(np.float32(x))
             h0 = float(np.float32(h0))
+            cache = one_step(p, [x], [h0])
             sig = lambda a: 1.0 / (1.0 + np.exp(-a))
             az = wz * x + uz * h0
             ar = wr * x + ur * h0
@@ -141,26 +150,23 @@ class TestGruBackward:
             }
             want_h0 = g * z + drh * r + dar * ur + daz * uz
             want_x = dac * w + dar * wr + daz * wz
-            grads, gh0, gxs = L.gru_backward(
-                [step], p, grads_h_per_step=[np.array([g], np.float32)])
+            grads, gh0, gxs = L.gru_sweep_backward(p, cache, np.full((1, 1, 1), g))
             for name, val in want.items():
-                got = float(np.asarray(getattr(grads, name)).ravel()[0])
+                got = float(np.asarray(grads[name]).ravel()[0])
                 assert rel_err(got, val) < 1e-6, name
-            assert rel_err(float(gh0[0]), want_h0) < 1e-6
-            assert rel_err(float(gxs[0][0]), want_x) < 1e-6
+            assert rel_err(float(gh0[0, 0]), want_h0) < 1e-6
+            assert rel_err(float(gxs[0, 0, 0]), want_x) < 1e-6
 
     @pytest.mark.parametrize("gate", ["sigmoid", "tanh"])
     def test_eight_step_finite_differences(self, gate):
         gen = np.random.default_rng(31)
         hidden, dim, batch, steps_n = 3, 4, 2, 8
         p = random_gru(gen, hidden, dim)
-        xs = [gen.uniform(-1, 1, (batch, dim)) for _ in range(steps_n)]
+        xs = gen.uniform(-1, 1, (steps_n, batch, dim))
         h0 = gen.uniform(-1, 1, (batch, hidden))
-        probes = [gen.uniform(-1, 1, (batch, hidden)) for _ in range(steps_n)]
-        steps = L.gru_sequence_forward(p, xs, h0, gate)
-        grads, gh0, _ = L.gru_backward(
-            steps, p, grads_h_per_step=[pr.astype(np.float32) for pr in probes],
-            gate_activation=gate)
+        probes = gen.uniform(-1, 1, (steps_n, batch, hidden))
+        _, cache = L.gru_sweep_forward(p, xs, h0, gate)
+        grads, gh0, _ = L.gru_sweep_backward(p, cache, probes)
         h = 1e-3
         for name, arr in p.named().items():
             ref = np.zeros(arr.shape)
@@ -169,15 +175,16 @@ class TestGruBackward:
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                fp = _sequence_loss_probe(p, xs, h0, probes, gate)
+                fp = _sweep_loss_probe(p, xs, h0, probes, gate)
                 flat[i] = orig - h
-                fm = _sequence_loss_probe(p, xs, h0, probes, gate)
+                fm = _sweep_loss_probe(p, xs, h0, probes, gate)
                 flat[i] = orig
                 rflat[i] = (fp - fm) / (2 * h)
-            assert rel_err(np.asarray(getattr(grads, name)), ref) < 1e-3, name
+            assert rel_err(np.asarray(grads[name]), ref) < 1e-3, name
 
 
 class TestSweepFastPath:
+    # the fused sweep against the step-by-step reference recurrence
     def test_matches_stepwise_contract_path(self):
         gen = np.random.default_rng(77)
         hidden, dim, batch, n = 6, 8, 3, 7
@@ -185,13 +192,12 @@ class TestSweepFastPath:
         xs = gen.uniform(-1, 1, (n, batch, dim))
         h0 = gen.uniform(-1, 1, (batch, hidden))
         hs, cache = L.gru_sweep_forward(p, xs, h0)
-        steps = L.gru_sequence_forward(p, list(xs), h0)
+        steps = gru_sequence_forward(p, list(xs), h0)
         for t in range(n):
             np.testing.assert_allclose(hs[t], steps[t].h, rtol=1e-12, atol=1e-14)
         grads_h = gen.uniform(-1, 1, (n, batch, hidden))
         g_fast, gh0_fast, gx_fast = L.gru_sweep_backward(p, cache, grads_h)
-        g_slow, gh0_slow, gx_slow = L.gru_sequence_backward(
-            p, steps, list(grads_h), None)
+        g_slow, gh0_slow, gx_slow = gru_sequence_backward(p, steps, list(grads_h), None)
         for name in g_fast:
             assert rel_err(g_fast[name], g_slow[name]) < 1e-12
         assert rel_err(gh0_fast, gh0_slow) < 1e-12
@@ -204,8 +210,8 @@ class TestSweepFastPath:
         _, cache = L.gru_sweep_forward(p, xs, np.zeros((1, 2)))
         gfin = np.ones((1, 2))
         g1, _, _ = L.gru_sweep_backward(p, cache, np.zeros((4, 1, 2)), gfin)
-        steps = L.gru_sequence_forward(p, list(xs), np.zeros((1, 2)))
-        g2, _, _ = L.gru_sequence_backward(p, steps, None, gfin)
+        steps = gru_sequence_forward(p, list(xs), np.zeros((1, 2)))
+        g2, _, _ = gru_sequence_backward(p, steps, None, gfin)
         for name in g1:
             assert rel_err(g1[name], g2[name]) < 1e-12
 
@@ -244,15 +250,6 @@ class TestPrelu:
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             L.prelu_forward(np.zeros((2, 3)), np.zeros(2))
-
-    def test_dispatcher(self):
-        x = np.array([[-1.0]])
-        alpha = np.array([0.5])
-        np.testing.assert_array_equal(L.prelu(x, alpha), [[-0.5]])
-        gx, ga = L.prelu(x, alpha, "backward", grad_out=np.ones((1, 1)))
-        assert gx[0, 0] == 0.5
-        with pytest.raises(UsageError):
-            L.prelu(x, alpha, "sideways")
 
 
 class TestAdam:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import directional_check, min_kink_margin, plus_kink_margin
+from conftest import (directional_check, min_kink_margin, plus_kink_margin,
+                      rewrite_config_text)
 from psrnn import model as M
 from psrnn.errors import ConfigError, IntegrityError, ShapeError, UsageError, VersionError
-from psrnn.layers import gru_forward
+from oracles import gru_sequence_forward
 
 TINY = M.NetworkConfig(pu_size=4, preproc_channels=(2, 2), unit_hidden=(2, 2),
                        recon_channels=(2,))
@@ -83,8 +84,8 @@ class TestUnit:
                 v[...] = 0
         unit.fusion.w[...] = 0
         unit.fusion.b[...] = 0.7
-        feat = np.random.default_rng(0).random((8, 8, 2)).astype(np.float32)
-        out = M.unit_forward(unit, feat)
+        feat = np.random.default_rng(0).random((1, 8, 8, 2))
+        out, _ = M.unit_forward_batch(unit, feat, "sigmoid")
         np.testing.assert_allclose(out, 0.7, rtol=1e-6)
 
     def test_constant_rows_follow_manual_recurrence(self):
@@ -98,11 +99,9 @@ class TestUnit:
         _, cache = M.unit_forward_batch(unit, feat[None], "sigmoid")
         cache_h = cache[1]
         x = plane.reshape(1, -1)
-        h = np.zeros((1, unit.gru_h.hidden))
+        steps = gru_sequence_forward(unit.gru_h, [x] * 8, np.zeros((1, unit.gru_h.hidden)))
         for t in range(8):
-            step = gru_forward(unit.gru_h, x, h)
-            np.testing.assert_allclose(cache_h.hs[t], step.h, rtol=1e-9)
-            h = step.h
+            np.testing.assert_allclose(cache_h.hs[t], steps[t].h, rtol=1e-9)
 
     def test_sweep_causality(self):
         net = M.build_network(TINY, seed=9)
@@ -120,18 +119,24 @@ class TestUnit:
         assert not np.array_equal(hs1[t + 1], hs2[t + 1])
 
     def test_single_sample_wrapper_shape(self):
+        # a single feature map goes through the unit as a batch of one
         net = M.build_network(TINY, seed=1)
-        out = M.unit_forward(net.units[0], np.zeros((8, 8, 2), np.float32))
-        assert out.shape == (8, 8, 2)
+        out, _ = M.unit_forward_batch(net.units[0], np.zeros((1, 8, 8, 2)), "sigmoid")
+        assert out.shape == (1, 8, 8, 2)
         with pytest.raises(ShapeError):
-            M.unit_forward(net.units[0], np.zeros((8, 8), np.float32))
+            M.unit_forward_batch(net.units[0], np.zeros((8, 8, 2)), "sigmoid")
+
+
+def single_backward(net, ctx, grad_pred):
+    _, caches = M.forward_batch(net, ctx[None])
+    return M.backward_batch(net, caches, grad_pred[None])
 
 
 class TestBackward:
     def test_zero_upstream_grad(self):
         net = M.build_network(TINY, seed=2)
-        ctx = np.random.default_rng(0).random((8, 8)).astype(np.float32)
-        grads = M.network_backward(net, ctx, np.zeros((4, 4), np.float32))
+        ctx = np.random.default_rng(0).random((8, 8))
+        grads = single_backward(net, ctx, np.zeros((4, 4)))
         assert set(grads) == set(M.parameters(net))
         for v in grads.values():
             assert not v.any()
@@ -139,10 +144,10 @@ class TestBackward:
     def test_identical_calls_identical_gradients(self):
         net = M.build_network(TINY, seed=2)
         gen = np.random.default_rng(1)
-        ctx = gen.random((8, 8)).astype(np.float32)
-        g = gen.random((4, 4)).astype(np.float32)
-        g1 = M.network_backward(net, ctx, g)
-        g2 = M.network_backward(net, ctx, g)
+        ctx = gen.random((8, 8))
+        g = gen.random((4, 4))
+        g1 = single_backward(net, ctx, g)
+        g2 = single_backward(net, ctx, g)
         for k in g1:
             np.testing.assert_array_equal(g1[k], g2[k])
 
@@ -219,6 +224,18 @@ class TestSerialization:
         with pytest.raises(VersionError):
             M.load_model(path)
 
+    @pytest.mark.parametrize("edit", [
+        (b"fill_value=0.5\n", b""),          # a key is missing
+        (b"pu_size=4", b"pu_size=four"),      # a value is not a number
+        (b"gate_activation=sigmoid", b"gate_activation=\xff\xfeigmoid"),  # not UTF-8
+    ], ids=["missing-key", "non-integer", "non-utf8"])
+    def test_corrupt_config_text(self, tmp_path, edit):
+        path = tmp_path / "m.psrnn"
+        M.save_model(M.build_network(TINY, seed=0), path)
+        rewrite_config_text(path, *edit)
+        with pytest.raises(IntegrityError):
+            M.load_model(path)
+
     def test_config_mismatch_rejected(self, tmp_path):
         net = M.build_network(M.NetworkConfig(pu_size=8), seed=0)
         path = tmp_path / "m.psrnn"
@@ -244,8 +261,8 @@ class TestPsRnnPlus:
     @pytest.mark.parametrize("target", [16, 32])
     def test_shapes(self, base, target):
         plus = M.build_psrnn_plus(base, target, seed=1)
-        ctx = np.random.default_rng(0).random((2 * target, 2 * target)).astype(np.float32)
-        pred = M.psrnn_plus_forward(plus, ctx)
+        ctx = np.random.default_rng(0).random((1, 2 * target, 2 * target))
+        pred = M.psrnn_plus_forward_batch(plus, ctx)[0][0]
         assert pred.shape == (target, target)
         assert pred.min() >= 0.0 and pred.max() <= 1.0
 

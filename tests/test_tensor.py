@@ -3,46 +3,37 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import rel_err
+from psrnn import layers as L
+from psrnn import model as M
 from psrnn import tensor as T
-from psrnn.errors import ShapeError
+from psrnn.errors import ShapeError, UsageError
 
 
-class TestCreate:
-    def test_zero_fill(self):
-        t = T.create([2, 2], 0)
-        assert t.shape == (2, 2)
-        assert t.dtype == np.float32
-        np.testing.assert_array_equal(t, np.zeros((2, 2)))
-
-    def test_identity_scalar(self):
-        np.testing.assert_array_equal(T.create([1], 1), np.ones(1, dtype=np.float32))
-
-    def test_constant_fill(self):
-        t = T.create([4, 4, 8], 0.5)
-        assert t.size == 128
-        assert np.all(t == 0.5)
-
-    @pytest.mark.parametrize("shape", [[0], [2, 0, 3], [-1, 4], [], [1, 1, 1, 1, 1]])
-    def test_invalid_shapes(self, shape):
-        with pytest.raises(ShapeError):
-            T.create(shape, 0)
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b through the conv kernel: rows of a as 1x1 pixels, b as 1x1 weights."""
+    m, k = a.shape
+    spec = T.ConvSpec(kernel_h=1, kernel_w=1, in_channels=k, out_channels=b.shape[1])
+    return T.conv2d_forward_batch(a.reshape(1, 1, m, k), b.reshape(1, 1, *b.shape),
+                                  None, spec)[0, 0]
 
 
 class TestMatmul:
+    # the package's matrix product is the conv kernel's GEMM; a 1x1
+    # convolution is exactly a matrix product over channels
     def test_identity(self):
-        x = T.as_tensor([[3.0, 1.0], [2.0, -4.0]])
-        np.testing.assert_array_equal(T.matmul(np.eye(2, dtype=np.float32), x), x)
+        x = np.array([[3.0, 1.0], [2.0, -4.0]])
+        np.testing.assert_array_equal(_matmul(x, np.eye(2)), x)
 
     def test_hand_checkable(self):
-        a = T.as_tensor([[1, 1], [1, -1]])
-        b = T.as_tensor([[1], [1]])
-        np.testing.assert_array_equal(T.matmul(a, b), [[2], [0]])
+        a = np.array([[1.0, 1.0], [1.0, -1.0]])
+        b = np.array([[1.0], [1.0]])
+        np.testing.assert_array_equal(_matmul(a, b), [[2], [0]])
 
     def test_against_naive_f64_loops(self):
         gen = np.random.default_rng(11)
         for _ in range(5):
-            a = gen.uniform(-1, 1, (8, 8)).astype(np.float32)
-            b = gen.uniform(-1, 1, (8, 8)).astype(np.float32)
+            a = gen.uniform(-1, 1, (8, 8))
+            b = gen.uniform(-1, 1, (8, 8))
             want = np.zeros((8, 8))
             for i in range(8):
                 for j in range(8):
@@ -50,73 +41,67 @@ class TestMatmul:
                     for k in range(8):
                         acc += float(a[i, k]) * float(b[k, j])
                     want[i, j] = acc
-            assert np.max(np.abs(T.matmul(a, b) - want)) < 1e-5
+            assert np.max(np.abs(_matmul(a, b) - want)) < 1e-12
 
     def test_inner_dim_mismatch(self):
+        spec = T.ConvSpec(kernel_h=1, kernel_w=1, in_channels=3, out_channels=3)
         with pytest.raises(ShapeError):
-            T.matmul(np.zeros((2, 3), np.float32), np.zeros((2, 3), np.float32))
+            T.conv2d_forward_batch(np.zeros((1, 1, 2, 3)), np.zeros((1, 1, 2, 3)), None, spec)
 
     def test_rank_check(self):
+        spec = T.ConvSpec(kernel_h=1, kernel_w=1, in_channels=3, out_channels=3)
         with pytest.raises(ShapeError):
-            T.matmul(np.zeros(3, np.float32), np.zeros((3, 3), np.float32))
+            T.conv2d_forward_batch(np.zeros((2, 3)), np.zeros((1, 1, 3, 3)), None, spec)
 
 
 class TestElementwise:
-    def test_mul(self):
-        np.testing.assert_array_equal(
-            T.mul(T.as_tensor([2, 3]), T.as_tensor([4, 5])), [8, 15])
-
+    # the package's elementwise activations are the GRU gate functions
     def test_analytic_values(self):
-        assert T.sigmoid(T.create([1], 0))[0] == 0.5
-        assert T.tanh(T.create([1], 0))[0] == 0.0
-
-    def test_clip_saturation(self):
-        out = T.clip01(T.as_tensor([-0.2, 1.7, 0.3]))
-        np.testing.assert_array_equal(out, [0.0, 1.0, np.float32(0.3)])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            T.add(T.create([2], 0), T.create([3], 0))
+        assert L.sigmoid64(np.zeros(1))[0] == 0.5
+        act, deriv = L._gate_fn("tanh")
+        assert act(np.zeros(1))[0] == 0.0 and deriv(np.zeros(1))[0] == 1.0
 
     def test_dispatcher(self):
-        np.testing.assert_array_equal(
-            T.elementwise("sub", T.as_tensor([5.0]), T.as_tensor([2.0])), [3.0])
-        np.testing.assert_allclose(T.elementwise("scale", T.as_tensor([2.0]), 1.5), [3.0])
-        with pytest.raises(ShapeError):
-            T.elementwise("nope", T.create([1], 0))
+        act, deriv = L._gate_fn("sigmoid")
+        np.testing.assert_array_equal(act(np.array([0.0])), [0.5])
+        np.testing.assert_array_equal(deriv(np.array([0.5])), [0.25])
+        with pytest.raises(UsageError):
+            L._gate_fn("nope")
 
 
 class TestSplitPlanes:
+    # the recurrent unit's plane split, (b, n, n, c) <-> (n, b, n * c)
     def test_horizontal_2x2(self):
-        t = T.as_tensor(np.arange(4).reshape(2, 2, 1))
-        rows = T.split_planes(t, "horizontal")
-        np.testing.assert_array_equal(rows[0][:, 0], [0, 1])
-        np.testing.assert_array_equal(rows[1][:, 0], [2, 3])
+        t = np.arange(4.0).reshape(1, 2, 2, 1)
+        rows = M._to_planes(t, "horizontal")
+        np.testing.assert_array_equal(rows[0, 0], [0, 1])
+        np.testing.assert_array_equal(rows[1, 0], [2, 3])
 
     def test_vertical_2x2(self):
-        t = T.as_tensor(np.arange(4).reshape(2, 2, 1))
-        cols = T.split_planes(t, "vertical")
-        np.testing.assert_array_equal(cols[0][:, 0], [0, 2])
-        np.testing.assert_array_equal(cols[1][:, 0], [1, 3])
+        t = np.arange(4.0).reshape(1, 2, 2, 1)
+        cols = M._to_planes(t, "vertical")
+        np.testing.assert_array_equal(cols[0, 0], [0, 2])
+        np.testing.assert_array_equal(cols[1, 0], [1, 3])
 
     def test_round_trip_8x8x4(self):
         gen = np.random.default_rng(3)
-        t = gen.standard_normal((8, 8, 4)).astype(np.float32)
+        t = gen.standard_normal((2, 8, 8, 4))
         for axis in ("horizontal", "vertical"):
-            back = T.concat_planes(T.split_planes(t, axis), axis)
-            assert back.tobytes() == t.tobytes()
+            back = M._from_planes(M._to_planes(t, axis), axis, 4)
+            assert np.ascontiguousarray(back).tobytes() == t.tobytes()
 
-    @given(n=st.integers(1, 6), c=st.integers(1, 4), seed=st.integers(0, 1000))
-    def test_round_trip_property(self, n, c, seed):
-        t = np.random.default_rng(seed).standard_normal((n, n, c)).astype(np.float32)
+    @given(b=st.integers(1, 3), n=st.integers(1, 6), c=st.integers(1, 4),
+           seed=st.integers(0, 1000))
+    def test_round_trip_property(self, b, n, c, seed):
+        t = np.random.default_rng(seed).standard_normal((b, n, n, c))
         for axis in ("horizontal", "vertical"):
-            assert np.array_equal(T.concat_planes(T.split_planes(t, axis), axis), t)
+            assert np.array_equal(M._from_planes(M._to_planes(t, axis), axis, c), t)
 
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError):
-            T.split_planes(T.create([2, 3, 1], 0), "horizontal")
+            M._to_planes(np.zeros((1, 2, 3, 1)), "horizontal")
         with pytest.raises(ShapeError):
-            T.split_planes(T.create([2, 2], 0), "horizontal")
+            M._to_planes(np.zeros((2, 2, 1)), "horizontal")
 
 
 def _spec(kh, kw, stride, pad, cin, cout):
@@ -125,42 +110,43 @@ def _spec(kh, kw, stride, pad, cin, cout):
 
 
 class TestConv2d:
+    # a single map is a batch of one
     def test_1x1_identity(self):
-        x = np.random.default_rng(0).random((5, 5, 1)).astype(np.float32)
-        w = np.ones((1, 1, 1, 1), dtype=np.float32)
-        b = np.zeros(1, dtype=np.float32)
-        out = T.conv2d_forward(x, w, b, _spec(1, 1, 1, 0, 1, 1))
+        x = np.random.default_rng(0).random((1, 5, 5, 1))
+        w = np.ones((1, 1, 1, 1))
+        b = np.zeros(1)
+        out = T.conv2d_forward_batch(x, w, b, _spec(1, 1, 1, 0, 1, 1))
         np.testing.assert_array_equal(out, x)
 
     def test_all_ones_center_sum(self):
-        x = np.ones((5, 5, 1), dtype=np.float32)
-        w = np.ones((3, 3, 1, 1), dtype=np.float32)
-        b = np.zeros(1, dtype=np.float32)
-        out = T.conv2d_forward(x, w, b, _spec(3, 3, 1, 1, 1, 1))
+        x = np.ones((1, 5, 5, 1))
+        w = np.ones((3, 3, 1, 1))
+        b = np.zeros(1)
+        out = T.conv2d_forward_batch(x, w, b, _spec(3, 3, 1, 1, 1, 1))[0]
         assert out[2, 2, 0] == 9.0
         assert out[0, 0, 0] == 4.0  # corner only overlaps a 2x2 region
         assert out[0, 2, 0] == 6.0
 
     def test_stride2_output_size(self):
-        x = np.zeros((16, 16, 3), dtype=np.float32)
-        w = np.zeros((3, 3, 3, 5), dtype=np.float32)
-        b = np.zeros(5, dtype=np.float32)
-        out = T.conv2d_forward(x, w, b, _spec(3, 3, 2, 1, 3, 5))
-        assert out.shape == (8, 8, 5)
+        x = np.zeros((1, 16, 16, 3))
+        w = np.zeros((3, 3, 3, 5))
+        b = np.zeros(5)
+        out = T.conv2d_forward_batch(x, w, b, _spec(3, 3, 2, 1, 3, 5))
+        assert out.shape == (1, 8, 8, 5)
 
     def test_zero_grad_out(self):
         gen = np.random.default_rng(5)
-        x = gen.random((4, 4, 2)).astype(np.float32)
-        w = gen.random((3, 3, 2, 3)).astype(np.float32)
+        x = gen.random((1, 4, 4, 2))
+        w = gen.random((3, 3, 2, 3))
         spec = _spec(3, 3, 1, 1, 2, 3)
-        gx, gw, gb = T.conv2d_backward(x, w, spec, np.zeros((4, 4, 3), np.float32))
+        gx, gw, gb = T.conv2d_backward_batch(x, w, spec, np.zeros((1, 4, 4, 3)))
         assert not gx.any() and not gw.any() and not gb.any()
 
     def test_identity_conv_grad_passthrough(self):
-        x = np.random.default_rng(1).random((4, 4, 1)).astype(np.float32)
-        w = np.ones((1, 1, 1, 1), dtype=np.float32)
-        g = np.random.default_rng(2).random((4, 4, 1)).astype(np.float32)
-        gx, gw, gb = T.conv2d_backward(x, w, _spec(1, 1, 1, 0, 1, 1), g)
+        x = np.random.default_rng(1).random((1, 4, 4, 1))
+        w = np.ones((1, 1, 1, 1))
+        g = np.random.default_rng(2).random((1, 4, 4, 1))
+        gx, gw, gb = T.conv2d_backward_batch(x, w, _spec(1, 1, 1, 0, 1, 1), g)
         np.testing.assert_array_equal(gx, g)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -179,17 +165,15 @@ class TestConv2d:
             ow = spec.out_extent(side, kw)
         except ShapeError:
             return
-        x = gen.uniform(-1, 1, (side, side, cin)).astype(np.float32)
-        w = gen.uniform(-1, 1, (kh, kw, cin, cout)).astype(np.float32)
-        b = gen.uniform(-1, 1, cout).astype(np.float32)
-        probe = gen.uniform(-1, 1, (oh, ow, cout))
+        x = gen.uniform(-1, 1, (1, side, side, cin))
+        w = gen.uniform(-1, 1, (kh, kw, cin, cout))
+        b = gen.uniform(-1, 1, cout)
+        probe = gen.uniform(-1, 1, (1, oh, ow, cout))
 
         def loss(xx, ww, bb):
-            return float(np.sum(T.conv2d_forward(
-                xx.astype(np.float32), ww.astype(np.float32),
-                bb.astype(np.float32), spec).astype(np.float64) * probe))
+            return float(np.sum(T.conv2d_forward_batch(xx, ww, bb, spec) * probe))
 
-        gx, gw, gb = T.conv2d_backward(x, w, spec, probe.astype(np.float32))
+        gx, gw, gb = T.conv2d_backward_batch(x, w, spec, probe)
         h = 1.0 / 1024
         for arr, analytic, fn in (
             (x, gx, lambda a: loss(a, w, b)),
@@ -212,13 +196,14 @@ class TestConv2d:
     def test_shape_errors(self):
         spec = _spec(3, 3, 1, 1, 2, 3)
         with pytest.raises(ShapeError):
-            T.conv2d_forward(np.zeros((4, 4, 1), np.float32),
-                             np.zeros((3, 3, 2, 3), np.float32),
-                             np.zeros(3, np.float32), spec)
+            T.conv2d_forward_batch(np.zeros((1, 4, 4, 1)), np.zeros((3, 3, 2, 3)),
+                                   np.zeros(3), spec)
         with pytest.raises(ShapeError):
-            T.conv2d_backward(np.zeros((4, 4, 2), np.float32),
-                              np.zeros((3, 3, 2, 3), np.float32),
-                              spec, np.zeros((5, 5, 3), np.float32))
+            T.conv2d_forward_batch(np.zeros((4, 4, 2)), np.zeros((3, 3, 2, 3)),
+                                   np.zeros(3), spec)
+        with pytest.raises(ShapeError):
+            T.conv2d_backward_batch(np.zeros((1, 4, 4, 2)), np.zeros((3, 3, 2, 3)),
+                                    spec, np.zeros((1, 5, 5, 3)))
 
     def test_conv_spec_validation(self):
         with pytest.raises(ShapeError):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +10,8 @@ from conftest import rel_err
 from psrnn import data as D
 from psrnn import training as TR
 from psrnn.errors import ConfigError, DivergenceError, UsageError
-from psrnn.hadamard import SatdConfig, satd, satd_loss_grad, satd_smooth
+from oracles import satd_smooth
+from psrnn.hadamard import SatdConfig, satd, satd_batch, satd_loss_grad_batch
 from psrnn.model import NetworkConfig, build_network, parameters
 
 
@@ -27,29 +33,33 @@ SMALL_NET = NetworkConfig(pu_size=8, preproc_channels=(4, 4), unit_hidden=(4, 2,
 
 
 class TestLossAndGrad:
+    # the one loss function: mean over a (b, n, n) stack, float64
     def test_zero_residue_both_kinds(self):
-        x = np.random.default_rng(0).random((8, 8)).astype(np.float32)
+        x = np.random.default_rng(0).random((3, 8, 8)).astype(np.float32)
         for kind in ("satd", "mse"):
             loss, grad = TR.loss_and_grad(x, x, kind)
             assert loss == 0.0
             assert not grad.any()
 
     def test_mse_value(self):
-        pred = np.full((4, 4), 0.5, dtype=np.float32)
-        target = np.zeros((4, 4), dtype=np.float32)
+        pred = np.full((2, 4, 4), 0.5, dtype=np.float32)
+        target = np.zeros((2, 4, 4), dtype=np.float32)
         loss, grad = TR.loss_and_grad(pred, target, "mse")
         assert loss == pytest.approx(0.25)
-        np.testing.assert_allclose(grad, 2 * 0.5 / 16, rtol=1e-6)
+        np.testing.assert_allclose(grad, 2 * 0.5 / 16 / 2, rtol=1e-6)
+        assert TR.loss_and_grad(pred, target, "mse", need_grad=False) == (loss, None)
 
     def test_satd_delegates_exactly(self):
         gen = np.random.default_rng(5)
-        pred = gen.random((8, 8)).astype(np.float32)
-        target = gen.random((8, 8)).astype(np.float32)
+        pred = gen.random((3, 8, 8))
+        target = gen.random((3, 8, 8)).astype(np.float32)
         cfg = SatdConfig()
         loss, grad = TR.loss_and_grad(pred, target, "satd", cfg)
-        d = pred.astype(np.float64) - target.astype(np.float64)
-        assert loss == satd(d, cfg)
-        np.testing.assert_array_equal(grad, satd_loss_grad(d, cfg))
+        d = pred - target.astype(np.float64)
+        assert loss == float(satd_batch(d, cfg).mean())
+        assert loss == float(np.mean([satd(d[i], cfg) for i in range(3)]))
+        np.testing.assert_array_equal(grad, satd_loss_grad_batch(d, cfg) / 3)
+        assert TR.loss_and_grad(pred, target, "satd", cfg, need_grad=False) == (loss, None)
 
     @pytest.mark.parametrize("kind", ["satd", "mse"])
     def test_finite_differences(self, kind):
@@ -60,29 +70,28 @@ class TestLossAndGrad:
 
         def f(pred, target):
             if kind == "satd":
-                return satd_smooth(pred - target, cfg)
-            return TR.loss_and_grad(pred, target, kind, cfg)[0]
+                return float(np.mean([satd_smooth(p - t, cfg) for p, t in zip(pred, target)]))
+            return TR.loss_and_grad(pred, target, kind, cfg, need_grad=False)[0]
 
         for _ in range(10):
-            pred = gen.random((8, 8))
-            target = gen.random((8, 8))
+            pred = gen.random((2, 8, 8))
+            target = gen.random((2, 8, 8))
             _, grad = TR.loss_and_grad(pred, target, kind, cfg)
-            ref = np.zeros((8, 8))
+            ref = np.zeros(pred.shape)
             h = 1e-5
-            for i in range(8):
-                for j in range(8):
-                    pp = pred.copy(); pp[i, j] += h
-                    pm = pred.copy(); pm[i, j] -= h
-                    ref[i, j] = (f(pp, target) - f(pm, target)) / (2 * h)
+            for idx in np.ndindex(*pred.shape):
+                pp = pred.copy(); pp[idx] += h
+                pm = pred.copy(); pm[idx] -= h
+                ref[idx] = (f(pp, target) - f(pm, target)) / (2 * h)
             assert rel_err(grad, ref) < 1e-4
 
     def test_shape_mismatch(self):
         with pytest.raises(UsageError):
-            TR.loss_and_grad(np.zeros((4, 4)), np.zeros((8, 8)), "mse")
+            TR.loss_and_grad(np.zeros((1, 4, 4)), np.zeros((1, 8, 8)), "mse")
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            TR.loss_and_grad(np.zeros((4, 4)), np.zeros((4, 4)), "huber")
+            TR.loss_and_grad(np.zeros((1, 4, 4)), np.zeros((1, 4, 4)), "huber")
 
 
 class TestTrain:
@@ -116,6 +125,33 @@ class TestTrain:
             weights.append({k: v.tobytes() for k, v in parameters(net).items()})
         assert logs[0] == logs[1]
         assert weights[0] == weights[1]
+
+    def test_model_bytes_independent_of_blas_threads(self, tmp_path):
+        # same lean training run under one and two BLAS threads, each in a
+        # fresh interpreter so the thread count is read at numpy import
+        script = (
+            "import sys\n"
+            "from psrnn import data as D, model as M, training as TR\n"
+            "images = D.synthetic_corpus(64, seed=3, per_kind=3)\n"
+            "samples = D.build_training_samples(images, 8, 600, seed=3,\n"
+            "                                   availability_mode=D.THREE_BLOCK)\n"
+            "lean = M.NetworkConfig(pu_size=8, preproc_channels=(4, 4),\n"
+            "                       unit_hidden=(4, 2, 2), recon_channels=(4,))\n"
+            "cfg = TR.TrainConfig(total_iters=40, batch_size=16, seed=3,\n"
+            "                     val_subset_cap=64, checkpoint_every=10)\n"
+            "net, _ = TR.train(M.build_network(lean, seed=3), samples, cfg)\n"
+            "M.save_model(net, sys.argv[1])\n"
+        )
+        src = str(Path(TR.__file__).resolve().parents[1])
+        blobs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            path = tmp_path / f"t{threads}.psrnn"
+            subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                           check=True, timeout=300)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_divergence_reported_with_iteration(self):
         samples = make_samples(count=200)
