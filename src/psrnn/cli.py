@@ -452,8 +452,16 @@ COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with usage errors mapped to exit code 1, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="psrnn",
         description="Recurrent intra prediction pipeline: data prep, training, "
                     "RDO-lite evaluation, ablations and demos.")

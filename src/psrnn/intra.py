@@ -12,16 +12,23 @@ and to the left (2N samples). Unavailable segments are substituted by
 scanning from the bottom-left sample up the left column, through the corner
 and across the top, propagating the nearest available value; when nothing
 is available at all, mid-gray 0.5 is used.
+
+The 33 angular modes are table-driven: per block size, cached gather
+indices and 1/32-sample weights map the reference line concat(top, left)
+straight to every angular prediction, negative-angle reference extension
+and horizontal-mode transpose included. One gather yields all 33 modes, and
+the mode search scores all 35 residues with one batched SATD.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ModeError, ShapeError, SizeError
-from .hadamard import SatdConfig, satd
+from .hadamard import SatdConfig, satd, satd_batch  # noqa: F401 (satd is re-exported)
 
 N_MODES = 35
 MODE_PLANAR = 0
@@ -170,63 +177,78 @@ def _predict_dc(refs: ReferenceSamples, n: int) -> np.ndarray:
     return np.full((n, n), dc, dtype=np.float64)
 
 
-def _angular_ref_array(primary_full: np.ndarray, secondary: np.ndarray,
-                       angle: int, n: int) -> tuple[np.ndarray, int]:
-    """Projection reference with offset indexing; ref[off + k] = logical k.
+@functools.cache
+def _angular_tables(n: int) -> tuple[np.ndarray, ...]:
+    """Gather tables mapping src = concat(top, left) to the 33 angular modes.
 
-    primary_full holds the corner at index 0 followed by 2n samples;
-    secondary is the 2n samples of the other direction (used to extend the
-    negative side when the displacement is negative).
+    Returns (i1, i2, w1, w2), each (33, n, n) and read-only, such that mode
+    m's prediction is w1[k] * src[i1[k]] + w2[k] * src[i2[k]] with k = m - 2
+    and w1 = 1 - w2. Rows are y and columns x for every mode; the tables
+    carry the negative-angle reference extension and the transpose of the
+    horizontal modes.
     """
-    off = n
-    ref = np.zeros(3 * n + 2, dtype=np.float64)
-    ref[off : off + 2 * n + 1] = primary_full
-    ref[-1] = primary_full[-1]  # weight-0 slot for the fractional gather
-    if angle < 0:
-        inv = INV_ANGLE[angle]
-        lo = (n * angle) >> 5
-        for k in range(-1, lo - 1, -1):
-            j = -1 + ((k * inv + 128) >> 8)
-            ref[off + k] = primary_full[0] if j < 0 else secondary[min(j, 2 * n - 1)]
-    return ref, off
+    top = np.arange(2 * n + 1)           # src index of top[k]
+    left = 2 * n + 1 + np.arange(2 * n)  # src index of left[k]
+    i1 = np.empty((N_MODES - 2, n, n), dtype=np.intp)
+    i2 = np.empty_like(i1)
+    w2 = np.empty((N_MODES - 2, n, n), dtype=np.float64)
+    for k, angle in enumerate(INTRA_PRED_ANGLE):
+        vertical = k + 2 >= 18
+        # project onto the top row (vertical modes) or the left column
+        # (horizontal modes); the other direction extends negative angles
+        primary = top if vertical else np.concatenate([top[:1], left])
+        secondary = left if vertical else top[1:]
+        # ref[n + j] holds logical reference sample j for -n <= j <= 2n + 1
+        ref = np.zeros(3 * n + 2, dtype=np.intp)
+        ref[n : 3 * n + 1] = primary
+        ref[-1] = primary[-1]  # weight-0 slot for the fractional gather
+        if angle < 0:
+            inv = INV_ANGLE[angle]
+            for j in range(-1, ((n * angle) >> 5) - 1, -1):
+                s = -1 + ((j * inv + 128) >> 8)
+                ref[n + j] = primary[0] if s < 0 else secondary[min(s, 2 * n - 1)]
+        steps = np.arange(1, n + 1) * angle
+        gather = n + np.arange(n)[None, :] + (steps >> 5)[:, None] + 1
+        w = np.broadcast_to((steps & 31)[:, None] / 32.0, (n, n))
+        t1, t2 = ref[gather], ref[gather + 1]
+        if not vertical:  # rows of `gather` follow x for horizontal modes
+            t1, t2, w = t1.T, t2.T, w.T
+        i1[k], i2[k], w2[k] = t1, t2, w
+    tables = (i1, i2, 1.0 - w2, w2)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
-def _predict_angular(refs: ReferenceSamples, mode: int, n: int) -> np.ndarray:
-    angle = INTRA_PRED_ANGLE[mode - 2]
-    vertical = mode >= 18
-    if vertical:
-        ref, off = _angular_ref_array(refs.top, refs.left, angle, n)
-    else:
-        ref, off = _angular_ref_array(
-            np.concatenate([[refs.top[0]], refs.left]), refs.top[1:], angle, n)
-    steps = np.arange(1, n + 1) * angle
-    idx = steps >> 5
-    fact = steps & 31
-    base = np.arange(n)
-    gather = off + base[None, :] + idx[:, None] + 1
-    w = fact[:, None] / 32.0
-    pred = (1.0 - w) * ref[gather] + w * ref[gather + 1]
-    # rows of `pred` follow the scan axis: y for vertical modes, x for horizontal
-    return pred if vertical else pred.T
+def _check_refs(refs: ReferenceSamples, n: int) -> None:
+    if refs.top.shape != (2 * n + 1,) or refs.left.shape != (2 * n,):
+        raise ShapeError(f"references sized for n={refs.n}, requested n={n}")
 
 
 def predict_mode(refs: ReferenceSamples, mode: int, n: int) -> np.ndarray:
     """N x N prediction for one mode from complete (post-fill) references."""
     if not 0 <= mode < N_MODES:
         raise ModeError(f"mode index must be 0..34, got {mode}")
-    if refs.top.shape != (2 * n + 1,) or refs.left.shape != (2 * n,):
-        raise ShapeError(
-            f"references sized for n={refs.n}, requested n={n}")
+    _check_refs(refs, n)
     if mode == MODE_PLANAR:
         return _predict_planar(refs, n)
     if mode == MODE_DC:
         return _predict_dc(refs, n)
-    return _predict_angular(refs, mode, n)
+    i1, i2, w1, w2 = (t[mode - 2] for t in _angular_tables(n))
+    src = refs.all_samples()
+    return w1 * src[i1] + w2 * src[i2]
 
 
 def predict_all_modes(refs: ReferenceSamples, n: int) -> np.ndarray:
-    """(35, n, n) stack of all mode predictions."""
-    return np.stack([predict_mode(refs, m, n) for m in range(N_MODES)])
+    """(35, n, n) stack of all mode predictions, equal to predict_mode's."""
+    _check_refs(refs, n)
+    i1, i2, w1, w2 = _angular_tables(n)
+    src = refs.all_samples()
+    preds = np.empty((N_MODES, n, n), dtype=np.float64)
+    preds[MODE_PLANAR] = _predict_planar(refs, n)
+    preds[MODE_DC] = _predict_dc(refs, n)
+    preds[2:] = w1 * src[i1] + w2 * src[i2]
+    return preds
 
 
 @dataclass(frozen=True)
@@ -253,20 +275,16 @@ def best_mode_search(refs: ReferenceSamples, target_block: np.ndarray, n: int,
                      mode_bits: float = DEFAULT_MODE_BITS) -> ModeCost:
     """Exhaustive 35-mode search under SATD + lambda * bits.
 
-    Ties break toward the lowest mode index. SATD is charged on the 8-bit
-    pixel scale so the HM lambda convention operates in its usual regime.
-    Costs come from the scalar satd() path, so an independent per-mode
-    re-evaluation reproduces the winner's cost bit for bit.
+    All 35 residues go through one satd_batch call; ties break toward the
+    lowest mode index (argmin keeps the first minimum). SATD is charged on
+    the 8-bit pixel scale so the HM lambda convention operates in its usual
+    regime. Each batch row equals satd() of that residue alone, so an
+    independent per-mode re-evaluation reproduces the winner's cost bit for
+    bit.
     """
     if target_block.shape != (n, n):
         raise ShapeError(f"target block must be ({n}, {n}), got {target_block.shape}")
-    preds = predict_all_modes(refs, n)
-    target = target_block.astype(np.float64)
-    best_mode = 0
-    best_satd = best_total = np.inf
-    for mode in range(N_MODES):
-        s = satd(preds[mode] - target, satd_cfg) * PIXEL_SCALE
-        total = s + lam * mode_bits
-        if total < best_total:
-            best_mode, best_satd, best_total = mode, s, total
-    return ModeCost(mode=best_mode, satd=best_satd, bits_proxy=mode_bits, lam=lam)
+    residues = predict_all_modes(refs, n) - target_block.astype(np.float64)
+    satds = satd_batch(residues, satd_cfg) * PIXEL_SCALE
+    best = int(np.argmin(satds + lam * mode_bits))
+    return ModeCost(mode=best, satd=float(satds[best]), bits_proxy=mode_bits, lam=lam)

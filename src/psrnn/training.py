@@ -252,6 +252,17 @@ class EvalConfig:
             raise ConfigError(f"policy must be fixed or greedy, got {self.policy!r}")
         if any(s not in (4, 8, 16, 32) for s in self.block_sizes):
             raise ConfigError(f"block sizes must be drawn from 4/8/16/32: {self.block_sizes}")
+        if self.policy == "greedy":
+            chain = self.greedy_sizes()
+            if len(chain) < 2:
+                raise ConfigError("greedy policy needs at least two block sizes")
+            if any(a != 2 * b for a, b in zip(chain, chain[1:])):
+                raise ConfigError(
+                    f"greedy block sizes must halve from one to the next: {self.block_sizes}")
+
+    def greedy_sizes(self) -> list[int]:
+        """Distinct block sizes, largest first: the greedy quad-tree levels."""
+        return sorted(set(self.block_sizes), reverse=True)
 
 
 @dataclass
@@ -294,7 +305,9 @@ def evaluate(nets: dict[int, PsRnnNetwork] | None, images: list[GrayImage], qp: 
 
     `nets` maps a block size to its network, or is None (baseline only /
     oracle). Contexts are built with the availability mode and fill value
-    the corresponding model was trained with.
+    the corresponding model was trained with. The fixed policy runs each
+    network once per image; the greedy policy runs it once per quad-tree
+    level of each top-level block, scoring every candidate of that level.
     """
     if nets is not None and not cfg.oracle:
         for n in cfg.block_sizes:
@@ -368,33 +381,37 @@ def _eval_fixed(net: PsRnnNetwork | None, image: GrayImage, recon: GrayImage, n:
 
 def _eval_greedy(nets: dict[int, PsRnnNetwork], image: GrayImage, recon: GrayImage,
                  lam: float, cfg: EvalConfig) -> list[BlockRecord]:
-    sizes = sorted(cfg.block_sizes, reverse=True)
-    if len(sizes) < 2:
-        raise ConfigError("greedy policy needs at least two block sizes")
+    sizes = cfg.greedy_sizes()
 
-    def eval_one(origin, n) -> BlockRecord:
-        pred = None
-        if n in nets:
-            pred = forward_batch(nets[n], _contexts(nets[n], image, recon, [origin]),
-                                 need_cache=False)[0][0]
-        return _block_record(image, recon, origin, n, lam, cfg, pred)
+    def level_predictions(origin) -> dict:
+        """Network predictions for every node of one tree: a batch per level."""
+        preds = {}
+        level = [origin]
+        for n in sizes:
+            if n in nets:
+                batch, _ = forward_batch(nets[n], _contexts(nets[n], image, recon, level),
+                                         need_cache=False)
+                preds.update(((o, n), p) for o, p in zip(level, batch))
+            half = n // 2
+            level = [(y + dy, x + dx) for y, x in level for dy in (0, half) for dx in (0, half)]
+        return preds
 
-    def descend(origin, n) -> list[BlockRecord]:
-        whole = eval_one(origin, n)
-        if n == sizes[-1] or n // 2 not in sizes:
+    def descend(origin, n, preds) -> list[BlockRecord]:
+        whole = _block_record(image, recon, origin, n, lam, cfg, preds.get((origin, n)))
+        if n == sizes[-1]:
             return [whole]
         half = n // 2
         children: list[BlockRecord] = []
         for dy in (0, half):
             for dx in (0, half):
-                children.extend(descend((origin[0] + dy, origin[1] + dx), half))
+                children.extend(descend((origin[0] + dy, origin[1] + dx), half, preds))
         split_cost = sum(r.winner_total for r in children) + lam * cfg.split_flag_bits
         return children if split_cost < whole.winner_total else [whole]
 
     out: list[BlockRecord] = []
     top = sizes[0]
     for origin in _tile_origins(image.pixels.shape, top):
-        out.extend(descend(origin, top))
+        out.extend(descend(origin, top, level_predictions(origin)))
     return out
 
 

@@ -4,8 +4,13 @@
   spelled out) that the fused sweep in psrnn.layers must reproduce.
 - The eps-smoothed SATD objective, evaluated tile by tile, whose exact
   gradient psrnn.hadamard.satd_loss_grad_batch claims to be.
+- The per-mode angular predictor (build the projected reference line for
+  one mode, then interpolate), which psrnn.intra's gather tables must
+  reproduce bit for bit.
+- The greedy quad-tree evaluation with one batch-1 network pass per
+  candidate block, which the level-batched evaluation must match.
 
-Both run in float64 and favour plainness over speed.
+All favour plainness over speed; the numeric ones run in float64.
 """
 
 from __future__ import annotations
@@ -14,8 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from psrnn import training as TR
+from psrnn.data import DegradeConfig, degrade
 from psrnn.hadamard import SatdConfig, hadamard_matrix
+from psrnn.intra import (INTRA_PRED_ANGLE, INV_ANGLE, MODE_DC, MODE_PLANAR,
+                         ReferenceSamples, _predict_dc, _predict_planar, hm_lambda)
 from psrnn.layers import GruParams, _gate_fn
+from psrnn.model import forward_batch
 
 
 @dataclass
@@ -98,3 +108,82 @@ def satd_smooth(d: np.ndarray, cfg: SatdConfig = SatdConfig()) -> float:
             t = h @ np.asarray(d[i : i + p, j : j + p], dtype=np.float64) @ h
             total += float(np.sqrt(t * t + cfg.epsilon).sum())
     return total
+
+
+def angular_ref_array(primary_full: np.ndarray, secondary: np.ndarray,
+                      angle: int, n: int) -> tuple[np.ndarray, int]:
+    """Projection reference with offset indexing; ref[off + k] = logical k.
+
+    primary_full holds the corner at index 0 followed by 2n samples;
+    secondary is the 2n samples of the other direction (used to extend the
+    negative side when the displacement is negative).
+    """
+    off = n
+    ref = np.zeros(3 * n + 2, dtype=np.float64)
+    ref[off : off + 2 * n + 1] = primary_full
+    ref[-1] = primary_full[-1]  # weight-0 slot for the fractional gather
+    if angle < 0:
+        inv = INV_ANGLE[angle]
+        lo = (n * angle) >> 5
+        for k in range(-1, lo - 1, -1):
+            j = -1 + ((k * inv + 128) >> 8)
+            ref[off + k] = primary_full[0] if j < 0 else secondary[min(j, 2 * n - 1)]
+    return ref, off
+
+
+def predict_mode_loop(refs: ReferenceSamples, mode: int, n: int) -> np.ndarray:
+    """N x N prediction for one mode: closed-form planar/DC, else predict_angular."""
+    if mode == MODE_PLANAR:
+        return _predict_planar(refs, n)
+    if mode == MODE_DC:
+        return _predict_dc(refs, n)
+    return predict_angular(refs, mode, n)
+
+
+def predict_angular(refs: ReferenceSamples, mode: int, n: int) -> np.ndarray:
+    """N x N prediction of angular mode 2..34, one mode at a time."""
+    angle = INTRA_PRED_ANGLE[mode - 2]
+    vertical = mode >= 18
+    if vertical:
+        ref, off = angular_ref_array(refs.top, refs.left, angle, n)
+    else:
+        ref, off = angular_ref_array(
+            np.concatenate([[refs.top[0]], refs.left]), refs.top[1:], angle, n)
+    steps = np.arange(1, n + 1) * angle
+    idx = steps >> 5
+    fact = steps & 31
+    base = np.arange(n)
+    gather = off + base[None, :] + idx[:, None] + 1
+    w = fact[:, None] / 32.0
+    pred = (1.0 - w) * ref[gather] + w * ref[gather + 1]
+    # rows of `pred` follow the scan axis: y for vertical modes, x for horizontal
+    return pred if vertical else pred.T
+
+
+def greedy_eval_batch1(nets, images, qp: int, cfg) -> list:
+    """Greedy top-down block records, running the network once per candidate."""
+    sizes = sorted(cfg.block_sizes, reverse=True)
+    lam = hm_lambda(qp)
+    records = []
+    for image in images:
+        recon = degrade(image, DegradeConfig(qp=qp))
+
+        def descend(origin, n):
+            pred = None
+            if n in nets:
+                ctx = TR._contexts(nets[n], image, recon, [origin])
+                pred = forward_batch(nets[n], ctx, need_cache=False)[0][0]
+            whole = TR._block_record(image, recon, origin, n, lam, cfg, pred)
+            if n == sizes[-1]:
+                return [whole]
+            half = n // 2
+            children = []
+            for dy in (0, half):
+                for dx in (0, half):
+                    children.extend(descend((origin[0] + dy, origin[1] + dx), half))
+            split_cost = sum(r.winner_total for r in children) + lam * cfg.split_flag_bits
+            return children if split_cost < whole.winner_total else [whole]
+
+        for origin in TR._tile_origins(image.pixels.shape, sizes[0]):
+            records.extend(descend(origin, sizes[0]))
+    return records

@@ -415,6 +415,7 @@ def test_baseline_golden_and_search_oracle():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_smoke_training(smoke):
     rows = smoke["rows"]
     initial = rows[0].val_loss
@@ -432,6 +433,7 @@ def test_smoke_training(smoke):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_satd_vs_mse_trend():
     images = D.synthetic_corpus(128, seed=555, kinds=("directional", "sinusoid"))
     samples = D.build_training_samples(images, 8, 6000, seed=555,
@@ -452,6 +454,7 @@ def test_satd_vs_mse_trend():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_rdo_lite_utility(smoke):
     images = held_out_images()
     cfg = TR.EvalConfig(block_sizes=(8,))

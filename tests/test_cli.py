@@ -68,8 +68,21 @@ class TestConfigHandling:
 
     def test_threads_flag_removed(self, capsys):
         # thread-count independence is tested on the model bytes instead
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             run_cli("train", "--threads", "1")
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [("train", "--seed", "abc"), ("frobnicate",), ()])
+    def test_usage_errors_exit_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 1
+        assert "usage: psrnn" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--help")
+        assert exc.value.code == 0
 
 
 class TestPrepare:
@@ -212,6 +225,11 @@ class TestEval:
         assert run_cli("eval", "--out", str(tmp_path / "ev"),
                        "--set", f"models={bad}") == 2
         assert "corrupt model file" in capsys.readouterr().err
+
+    def test_greedy_sizes_not_halving_rejected(self, tmp_path, capsys):
+        assert run_cli("eval", "--oracle", "--out", str(tmp_path / "bad"),
+                       "--set", "block_policy=greedy", "--set", "sizes=32,8") == 1
+        assert "halve" in capsys.readouterr().err
 
     def test_sizes_without_models_rejected(self, trained, tmp_path):
         assert run_cli("eval", "--out", str(tmp_path / "bad"),

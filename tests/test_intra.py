@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from oracles import predict_mode_loop
 from psrnn import intra as I
 from psrnn.errors import ModeError, ShapeError, SizeError
 from psrnn.hadamard import SatdConfig, satd
@@ -126,6 +127,19 @@ class TestPredictions:
         p0 = I.predict_mode(refs, mode, 8)
         p1 = I.predict_mode(shifted, mode, 8)
         np.testing.assert_allclose(p1 - p0, delta, atol=1e-9)
+
+    @given(n=st.sampled_from([4, 8, 16, 32]), seed=st.integers(0, 2**32 - 1),
+           avail=st.fixed_dictionaries({k: st.booleans() for k in I.SEGMENTS}))
+    @example(n=4, seed=0, avail={k: False for k in I.SEGMENTS})
+    def test_tables_match_per_mode_oracle(self, n, seed, avail):
+        # any availability mask at an interior block, bit for bit
+        img = np.random.default_rng(seed).random((4 * n, 4 * n))
+        refs = I.build_reference_samples(img, (n, n), n, availability=avail)
+        preds = I.predict_all_modes(refs, n)
+        for mode in range(I.N_MODES):
+            want = predict_mode_loop(refs, mode, n).tobytes()
+            assert preds[mode].tobytes() == want
+            assert I.predict_mode(refs, mode, n).tobytes() == want
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32])
     def test_all_modes_all_sizes(self, n):

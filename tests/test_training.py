@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from conftest import rel_err
 from psrnn import data as D
 from psrnn import training as TR
 from psrnn.errors import ConfigError, DivergenceError, UsageError
-from oracles import satd_smooth
+from oracles import greedy_eval_batch1, satd_smooth
 from psrnn.hadamard import SatdConfig, satd, satd_batch, satd_loss_grad_batch
 from psrnn.model import NetworkConfig, build_network, parameters
 
@@ -126,6 +127,7 @@ class TestTrain:
         assert logs[0] == logs[1]
         assert weights[0] == weights[1]
 
+    @pytest.mark.slow
     def test_model_bytes_independent_of_blas_threads(self, tmp_path):
         # same lean training run under one and two BLAS threads, each in a
         # fresh interpreter so the thread count is read at numpy import
@@ -175,6 +177,7 @@ class TestTrain:
         assert best == pytest.approx(min(window), rel=1e-9)
         assert best <= final_val + 1e-9
 
+    @pytest.mark.slow
     def test_constant_images_learn_the_constant(self):
         from psrnn.model import network_forward
 
@@ -276,6 +279,30 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             TR.evaluate(None, self._images(), 32,
                         TR.EvalConfig(block_sizes=(8,), policy="greedy", oracle=True))
+
+    @pytest.mark.parametrize("sizes", [(32, 8), (16, 4), (32, 16, 4), (8, 32)])
+    def test_greedy_sizes_must_halve(self, sizes):
+        # a gap in the chain used to stop the descent early: (32, 8) scored 32x32 only
+        with pytest.raises(ConfigError, match="halve"):
+            TR.EvalConfig(block_sizes=sizes, policy="greedy")
+        TR.EvalConfig(block_sizes=sizes)  # fixed tiling takes any set
+
+    @pytest.mark.parametrize("sizes", [(16, 8), (32, 16, 8)])
+    def test_greedy_matches_batch1_reference(self, sizes):
+        nets = {n: build_network(replace(SMALL_NET, pu_size=n), seed=9) for n in sizes}
+        images = D.synthetic_corpus(96, 3, kinds=("sinusoid", "directional"), per_kind=1)
+        cfg = TR.EvalConfig(block_sizes=sizes, policy="greedy")
+        report = TR.evaluate(nets, images, 32, cfg)
+        want = greedy_eval_batch1(nets, images, 32, cfg)
+        assert {r.n for r in report.records} == set(sizes)
+        assert ([(r.origin, r.n, r.base, r.winner, r.base_mse) for r in report.records]
+                == [(r.origin, r.n, r.base, r.winner, r.base_mse) for r in want])
+        for got, ref in zip(report.records, want):
+            # batched GEMMs may round differently from batch-1 ones in the last bit
+            assert got.net.satd == pytest.approx(ref.net.satd, rel=1e-12, abs=0)
+            assert got.net_mse == pytest.approx(ref.net_mse, rel=1e-12, abs=0)
+        again = TR.evaluate(nets, images, 32, cfg)
+        assert list(again.csv_rows()) == list(report.csv_rows())
 
 
 class TestExperiments:
