@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of the outputs that must stay byte-identical.
+
+Prints one `<name> <sha256>` line for each of:
+
+- the model file and the training log of the determinism-test config
+  (lean N=8 network, 60 iterations, batch 16, seed 31);
+- the model file and the training log of the reference `train-n8` config
+  (default N=8 network, 50,000 samples, 50 iterations, batch 32);
+- the fixed N=8 and the greedy 16/8 eval reports (CSV rows and summary)
+  of untrained default-width networks on six seeded 128x128 synthetic
+  images at qp 32.
+
+Run it on two checkouts and diff the output to check that a change keeps
+model files, training logs and eval reports byte for byte:
+
+    PYTHONPATH=src python scripts/output_digests.py --seed 1
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from psrnn import data as D
+from psrnn import model as M
+from psrnn import training as TR
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def train_digests(net, blocks, cfg, workdir: Path) -> tuple[str, str]:
+    net, rows = TR.train(net, TR.as_sample_set(blocks), cfg)
+    M.save_model(net, workdir / "model.psrnn")
+    TR.write_training_log(rows, workdir / "train_log.csv")
+    return (_sha((workdir / "model.psrnn").read_bytes()),
+            _sha((workdir / "train_log.csv").read_bytes()))
+
+
+def determinism_config(workdir: Path) -> tuple[str, str]:
+    images = D.synthetic_corpus(96, seed=31, per_kind=4)
+    blocks = D.build_training_samples(images, 8, 2000, seed=31,
+                                      availability_mode=D.THREE_BLOCK)
+    lean = M.NetworkConfig(pu_size=8, preproc_channels=(4, 4), unit_hidden=(4, 2, 2),
+                           recon_channels=(4,))
+    cfg = TR.TrainConfig(total_iters=60, batch_size=16, seed=31, val_subset_cap=128,
+                         checkpoint_every=10)
+    return train_digests(M.build_network(lean, seed=31), blocks, cfg, workdir)
+
+
+def train_n8_config(seed: int, workdir: Path) -> tuple[str, str]:
+    images = D.synthetic_corpus(128, seed, kinds=("directional", "sinusoid"), per_kind=12)
+    blocks = D.build_training_samples(images, 8, 50_000, seed,
+                                      availability_mode=D.THREE_BLOCK)
+    net = M.build_network(M.NetworkConfig(pu_size=8, availability_mode=D.THREE_BLOCK),
+                          seed=seed)
+    cfg = TR.TrainConfig(loss="satd", total_iters=50, batch_size=32, seed=seed,
+                         checkpoint_every=50, val_subset_cap=512,
+                         availability_mode=D.THREE_BLOCK)
+    return train_digests(net, blocks, cfg, workdir)
+
+
+def eval_digest(seed: int, sizes: tuple[int, ...], policy: str) -> str:
+    kinds = ("directional", "sinusoid", "rings")
+    images = [D.synthetic_corpus(128, seed * 1000 + 1013 + i, kinds=(kinds[i % 3],),
+                                 per_kind=1)[0] for i in range(6)]
+    nets = {n: M.build_network(M.NetworkConfig(pu_size=n), seed=seed) for n in sizes}
+    report = TR.evaluate(nets, images, 32, TR.EvalConfig(block_sizes=sizes, policy=policy))
+    text = "\n".join(report.csv_rows()) + "\n" + json.dumps(report.summary, sort_keys=True)
+    return _sha(text.encode())
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--seed", type=int, default=1,
+                    help="seed of the train-n8 run and the eval networks and images")
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        model, log = determinism_config(workdir)
+        print(f"determinism.model {model}")
+        print(f"determinism.train_log {log}")
+        model, log = train_n8_config(args.seed, workdir)
+        print(f"train-n8.model {model}")
+        print(f"train-n8.train_log {log}")
+    print(f"eval-fixed-n8.report {eval_digest(args.seed, (8,), 'fixed')}")
+    print(f"eval-greedy-16-8.report {eval_digest(args.seed, (16, 8), 'greedy')}")
+
+
+if __name__ == "__main__":
+    main()

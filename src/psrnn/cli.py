@@ -342,6 +342,8 @@ def cmd_eval(resolved: dict) -> int:
         nets = {}
         for path in resolved["models"]:
             net = load_model(path)
+            if net.config.pu_size in nets:
+                raise ConfigError(f"more than one model for block size {net.config.pu_size}")
             nets[net.config.pu_size] = net
     elif not resolved["oracle"]:
         print("no models given: baseline-only evaluation", file=sys.stderr)

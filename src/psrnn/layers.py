@@ -11,10 +11,11 @@ where g is sigmoid by default. A tanh gate variant is selectable through
 of the recurrence, but it is not the default.
 
 The cell only ever runs as a sweep over a whole plane sequence
-(gru_sweep_forward / gru_sweep_backward). All parameters are stored float32;
-every forward/backward runs in float64 internally. Backward passes are exact
-gradients of the unrolled recurrence, checked against finite differences and
-against a step-by-step reference recurrence in the test suite.
+(gru_sweep_forward / gru_sweep_backward) over the stacked GruParams. All
+parameters are stored float32; every forward/backward runs in float64
+internally. Backward passes are exact gradients of the unrolled recurrence,
+checked against finite differences and against a step-by-step reference
+recurrence in the test suite.
 """
 
 from __future__ import annotations
@@ -36,37 +37,40 @@ def sigmoid64(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GruParams:
-    """Six weight matrices plus the candidate bias of the gated cell."""
+    """Float32 weights in the layout the sweep multiplies by: Wx = [Wz; Wr; W]
+    (3h, in), Uzr = [Uz; Ur] (2h, h), U (h, h) and the candidate bias b (h,).
+    named() hands out the per-gate matrices as row-slice views of the stacks."""
 
-    Wz: np.ndarray
-    Uz: np.ndarray
-    Wr: np.ndarray
-    Ur: np.ndarray
-    W: np.ndarray
+    Wx: np.ndarray
+    Uzr: np.ndarray
     U: np.ndarray
     b: np.ndarray
 
+    @classmethod
+    def zeros(cls, hidden: int, input_dim: int) -> "GruParams":
+        h, f32 = hidden, np.float32
+        return cls(Wx=np.zeros((3 * h, input_dim), f32), Uzr=np.zeros((2 * h, h), f32),
+                   U=np.zeros((h, h), f32), b=np.zeros(h, f32))
+
     @property
     def hidden(self) -> int:
-        return self.Wz.shape[0]
+        return self.U.shape[0]
 
     @property
     def input_dim(self) -> int:
-        return self.Wz.shape[1]
+        return self.Wx.shape[1]
 
     def validate(self):
-        h, d = self.Wz.shape
-        for name in ("Wz", "Wr", "W"):
-            if getattr(self, name).shape != (h, d):
-                raise ShapeError(f"{name} must have shape {(h, d)}")
-        for name in ("Uz", "Ur", "U"):
-            if getattr(self, name).shape != (h, h):
-                raise ShapeError(f"{name} must have shape {(h, h)}")
-        if self.b.shape != (h,):
-            raise ShapeError(f"b must have shape {(h,)}")
+        h, d = self.hidden, self.input_dim
+        for name, shape in (("Wx", (3 * h, d)), ("Uzr", (2 * h, h)), ("U", (h, h)),
+                            ("b", (h,))):
+            if getattr(self, name).shape != shape:
+                raise ShapeError(f"{name} must have shape {shape}")
 
     def named(self) -> dict[str, np.ndarray]:
-        return {k: getattr(self, k) for k in ("Wz", "Uz", "Wr", "Ur", "W", "U", "b")}
+        h = self.hidden
+        return {"Wz": self.Wx[:h], "Uz": self.Uzr[:h], "Wr": self.Wx[h : 2 * h],
+                "Ur": self.Uzr[h:], "W": self.Wx[2 * h :], "U": self.U, "b": self.b}
 
 
 def _gate_fn(gate_activation: str):
@@ -87,19 +91,9 @@ def _gate_fn(gate_activation: str):
 # ---------------------------------------------------------------------------
 
 
-class _SweepP64:
-    def __init__(self, p: GruParams):
-        h = p.hidden
-        self.h = h
-        w = np.concatenate([p.Wz, p.Wr, p.W], axis=0).astype(np.float64)
-        self.Wstack = w              # (3h, in)
-        self.WstackT = np.ascontiguousarray(w.T)
-        uzr = np.concatenate([p.Uz, p.Ur], axis=0).astype(np.float64)
-        self.Uzr = uzr               # (2h, h)
-        self.UzrT = np.ascontiguousarray(uzr.T)
-        self.U = p.U.astype(np.float64)
-        self.UT = np.ascontiguousarray(self.U.T)
-        self.b = p.b.astype(np.float64)
+def _t64(w: np.ndarray) -> np.ndarray:
+    """A contiguous float64 transpose: the operand layout the step products read."""
+    return np.ascontiguousarray(w.T, dtype=np.float64)
 
 
 @dataclass
@@ -124,9 +118,10 @@ def gru_sweep_forward(params: GruParams, xs: np.ndarray, h0: np.ndarray,
     if d != params.input_dim or h0.shape != (b, params.hidden):
         raise ShapeError(f"sweep of {xs.shape} from h0 {h0.shape} does not fit params "
                          f"{params.input_dim}->{params.hidden}")
-    p = _SweepP64(params)
-    h = p.h
-    xproj = (xs.reshape(n * b, -1) @ p.WstackT).reshape(n, b, 3 * h)
+    h = params.hidden
+    WxT, UzrT, UT = _t64(params.Wx), _t64(params.Uzr), _t64(params.U)
+    b64 = params.b.astype(np.float64)
+    xproj = (xs.reshape(n * b, -1) @ WxT).reshape(n, b, 3 * h)
     h_prevs = np.empty((n, b, h))
     zs = np.empty((n, b, h))
     rs = np.empty((n, b, h))
@@ -135,11 +130,11 @@ def gru_sweep_forward(params: GruParams, xs: np.ndarray, h0: np.ndarray,
     ht = np.asarray(h0, dtype=np.float64)
     for t in range(n):
         h_prevs[t] = ht
-        azar = xproj[t, :, : 2 * h] + ht @ p.UzrT
+        azar = xproj[t, :, : 2 * h] + ht @ UzrT
         zr = act(azar)
         z = zr[:, :h]
         r = zr[:, h:]
-        ac = xproj[t, :, 2 * h :] + (r * ht) @ p.UT + p.b
+        ac = xproj[t, :, 2 * h :] + (r * ht) @ UT + b64
         c = np.tanh(ac)
         ht = z * ht + (1.0 - z) * c
         zs[t], rs[t], cs[t], hs[t] = z, r, c, ht
@@ -151,7 +146,7 @@ def gru_sweep_forward(params: GruParams, xs: np.ndarray, h0: np.ndarray,
 def gru_sweep_backward(params: GruParams, cache: GruSweepCache,
                        grads_h: np.ndarray, grad_h_final: np.ndarray | None = None):
     """Gradients for gru_sweep_forward; grads_h is (n, b, h) upstream."""
-    p = _SweepP64(params)
+    Wx, Uzr, U = _t64(params.Wx).T, _t64(params.Uzr).T, _t64(params.U).T
     _, act_deriv = _gate_fn(cache.gate_activation)
     n, b, h = cache.hs.shape
     d3 = np.empty((n, b, 3 * h))
@@ -163,14 +158,14 @@ def gru_sweep_backward(params: GruParams, cache: GruSweepCache,
         dc = gh * (1.0 - z)
         dh = gh * z
         dac = dc * (1.0 - c * c)
-        drh = dac @ p.U
+        drh = dac @ U
         dh += drh * r
         dar = (drh * h_prev) * act_deriv(r)
         daz = dz * act_deriv(z)
         d3[t, :, :h] = daz
         d3[t, :, h : 2 * h] = dar
         d3[t, :, 2 * h :] = dac
-        dh += d3[t, :, : 2 * h] @ p.Uzr
+        dh += d3[t, :, : 2 * h] @ Uzr
         carried = dh
     flat_d3 = d3.reshape(n * b, 3 * h)
     flat_x = cache.xs.reshape(n * b, -1)
@@ -184,7 +179,7 @@ def gru_sweep_backward(params: GruParams, cache: GruSweepCache,
         "Uz": g_uzr[:h], "Ur": g_uzr[h:], "U": g_u,
         "b": flat_dac.sum(axis=0),
     }
-    grad_xs = (flat_d3 @ p.Wstack).reshape(cache.xs.shape)
+    grad_xs = (flat_d3 @ Wx).reshape(cache.xs.shape)
     return grads, carried, grad_xs
 
 
@@ -322,11 +317,9 @@ def glorot_uniform(gen: np.random.Generator, shape: tuple[int, ...],
 
 
 def init_gru(gen: np.random.Generator, hidden: int, input_dim: int) -> GruParams:
-    def w():
-        return glorot_uniform(gen, (hidden, input_dim), input_dim, hidden)
-
-    def u():
-        return glorot_uniform(gen, (hidden, hidden), hidden, hidden)
-
-    return GruParams(Wz=w(), Uz=u(), Wr=w(), Ur=u(), W=w(), U=u(),
-                     b=np.zeros(hidden, dtype=np.float32))
+    p = GruParams.zeros(hidden, input_dim)
+    views = p.named()
+    for name in ("Wz", "Uz", "Wr", "Ur", "W", "U"):
+        fan_in = input_dim if name.startswith("W") else hidden
+        views[name][...] = glorot_uniform(gen, views[name].shape, fan_in, hidden)
+    return p

@@ -37,7 +37,8 @@ from .layers import (GATE_ACTIVATIONS, GruParams, glorot_uniform,
                      gru_sweep_backward, gru_sweep_forward, init_gru,
                      prelu_backward, prelu_forward)
 from .rng import stream
-from .tensor import ConvSpec, conv2d_backward_batch, conv2d_forward_batch
+from .tensor import (ConvSpec, _col2im, _im2col, _pad_spatial, conv2d_backward_batch,
+                     conv2d_forward_batch)
 
 PU_SIZES = (4, 8, 16, 32)
 AVAILABILITY_MODES = ("four-block", "three-block")
@@ -501,25 +502,23 @@ class ConvTransposeLayer:
     stride: int
     padding: int
 
-    def named(self, prefix: str) -> dict[str, np.ndarray]:
-        out = {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
-        if self.alpha is not None:
-            out[f"{prefix}.alpha"] = self.alpha
-        return out
+    named = ConvLayer.named
+
+
+def _taps_matrix(w: np.ndarray) -> np.ndarray:
+    """(kh, kw, cin, cout) weights as the float64 (cin, kh*kw*cout) GEMM operand."""
+    kh, kw, cin, cout = w.shape
+    return w.astype(np.float64).transpose(2, 0, 1, 3).reshape(cin, kh * kw * cout)
 
 
 def conv_transpose_forward_batch(layer: ConvTransposeLayer, x: np.ndarray):
-    b, h, w_in, _ = x.shape
+    """Transposed conv: one GEMM gives every tap's contribution, _col2im adds them up."""
+    b, h, w_in, cin = x.shape
     kh, kw, _, cout = layer.w.shape
     s, p = layer.stride, layer.padding
-    full_h = (h - 1) * s + kh
-    full_w = (w_in - 1) * s + kw
-    w64 = layer.w.astype(np.float64)
-    full = np.zeros((b, full_h, full_w, cout), dtype=np.float64)
-    for di in range(kh):
-        for dj in range(kw):
-            full[:, di : di + (h - 1) * s + 1 : s, dj : dj + (w_in - 1) * s + 1 : s, :] += x @ w64[di, dj]
-    out = full[:, p : full_h - p, p : full_w - p, :] + layer.b.astype(np.float64)
+    full = _col2im(x.reshape(-1, cin) @ _taps_matrix(layer.w),
+                   (b, (h - 1) * s + kh, (w_in - 1) * s + kw, cout), kh, kw, s, h, w_in)
+    out = full[:, p : full.shape[1] - p, p : full.shape[2] - p, :] + layer.b.astype(np.float64)
     if layer.alpha is None:
         return out, (x, None)
     act = prelu_forward(out, layer.alpha.astype(np.float64))
@@ -528,28 +527,18 @@ def conv_transpose_forward_batch(layer: ConvTransposeLayer, x: np.ndarray):
 
 def conv_transpose_backward_batch(layer: ConvTransposeLayer, cache, grad_out,
                                   grads: dict, prefix: str):
+    """_im2col of the padded gradient, then one GEMM each for gx and gw."""
     x, pre = cache
     if layer.alpha is not None:
         grad_out, g_alpha = prelu_backward(pre, layer.alpha.astype(np.float64), grad_out)
         grads[f"{prefix}.alpha"] = g_alpha
-    b, h, w_in, _ = x.shape
-    kh, kw, cin, cout = layer.w.shape
-    s, p = layer.stride, layer.padding
-    full_h = (h - 1) * s + kh
-    full_w = (w_in - 1) * s + kw
-    g_full = np.zeros((b, full_h, full_w, cout), dtype=np.float64)
-    g_full[:, p : full_h - p, p : full_w - p, :] = grad_out
-    w64 = layer.w.astype(np.float64)
-    gx = np.zeros_like(x)
-    gw = np.zeros_like(w64)
-    for di in range(kh):
-        for dj in range(kw):
-            patch = g_full[:, di : di + (h - 1) * s + 1 : s, dj : dj + (w_in - 1) * s + 1 : s, :]
-            gx += patch @ w64[di, dj].T
-            gw[di, dj] = np.tensordot(x, patch, axes=([0, 1, 2], [0, 1, 2]))
-    grads[f"{prefix}.w"] = gw
+    _, h, w_in, cin = x.shape
+    kh, kw, _, cout = layer.w.shape
+    g_taps = _im2col(_pad_spatial(grad_out, layer.padding), kh, kw, layer.stride, h, w_in)
+    gw = (x.reshape(-1, cin).T @ g_taps).reshape(cin, kh, kw, cout)
+    grads[f"{prefix}.w"] = np.ascontiguousarray(gw.transpose(1, 2, 0, 3))
     grads[f"{prefix}.b"] = grad_out.sum(axis=(0, 1, 2))
-    return gx
+    return (g_taps @ _taps_matrix(layer.w).T).reshape(x.shape)
 
 
 @dataclass

@@ -5,6 +5,9 @@ Convolution follows the usual deep-learning convention: cross-correlation
 cout). The network keeps activations in float64 and only stores parameters
 in float32; these kernels compute in whatever dtype they are handed, which
 is float64 throughout the package. A single sample is a batch of one.
+
+One gather/scatter pair, _im2col and its adjoint _col2im, serves both the
+conv here and the composite's transposed conv in model.py.
 """
 
 from __future__ import annotations
@@ -72,6 +75,19 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> 
     return view.reshape(b * oh * ow, kh * kw * c)
 
 
+def _col2im(cols: np.ndarray, shape: tuple[int, ...], kh: int, kw: int, stride: int,
+            oh: int, ow: int) -> np.ndarray:
+    """Scatter-add patch rows back onto a zero (b, h, w, c) map: the adjoint of _im2col."""
+    b, _, _, c = shape
+    cols = cols.reshape(b, oh, ow, kh, kw, c)
+    out = np.zeros(shape, dtype=np.float64)
+    for di in range(kh):
+        for dj in range(kw):
+            out[:, di : di + (oh - 1) * stride + 1 : stride,
+                dj : dj + (ow - 1) * stride + 1 : stride, :] += cols[:, :, :, di, dj, :]
+    return out
+
+
 def conv2d_forward_batch(x, w, bias, spec: ConvSpec, return_cols: bool = False):
     """Batched conv kernel; x is (b, h, w, cin), returns (b, oh, ow, cout).
 
@@ -106,13 +122,9 @@ def conv2d_backward_batch(x, w, spec: ConvSpec, grad_out, cols: np.ndarray | Non
         cols = _im2col(_pad_spatial(x, spec.padding), kh, kw, s, oh, ow)
     g2 = grad_out.reshape(b * oh * ow, cout)
     gw = (cols.T @ g2).reshape(kh, kw, cin, cout)
-    gcols = (g2 @ w.reshape(-1, cout).T).reshape(b, oh, ow, kh, kw, cin)
     p = spec.padding
-    gxp = np.zeros((b, h + 2 * p, ww_in + 2 * p, cin), dtype=np.float64)
-    for di in range(kh):
-        for dj in range(kw):
-            gxp[:, di : di + (oh - 1) * s + 1 : s,
-                dj : dj + (ow - 1) * s + 1 : s, :] += gcols[:, :, :, di, dj, :]
+    gxp = _col2im(g2 @ w.reshape(-1, cout).T, (b, h + 2 * p, ww_in + 2 * p, cin),
+                  kh, kw, s, oh, ow)
     gx = gxp[:, p : p + h, p : p + ww_in, :] if p else gxp
     gb = grad_out.sum(axis=(0, 1, 2))
     return np.ascontiguousarray(gx), gw, gb

@@ -252,6 +252,8 @@ class EvalConfig:
             raise ConfigError(f"policy must be fixed or greedy, got {self.policy!r}")
         if any(s not in (4, 8, 16, 32) for s in self.block_sizes):
             raise ConfigError(f"block sizes must be drawn from 4/8/16/32: {self.block_sizes}")
+        if len(set(self.block_sizes)) != len(self.block_sizes):
+            raise ConfigError(f"block sizes must not repeat: {self.block_sizes}")
         if self.policy == "greedy":
             chain = self.greedy_sizes()
             if len(chain) < 2:
@@ -261,8 +263,8 @@ class EvalConfig:
                     f"greedy block sizes must halve from one to the next: {self.block_sizes}")
 
     def greedy_sizes(self) -> list[int]:
-        """Distinct block sizes, largest first: the greedy quad-tree levels."""
-        return sorted(set(self.block_sizes), reverse=True)
+        """Block sizes, largest first: the greedy quad-tree levels."""
+        return sorted(self.block_sizes, reverse=True)
 
 
 @dataclass

@@ -335,8 +335,8 @@ def test_gru_contract():
 
     d = 6
     p = random_gru(gen, 4, d)
-    p.Wz[...] = 20.0 / d
-    p.Uz[...] = 0.0
+    p.named()["Wz"][...] = 20.0 / d
+    p.named()["Uz"][...] = 0.0
     h_prev = gen.uniform(-1, 1, 4).astype(np.float32).astype(np.float64)
     hs, _ = L.gru_sweep_forward(p, np.ones((1, 1, d)), h_prev.reshape(1, 4))
     diff = float(np.linalg.norm(hs[0, 0] - h_prev))

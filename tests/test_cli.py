@@ -231,6 +231,15 @@ class TestEval:
                        "--set", "block_policy=greedy", "--set", "sizes=32,8") == 1
         assert "halve" in capsys.readouterr().err
 
+    def test_two_models_for_one_size_rejected(self, trained, tmp_path, capsys):
+        # keyed by block size, the second model used to replace the first unnoticed
+        twin = tmp_path / "twin.psrnn"
+        twin.write_bytes((trained / "model.psrnn").read_bytes())
+        assert run_cli("eval", "--out", str(tmp_path / "ev"),
+                       "--set", f"models={trained/'model.psrnn'},{twin}") == 1
+        assert "block size 8" in capsys.readouterr().err
+        assert not (tmp_path / "ev" / "eval_blocks.csv").exists()
+
     def test_sizes_without_models_rejected(self, trained, tmp_path):
         assert run_cli("eval", "--out", str(tmp_path / "bad"),
                        "--set", f"models={trained/'model.psrnn'}",

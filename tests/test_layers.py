@@ -9,21 +9,14 @@ from psrnn.errors import ShapeError, UsageError
 
 
 def random_gru(gen, hidden, input_dim, scale=0.5):
-    def m(shape):
-        return gen.uniform(-scale, scale, shape).astype(np.float32)
-
-    return L.GruParams(Wz=m((hidden, input_dim)), Uz=m((hidden, hidden)),
-                       Wr=m((hidden, input_dim)), Ur=m((hidden, hidden)),
-                       W=m((hidden, input_dim)), U=m((hidden, hidden)),
-                       b=m((hidden,)))
+    # draws Wz, Uz, Wr, Ur, W, U, b in turn, written through their views
+    p = L.GruParams.zeros(hidden, input_dim)
+    for arr in p.named().values():
+        arr[...] = gen.uniform(-scale, scale, arr.shape).astype(np.float32)
+    return p
 
 
-def zero_gru(hidden, input_dim):
-    z = lambda s: np.zeros(s, dtype=np.float32)
-    return L.GruParams(Wz=z((hidden, input_dim)), Uz=z((hidden, hidden)),
-                       Wr=z((hidden, input_dim)), Ur=z((hidden, hidden)),
-                       W=z((hidden, input_dim)), U=z((hidden, hidden)),
-                       b=z((hidden,)))
+zero_gru = L.GruParams.zeros
 
 
 def one_step(p, x, h, gate="sigmoid"):
@@ -47,8 +40,8 @@ class TestGruForward:
         d = 6
         p = random_gru(gen, 4, d)
         # drive the update-gate pre-activation to +20 for x = ones
-        p.Wz[...] = 20.0 / d
-        p.Uz[...] = 0.0
+        p.named()["Wz"][...] = 20.0 / d
+        p.named()["Uz"][...] = 0.0
         h_prev = gen.uniform(-1, 1, 4).astype(np.float32)
         step = one_step(p, np.ones(d), h_prev)
         assert np.linalg.norm(step.hs[0, 0] - h_prev.astype(np.float64)) < 1e-6
@@ -122,12 +115,12 @@ class TestGruBackward:
         for _ in range(20):
             wz, uz, wr, ur, w, u, b = gen.uniform(-1.5, 1.5, 7)
             x, h0, g = gen.uniform(-1.5, 1.5, 3)
-            p = L.GruParams(*(np.array([[v]], dtype=np.float32) for v in (wz, uz, wr, ur, w, u)),
-                            b=np.array([b], dtype=np.float32))
+            p = zero_gru(1, 1)
+            for arr, v in zip(p.named().values(), (wz, uz, wr, ur, w, u, b)):
+                arr[...] = v
             # float32 storage rounds the parameters; the oracle must see the
             # same values the implementation does
-            wz, uz, wr, ur, w, u = (float(m[0, 0]) for m in (p.Wz, p.Uz, p.Wr, p.Ur, p.W, p.U))
-            b = float(p.b[0])
+            wz, uz, wr, ur, w, u, b = (float(m.ravel()[0]) for m in p.named().values())
             x = float(np.float32(x))
             h0 = float(np.float32(h0))
             cache = one_step(p, [x], [h0])

@@ -5,6 +5,7 @@ from conftest import (directional_check, min_kink_margin, plus_kink_margin,
                       rewrite_config_text)
 from psrnn import model as M
 from psrnn.errors import ConfigError, IntegrityError, ShapeError, UsageError, VersionError
+from psrnn.layers import AdamState, adam_step
 from oracles import gru_sequence_forward
 
 TINY = M.NetworkConfig(pu_size=4, preproc_channels=(2, 2), unit_hidden=(2, 2),
@@ -125,6 +126,56 @@ class TestUnit:
         assert out.shape == (1, 8, 8, 2)
         with pytest.raises(ShapeError):
             M.unit_forward_batch(net.units[0], np.zeros((8, 8, 2)), "sigmoid")
+
+
+GATES = ("Wz", "Uz", "Wr", "Ur", "W", "U")
+
+
+def gru_gate_names(net):
+    for i in range(len(net.units)):
+        for tag in ("h", "v"):
+            for gate in GATES:
+                yield f"u{i}.{tag}.{gate}"
+
+
+class TestGruViews:
+    # parameters(net) names each GRU gate as a view of its unit's stacked arrays
+
+    def test_named_gates_share_the_stacks(self):
+        net = M.build_network(TINY, seed=3)
+        params = M.parameters(net)
+        for i, unit in enumerate(net.units):
+            for tag, gru in (("h", unit.gru_h), ("v", unit.gru_v)):
+                stacks = {"Wz": gru.Wx, "Wr": gru.Wx, "W": gru.Wx,
+                          "Uz": gru.Uzr, "Ur": gru.Uzr, "U": gru.U}
+                for gate, stack in stacks.items():
+                    assert np.shares_memory(params[f"u{i}.{tag}.{gate}"], stack), (i, tag, gate)
+
+    def test_adam_step_through_names_changes_forward(self):
+        net = M.build_network(TINY, seed=3)
+        ctx = np.random.default_rng(2).random((2, 8, 8))
+        before, _ = M.forward_batch(net, ctx, need_cache=False)
+        params = M.parameters(net)
+        gates = set(gru_gate_names(net))
+        # only the gate matrices get a gradient, so any change comes through the views
+        grads = {k: np.full(v.shape, 1.0 if k in gates else 0.0) for k, v in params.items()}
+        adam_step(params, grads, AdamState(), lr=0.05)
+        after, _ = M.forward_batch(net, ctx, need_cache=False)
+        assert not np.array_equal(before, after)
+
+    def test_save_load_keeps_every_named_array(self, tmp_path):
+        net = M.build_network(TINY, seed=3)
+        params = M.parameters(net)
+        gen = np.random.default_rng(5)
+        for name in gru_gate_names(net):
+            params[name][...] = gen.uniform(-1, 1, params[name].shape)
+        M.save_model(net, tmp_path / "m.psrnn")
+        loaded = M.load_model(tmp_path / "m.psrnn")
+        got = M.parameters(loaded)
+        assert list(got) == list(params)
+        for k, v in params.items():
+            np.testing.assert_array_equal(got[k], v, err_msg=k)
+        assert np.shares_memory(got["u0.h.Ur"], loaded.units[0].gru_h.Uzr)
 
 
 def single_backward(net, ctx, grad_pred):

@@ -287,6 +287,13 @@ class TestEvaluate:
             TR.EvalConfig(block_sizes=sizes, policy="greedy")
         TR.EvalConfig(block_sizes=sizes)  # fixed tiling takes any set
 
+    @pytest.mark.parametrize("policy, sizes", [("fixed", (8, 8)), ("fixed", (16, 8, 16)),
+                                               ("greedy", (16, 8, 8))])
+    def test_repeated_sizes_rejected(self, policy, sizes):
+        # fixed sizes=8,8 used to score every tile twice and double-count the summary
+        with pytest.raises(ConfigError, match="repeat"):
+            TR.EvalConfig(block_sizes=sizes, policy=policy)
+
     @pytest.mark.parametrize("sizes", [(16, 8), (32, 16, 8)])
     def test_greedy_matches_batch1_reference(self, sizes):
         nets = {n: build_network(replace(SMALL_NET, pu_size=n), seed=9) for n in sizes}
