@@ -5,8 +5,10 @@ Prints one `<name> <sha256>` line for each of:
 
 - the model file and the training log of the determinism-test config
   (lean N=8 network, 60 iterations, batch 16, seed 31);
+- the contexts and targets of the `train-n8` sample set (50,000 N=8
+  three-block samples from 24 synthetic 128x128 images);
 - the model file and the training log of the reference `train-n8` config
-  (default N=8 network, 50,000 samples, 50 iterations, batch 32);
+  (default N=8 network, that sample set, 50 iterations, batch 32);
 - the fixed N=8 and the greedy 16/8 eval reports (CSV rows and summary)
   of untrained default-width networks on six seeded 128x128 synthetic
   images at qp 32.
@@ -15,6 +17,9 @@ Run it on two checkouts and diff the output to check that a change keeps
 model files, training logs and eval reports byte for byte:
 
     PYTHONPATH=src python scripts/output_digests.py --seed 1
+
+The checkout's own src/ is searched after PYTHONPATH, so pointing PYTHONPATH
+at another checkout's src/ digests that checkout's library with this script.
 """
 
 import argparse
@@ -24,7 +29,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np
 
 from psrnn import data as D
 from psrnn import model as M
@@ -35,8 +42,8 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def train_digests(net, blocks, cfg, workdir: Path) -> tuple[str, str]:
-    net, rows = TR.train(net, TR.as_sample_set(blocks), cfg)
+def train_digests(net, samples, cfg, workdir: Path) -> tuple[str, str]:
+    net, rows = TR.train(net, samples, cfg)
     M.save_model(net, workdir / "model.psrnn")
     TR.write_training_log(rows, workdir / "train_log.csv")
     return (_sha((workdir / "model.psrnn").read_bytes()),
@@ -45,25 +52,35 @@ def train_digests(net, blocks, cfg, workdir: Path) -> tuple[str, str]:
 
 def determinism_config(workdir: Path) -> tuple[str, str]:
     images = D.synthetic_corpus(96, seed=31, per_kind=4)
-    blocks = D.build_training_samples(images, 8, 2000, seed=31,
-                                      availability_mode=D.THREE_BLOCK)
+    samples = TR.as_sample_set(D.build_training_samples(images, 8, 2000, seed=31,
+                                                        availability_mode=D.THREE_BLOCK))
     lean = M.NetworkConfig(pu_size=8, preproc_channels=(4, 4), unit_hidden=(4, 2, 2),
                            recon_channels=(4,))
     cfg = TR.TrainConfig(total_iters=60, batch_size=16, seed=31, val_subset_cap=128,
                          checkpoint_every=10)
-    return train_digests(M.build_network(lean, seed=31), blocks, cfg, workdir)
+    return train_digests(M.build_network(lean, seed=31), samples, cfg, workdir)
 
 
-def train_n8_config(seed: int, workdir: Path) -> tuple[str, str]:
+def train_n8_samples(seed: int):
     images = D.synthetic_corpus(128, seed, kinds=("directional", "sinusoid"), per_kind=12)
-    blocks = D.build_training_samples(images, 8, 50_000, seed,
-                                      availability_mode=D.THREE_BLOCK)
+    return TR.as_sample_set(D.build_training_samples(images, 8, 50_000, seed,
+                                                     availability_mode=D.THREE_BLOCK))
+
+
+def samples_digest(samples) -> str:
+    h = hashlib.sha256()
+    for arr in (samples.contexts, samples.targets):
+        h.update(np.ascontiguousarray(arr))
+    return h.hexdigest()
+
+
+def train_n8_config(seed: int, samples, workdir: Path) -> tuple[str, str]:
     net = M.build_network(M.NetworkConfig(pu_size=8, availability_mode=D.THREE_BLOCK),
                           seed=seed)
     cfg = TR.TrainConfig(loss="satd", total_iters=50, batch_size=32, seed=seed,
                          checkpoint_every=50, val_subset_cap=512,
                          availability_mode=D.THREE_BLOCK)
-    return train_digests(net, blocks, cfg, workdir)
+    return train_digests(net, samples, cfg, workdir)
 
 
 def eval_digest(seed: int, sizes: tuple[int, ...], policy: str) -> str:
@@ -87,7 +104,9 @@ def main():
         model, log = determinism_config(workdir)
         print(f"determinism.model {model}")
         print(f"determinism.train_log {log}")
-        model, log = train_n8_config(args.seed, workdir)
+        samples = train_n8_samples(args.seed)
+        print(f"train-n8.samples {samples_digest(samples)}")
+        model, log = train_n8_config(args.seed, samples, workdir)
         print(f"train-n8.model {model}")
         print(f"train-n8.train_log {log}")
     print(f"eval-fixed-n8.report {eval_digest(args.seed, (8,), 'fixed')}")

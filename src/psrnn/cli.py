@@ -288,16 +288,14 @@ def _load_samples(resolved: dict):
         if not index.exists():
             raise ConfigError(f"{src} has no index.tsv (not a prepared archive)")
         pairs = [line.split("\t")[:2] for line in index.read_text().splitlines() if line]
-        samples = []
-        per = max(1, count // max(1, len(pairs)))
-        for i, (clean_rel, deg_rel) in enumerate(pairs):
-            clean = D.load_image(src / clean_rel)
-            deg = D.load_image(src / deg_rel)
-            samples.extend(D.sample_contexts(clean, deg, n, per, seed=seed + i,
-                                             fill=fill, availability_mode=availability))
-        if not samples:
+        if not pairs:
             raise UsageError("prepared archive produced no samples")
-        return samples[:count] if len(samples) > count else samples
+        per = max(1, count // len(pairs))
+        samples = D.SampleSet.concat([
+            D.sample_contexts(D.load_image(src / clean_rel), D.load_image(src / deg_rel), n,
+                              per, seed=seed + i, fill=fill, availability_mode=availability)
+            for i, (clean_rel, deg_rel) in enumerate(pairs)])
+        return D.SampleSet(samples.contexts[:count], samples.targets[:count])
     images = [D.load_image(p) for p in D.read_manifest(src)]
     if not images:
         raise UsageError("no inputs in manifest")

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError, ShapeError, SizeError, UsageError
 from .rng import stream
@@ -45,6 +46,20 @@ class GrayImage:
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
+
+
+@dataclass
+class SampleSet:
+    contexts: np.ndarray  # (m, 2n, 2n) float32, masked per availability mode
+    targets: np.ndarray   # (m, n, n) float32 clean ground truth
+
+    def __len__(self):
+        return self.contexts.shape[0]
+
+    @classmethod
+    def concat(cls, parts: list[SampleSet]) -> SampleSet:
+        return cls(np.concatenate([p.contexts for p in parts]),
+                   np.concatenate([p.targets for p in parts]))
 
 
 @dataclass
@@ -277,51 +292,62 @@ def degrade(img: GrayImage, cfg: DegradeConfig) -> GrayImage:
 # ---------------------------------------------------------------------------
 
 
+def cut_contexts(degraded: np.ndarray, clean: np.ndarray, ys, xs, n: int,
+                 three_block, fill: float = 0.5) -> SampleSet:
+    """Context/target pairs of the 2n x 2n windows at (ys[i], xs[i]), cut in one gather.
+
+    Every target quadrant is set to `fill`, and so is every bottom-left
+    quadrant where `three_block` (one bool, or one per origin) holds.
+    """
+    if clean.shape != degraded.shape:
+        raise ShapeError("clean and degraded images must have the same shape")
+    ys, xs = np.asarray(ys, dtype=np.intp), np.asarray(xs, dtype=np.intp)
+    h, w = degraded.shape
+    # fancy indexing would wrap a negative origin around instead of failing
+    inside = (0 <= ys) & (ys <= h - 2 * n) & (0 <= xs) & (xs <= w - 2 * n)
+    if h < 2 * n or w < 2 * n or not inside.all():
+        raise SizeError(f"{2*n}x{2*n} windows at these origins do not fit image {w}x{h}")
+    contexts = sliding_window_view(degraded, (2 * n, 2 * n))[ys, xs].astype(np.float32, copy=False)
+    targets = sliding_window_view(clean, (n, n))[ys + n, xs + n].astype(np.float32, copy=False)
+    contexts[:, n:, n:] = fill
+    contexts[np.broadcast_to(three_block, ys.shape), n:, :n] = fill
+    return SampleSet(contexts, targets)
+
+
+def _is_three_block(availability_mode: str) -> bool:
+    if availability_mode not in (FOUR_BLOCK, THREE_BLOCK):
+        raise UsageError(f"unknown availability mode {availability_mode!r}")
+    return availability_mode == THREE_BLOCK
+
+
 def make_context(degraded: np.ndarray, clean: np.ndarray, origin: tuple[int, int],
                  n: int, availability_mode: str, fill: float = 0.5) -> ContextBlock:
     """Cut one context/target pair at a window origin (top-left of 2n x 2n)."""
     y, x = origin
-    window = degraded[y : y + 2 * n, x : x + 2 * n].astype(np.float32).copy()
-    if window.shape != (2 * n, 2 * n):
-        raise SizeError(f"window at {origin} does not fit image {degraded.shape}")
-    target = clean[y + n : y + 2 * n, x + n : x + 2 * n].astype(np.float32).copy()
-    window[n:, n:] = fill
-    if availability_mode == THREE_BLOCK:
-        window[n:, :n] = fill
-    elif availability_mode != FOUR_BLOCK:
-        raise UsageError(f"unknown availability mode {availability_mode!r}")
-    return ContextBlock(context=window, target=target,
+    pair = cut_contexts(degraded, clean, [y], [x], n, _is_three_block(availability_mode), fill)
+    return ContextBlock(context=pair.contexts[0], target=pair.targets[0],
                         availability_mode=availability_mode, origin=(y, x), n=n)
 
 
 def sample_contexts(img_clean: GrayImage, img_degraded: GrayImage, n: int,
                     count: int, availability_mix: float = 0.25,
                     seed: int = 0, fill: float = 0.5,
-                    availability_mode: str | None = None) -> list[ContextBlock]:
+                    availability_mode: str | None = None) -> SampleSet:
     """Uniformly sample `count` context/target pairs from one image.
 
     availability_mix is the fraction of four-block samples (the Fig-style
     one-in-four geometry gives 0.25); passing availability_mode instead
     forces every sample to that mode. Deterministic under `seed`.
     """
-    if img_clean.pixels.shape != img_degraded.pixels.shape:
-        raise ShapeError("clean and degraded images must have the same shape")
     h, w = img_clean.pixels.shape
     if h < 2 * n or w < 2 * n:
         raise SizeError(f"image {w}x{h} too small for {2*n}x{2*n} windows")
     gen = stream(seed, f"contexts/n{n}")
     ys = gen.integers(0, h - 2 * n + 1, size=count)
     xs = gen.integers(0, w - 2 * n + 1, size=count)
-    if availability_mode is None:
-        four = gen.random(count) < availability_mix
-        modes = [FOUR_BLOCK if f else THREE_BLOCK for f in four]
-    else:
-        modes = [availability_mode] * count
-    return [
-        make_context(img_degraded.pixels, img_clean.pixels, (int(y), int(x)), n,
-                     mode, fill)
-        for y, x, mode in zip(ys, xs, modes)
-    ]
+    three = (~(gen.random(count) < availability_mix) if availability_mode is None
+             else _is_three_block(availability_mode))
+    return cut_contexts(img_degraded.pixels, img_clean.pixels, ys, xs, n, three, fill)
 
 
 # ---------------------------------------------------------------------------
@@ -412,20 +438,22 @@ def build_training_samples(images: list[GrayImage], n: int, count: int, seed: in
                            qps: tuple[int, ...] = TRAIN_QPS,
                            availability_mode: str | None = THREE_BLOCK,
                            availability_mix: float = 0.25,
-                           fill: float = 0.5) -> list[ContextBlock]:
+                           fill: float = 0.5) -> SampleSet:
     """Degrade a deck of images at mixed qps and sample contexts evenly."""
     if not images:
         raise UsageError("no source images")
+    if count < 1:
+        raise UsageError(f"sample count must be positive, got {count}")
     gen = stream(seed, "assign")
     per_image = np.bincount(gen.integers(0, len(images), size=count),
                             minlength=len(images))
-    samples: list[ContextBlock] = []
+    parts = []
     for i, (img, k) in enumerate(zip(images, per_image)):
         if k == 0:
             continue
         qp = qps[i % len(qps)]
         deg = degrade(img, DegradeConfig(qp=qp))
-        samples.extend(sample_contexts(
+        parts.append(sample_contexts(
             img, deg, n, int(k), availability_mix=availability_mix,
             seed=seed + 7919 * i, fill=fill, availability_mode=availability_mode))
-    return samples
+    return SampleSet.concat(parts)

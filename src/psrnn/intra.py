@@ -53,6 +53,7 @@ SEGMENTS = ("below-left", "left", "corner", "above", "above-right")
 
 DEFAULT_MODE_BITS = 6.0  # flat proxy per directional mode, no MPM modelling
 NETWORK_FLAG_BITS = 1.0  # selecting the network costs its flag bit only
+SPLIT_FLAG_BITS = 1.0    # one quad-tree split flag per greedy decision
 PIXEL_SCALE = 255.0      # rate-distortion costs are charged on the 8-bit scale
 
 
@@ -263,16 +264,14 @@ class ModeCost:
         return self.satd + self.lam * self.bits_proxy
 
 
-def network_mode_cost(satd_norm: float, lam: float,
-                      flag_bits: float = NETWORK_FLAG_BITS) -> ModeCost:
+def network_mode_cost(satd_norm: float, lam: float) -> ModeCost:
     """Cost entry for the learned predictor: one flag bit, no mode bits."""
     return ModeCost(mode=NETWORK, satd=satd_norm * PIXEL_SCALE,
-                    bits_proxy=flag_bits, lam=lam)
+                    bits_proxy=NETWORK_FLAG_BITS, lam=lam)
 
 
 def best_mode_search(refs: ReferenceSamples, target_block: np.ndarray, n: int,
-                     lam: float, satd_cfg: SatdConfig = SatdConfig(),
-                     mode_bits: float = DEFAULT_MODE_BITS) -> ModeCost:
+                     lam: float, satd_cfg: SatdConfig = SatdConfig()) -> ModeCost:
     """Exhaustive 35-mode search under SATD + lambda * bits.
 
     All 35 residues go through one satd_batch call; ties break toward the
@@ -286,5 +285,5 @@ def best_mode_search(refs: ReferenceSamples, target_block: np.ndarray, n: int,
         raise ShapeError(f"target block must be ({n}, {n}), got {target_block.shape}")
     residues = predict_all_modes(refs, n) - target_block.astype(np.float64)
     satds = satd_batch(residues, satd_cfg) * PIXEL_SCALE
-    best = int(np.argmin(satds + lam * mode_bits))
-    return ModeCost(mode=best, satd=float(satds[best]), bits_proxy=mode_bits, lam=lam)
+    best = int(np.argmin(satds + lam * DEFAULT_MODE_BITS))
+    return ModeCost(mode=best, satd=float(satds[best]), bits_proxy=DEFAULT_MODE_BITS, lam=lam)

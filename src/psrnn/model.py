@@ -26,6 +26,7 @@ a trailing CRC32 so truncation and corruption are detected on load.
 
 from __future__ import annotations
 
+import copy
 import struct
 import zlib
 from dataclasses import dataclass, field, fields
@@ -360,11 +361,7 @@ def network_forward(net: PsRnnNetwork, context: np.ndarray) -> np.ndarray:
 
 
 def clone_network(net: PsRnnNetwork) -> PsRnnNetwork:
-    params = {k: v.copy() for k, v in parameters(net).items()}
-    fresh = build_network(net.config, seed=0)
-    for k, v in parameters(fresh).items():
-        v[...] = params[k]
-    return fresh
+    return copy.deepcopy(net)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +464,8 @@ def load_model(path, expected_config: NetworkConfig | None = None) -> PsRnnNetwo
         config = _config_from_text(r.take(r.u32()).decode("utf-8"))
         while r.pos < len(r.data):
             name = r.take(r.u32()).decode("utf-8")
+            if name in records:
+                raise IntegrityError(f"parameter {name} is stored more than once")
             rank = r.u8()
             shape = tuple(r.u32() for _ in range(rank))
             count = int(np.prod(shape))

@@ -19,12 +19,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import ContextBlock, DegradeConfig, GrayImage, degrade, make_context
+from .data import THREE_BLOCK, DegradeConfig, GrayImage, SampleSet, cut_contexts, degrade
 from .errors import ConfigError, DivergenceError, UsageError
 from .hadamard import SatdConfig, satd, satd_batch, satd_loss_grad_batch
-from .intra import (DEFAULT_MODE_BITS, NETWORK, NETWORK_FLAG_BITS, ModeCost,
-                    best_mode_search, build_reference_samples, hm_lambda,
-                    network_mode_cost, predict_mode, smooth_references)
+from .intra import (NETWORK, SPLIT_FLAG_BITS, ModeCost, best_mode_search,
+                    build_reference_samples, hm_lambda, network_mode_cost, predict_mode,
+                    smooth_references)
 from .layers import AdamState, adam_step, clip_global_norm, lr_at, scaled_schedule
 from .model import (NetworkConfig, PsRnnNetwork, PsRnnPlus, backward_batch,
                     build_network, forward_batch, parameters,
@@ -74,27 +74,10 @@ class TrainConfig:
         return max(1, self.total_iters // 100)
 
 
-@dataclass
-class SampleSet:
-    contexts: np.ndarray  # (m, 2n, 2n) float32
-    targets: np.ndarray   # (m, n, n) float32
-
-    def __len__(self):
-        return self.contexts.shape[0]
-
-
 def as_sample_set(data) -> SampleSet:
-    if isinstance(data, SampleSet):
-        return data
-    blocks = list(data)
-    if not blocks:
-        raise UsageError("empty sample stream")
-    if not all(isinstance(b, ContextBlock) for b in blocks):
-        raise UsageError("sample stream must yield ContextBlock items")
-    return SampleSet(
-        contexts=np.stack([b.context for b in blocks]).astype(np.float32),
-        targets=np.stack([b.target for b in blocks]).astype(np.float32),
-    )
+    if not isinstance(data, SampleSet) or len(data) == 0:
+        raise UsageError("training data must be a non-empty SampleSet")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +223,6 @@ def train(net: PsRnnNetwork, data, cfg: TrainConfig):
 class EvalConfig:
     block_sizes: tuple[int, ...] = (8,)
     policy: str = "fixed"  # fixed tiling, or greedy top-down splitting
-    mode_bits: float = DEFAULT_MODE_BITS
-    flag_bits: float = NETWORK_FLAG_BITS
-    split_flag_bits: float = 1.0
     satd: SatdConfig = field(default_factory=SatdConfig)
     oracle: bool = False
     ref_smoothing: bool = False
@@ -250,8 +230,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.policy not in ("fixed", "greedy"):
             raise ConfigError(f"policy must be fixed or greedy, got {self.policy!r}")
-        if any(s not in (4, 8, 16, 32) for s in self.block_sizes):
-            raise ConfigError(f"block sizes must be drawn from 4/8/16/32: {self.block_sizes}")
+        if not self.block_sizes or any(s not in (4, 8, 16, 32) for s in self.block_sizes):
+            raise ConfigError(f"block sizes must be one or more of 4/8/16/32: {self.block_sizes}")
         if len(set(self.block_sizes)) != len(self.block_sizes):
             raise ConfigError(f"block sizes must not repeat: {self.block_sizes}")
         if self.policy == "greedy":
@@ -330,12 +310,9 @@ def evaluate(nets: dict[int, PsRnnNetwork] | None, images: list[GrayImage], qp: 
 
 def _contexts(net: PsRnnNetwork, image: GrayImage, recon: GrayImage, origins) -> np.ndarray:
     c = net.config
-    n = c.pu_size
-    return np.stack([
-        make_context(recon.pixels, image.pixels, (y - n, x - n), n,
-                     c.availability_mode, c.fill_value).context
-        for y, x in origins
-    ])
+    ys, xs = (np.array(origins, dtype=np.intp).reshape(-1, 2) - c.pu_size).T
+    return cut_contexts(recon.pixels, image.pixels, ys, xs, c.pu_size,
+                        c.availability_mode == THREE_BLOCK, c.fill_value).contexts
 
 
 def _tile_origins(shape: tuple[int, int], n: int):
@@ -353,7 +330,7 @@ def _block_record(image: GrayImage, recon: GrayImage,
     refs = build_reference_samples(recon.pixels, origin, n)
     if cfg.ref_smoothing:
         refs = smooth_references(refs)
-    base = best_mode_search(refs, target, n, lam, cfg.satd, cfg.mode_bits)
+    base = best_mode_search(refs, target, n, lam, cfg.satd)
     base_pred = predict_mode(refs, base.mode, n)
     base_mse = float(np.mean((base_pred - target) ** 2))
     if cfg.oracle:
@@ -361,7 +338,7 @@ def _block_record(image: GrayImage, recon: GrayImage,
     if net_pred is None:
         return BlockRecord(origin=origin, n=n, base=base, net=None,
                            winner="baseline", base_mse=base_mse, net_mse=None)
-    net_cost = network_mode_cost(satd(net_pred - target, cfg.satd), lam, cfg.flag_bits)
+    net_cost = network_mode_cost(satd(net_pred - target, cfg.satd), lam)
     winner = NETWORK if net_cost.total < base.total else "baseline"
     net_mse = float(np.mean((net_pred - target) ** 2))
     return BlockRecord(origin=origin, n=n, base=base, net=net_cost,
@@ -371,12 +348,9 @@ def _block_record(image: GrayImage, recon: GrayImage,
 def _eval_fixed(net: PsRnnNetwork | None, image: GrayImage, recon: GrayImage, n: int,
                 lam: float, cfg: EvalConfig) -> list[BlockRecord]:
     origins = list(_tile_origins(image.pixels.shape, n))
-    preds: list[np.ndarray | None] = [None] * len(origins)
+    preds = [None] * len(origins)
     if net is not None:
-        contexts = _contexts(net, image, recon, origins)
-        for i in range(0, len(origins), 256):
-            chunk, _ = forward_batch(net, contexts[i : i + 256], need_cache=False)
-            preds[i : i + len(chunk)] = list(chunk)
+        preds = _forward_chunked(net, _contexts(net, image, recon, origins), 256)
     return [_block_record(image, recon, origin, n, lam, cfg, pred)
             for origin, pred in zip(origins, preds)]
 
@@ -407,7 +381,7 @@ def _eval_greedy(nets: dict[int, PsRnnNetwork], image: GrayImage, recon: GrayIma
         for dy in (0, half):
             for dx in (0, half):
                 children.extend(descend((origin[0] + dy, origin[1] + dx), half, preds))
-        split_cost = sum(r.winner_total for r in children) + lam * cfg.split_flag_bits
+        split_cost = sum(r.winner_total for r in children) + lam * SPLIT_FLAG_BITS
         return children if split_cost < whole.winner_total else [whole]
 
     out: list[BlockRecord] = []

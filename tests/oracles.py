@@ -9,6 +9,10 @@
   reproduce bit for bit.
 - The greedy quad-tree evaluation with one batch-1 network pass per
   candidate block, which the level-batched evaluation must match.
+- Context sampling with one slice-and-mask per sample, which the one-gather
+  psrnn.data.sample_contexts and build_training_samples must reproduce byte
+  for byte. It returns ContextBlock items, so the origin and availability
+  mode of every sample can be inspected.
 
 All favour plainness over speed; the numeric ones run in float64.
 """
@@ -20,12 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from psrnn import training as TR
-from psrnn.data import DegradeConfig, degrade
+from psrnn.data import (FOUR_BLOCK, THREE_BLOCK, TRAIN_QPS, ContextBlock, DegradeConfig,
+                        GrayImage, degrade)
 from psrnn.hadamard import SatdConfig, hadamard_matrix
-from psrnn.intra import (INTRA_PRED_ANGLE, INV_ANGLE, MODE_DC, MODE_PLANAR,
+from psrnn.intra import (INTRA_PRED_ANGLE, INV_ANGLE, MODE_DC, MODE_PLANAR, SPLIT_FLAG_BITS,
                          ReferenceSamples, _predict_dc, _predict_planar, hm_lambda)
 from psrnn.layers import GruParams, _gate_fn
 from psrnn.model import forward_batch
+from psrnn.rng import stream
 
 
 @dataclass
@@ -181,9 +187,65 @@ def greedy_eval_batch1(nets, images, qp: int, cfg) -> list:
             for dy in (0, half):
                 for dx in (0, half):
                     children.extend(descend((origin[0] + dy, origin[1] + dx), half))
-            split_cost = sum(r.winner_total for r in children) + lam * cfg.split_flag_bits
+            split_cost = sum(r.winner_total for r in children) + lam * SPLIT_FLAG_BITS
             return children if split_cost < whole.winner_total else [whole]
 
         for origin in TR._tile_origins(image.pixels.shape, sizes[0]):
             records.extend(descend(origin, sizes[0]))
     return records
+
+
+def context_loop(degraded: np.ndarray, clean: np.ndarray, origin: tuple[int, int], n: int,
+                 availability_mode: str, fill: float = 0.5) -> ContextBlock:
+    """One context/target pair: slice the window, copy it, mask it."""
+    y, x = origin
+    window = degraded[y : y + 2 * n, x : x + 2 * n].astype(np.float32).copy()
+    assert window.shape == (2 * n, 2 * n)
+    target = clean[y + n : y + 2 * n, x + n : x + 2 * n].astype(np.float32).copy()
+    window[n:, n:] = fill
+    if availability_mode == THREE_BLOCK:
+        window[n:, :n] = fill
+    return ContextBlock(context=window, target=target,
+                        availability_mode=availability_mode, origin=(y, x), n=n)
+
+
+def sample_contexts_loop(img_clean: GrayImage, img_degraded: GrayImage, n: int, count: int,
+                         availability_mix: float = 0.25, seed: int = 0, fill: float = 0.5,
+                         availability_mode: str | None = None) -> list[ContextBlock]:
+    """sample_contexts with the same draws, cut one sample at a time."""
+    h, w = img_clean.pixels.shape
+    gen = stream(seed, f"contexts/n{n}")
+    ys = gen.integers(0, h - 2 * n + 1, size=count)
+    xs = gen.integers(0, w - 2 * n + 1, size=count)
+    if availability_mode is None:
+        four = gen.random(count) < availability_mix
+        modes = [FOUR_BLOCK if f else THREE_BLOCK for f in four]
+    else:
+        modes = [availability_mode] * count
+    return [context_loop(img_degraded.pixels, img_clean.pixels, (int(y), int(x)), n, mode, fill)
+            for y, x, mode in zip(ys, xs, modes)]
+
+
+def build_training_samples_loop(images: list[GrayImage], n: int, count: int, seed: int,
+                                qps: tuple[int, ...] = TRAIN_QPS,
+                                availability_mode: str | None = THREE_BLOCK,
+                                availability_mix: float = 0.25,
+                                fill: float = 0.5) -> list[ContextBlock]:
+    """build_training_samples with the same draws, as a list of samples."""
+    gen = stream(seed, "assign")
+    per_image = np.bincount(gen.integers(0, len(images), size=count), minlength=len(images))
+    samples = []
+    for i, (img, k) in enumerate(zip(images, per_image)):
+        if k:
+            deg = degrade(img, DegradeConfig(qp=qps[i % len(qps)]))
+            samples.extend(sample_contexts_loop(
+                img, deg, n, int(k), availability_mix=availability_mix,
+                seed=seed + 7919 * i, fill=fill, availability_mode=availability_mode))
+    return samples
+
+
+def stack_blocks(blocks: list[ContextBlock], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(contexts, targets) of a list of samples, shaped like a SampleSet's."""
+    if not blocks:
+        return np.zeros((0, 2 * n, 2 * n), np.float32), np.zeros((0, n, n), np.float32)
+    return np.stack([b.context for b in blocks]), np.stack([b.target for b in blocks])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import rewrite_config_text
+from oracles import sample_contexts_loop, stack_blocks
 from psrnn import cli
 from psrnn import data as D
 from psrnn.model import load_model
@@ -176,6 +177,67 @@ class TestTrain:
         assert (out1 / "model.psrnn").read_bytes() == (out2 / "model.psrnn").read_bytes()
 
 
+class TestTrainFromFiles:
+    # the two file-based sample sources: a prepared archive and a manifest
+    FAST = ["--set", "preproc_channels=4,4", "--set", "unit_hidden=4,2,2",
+            "--set", "recon_channels=4", "--set", "samples=300",
+            "--set", "iters=3", "--set", "batch=8"]
+
+    @pytest.fixture()
+    def manifest(self, tmp_path):
+        paths = []
+        for seed in (1, 2):
+            paths.append(tmp_path / f"img{seed}.pgm")
+            write_pgm(paths[-1], seed=seed, size=64)
+        m = tmp_path / "m.txt"
+        m.write_text("".join(f"{p}\n" for p in paths))
+        return m
+
+    def train_twice(self, tmp_path, data):
+        blobs = []
+        for name in ("t1", "t2"):
+            out = tmp_path / name
+            assert run_cli("train", "--out", str(out), "--set", f"data={data}",
+                           *self.FAST) == 0
+            load_model(out / "model.psrnn")
+            blobs.append((out / "model.psrnn").read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_prepared_archive(self, tmp_path, manifest):
+        archive = tmp_path / "prepared"
+        assert run_cli("prepare", "--set", f"manifest={manifest}", "--set", "scales=false",
+                       "--out", str(archive)) == 0
+        self.train_twice(tmp_path, archive)
+
+    @pytest.mark.parametrize("count", [5, 300])
+    def test_archive_samples_match_per_pair_oracle(self, tmp_path, manifest, count):
+        # 8 prepared pairs: 5 samples keep the first of each of 5 pairs
+        archive = tmp_path / "prepared"
+        assert run_cli("prepare", "--set", f"manifest={manifest}", "--set", "scales=false",
+                       "--out", str(archive)) == 0
+        resolved = cli.resolve("train", {"data": str(archive), "samples": str(count),
+                                         "fill": "0.8", "availability": "four-block"}, {})
+        got = cli._load_samples(resolved)
+        pairs = [line.split("\t")[:2] for line in (archive / "index.tsv").read_text().splitlines()]
+        blocks = []
+        for i, (clean, deg) in enumerate(pairs):
+            blocks += sample_contexts_loop(D.load_image(archive / clean), D.load_image(archive / deg),
+                                           8, max(1, count // len(pairs)), seed=i, fill=0.8,
+                                           availability_mode=D.FOUR_BLOCK)
+        want = stack_blocks(blocks[:count], 8)
+        assert got.contexts.tobytes() == want[0].tobytes()
+        assert got.targets.tobytes() == want[1].tobytes()
+
+    def test_manifest(self, tmp_path, manifest):
+        self.train_twice(tmp_path, manifest)
+
+    def test_directory_without_index(self, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
+        assert run_cli("train", "--out", str(tmp_path / "t"),
+                       "--set", f"data={tmp_path / 'empty'}", *self.FAST) == 1
+        assert "index.tsv" in capsys.readouterr().err
+
+
 class TestEval:
     def test_oracle_full_selection(self, tmp_path):
         out = tmp_path / "oracle"
@@ -225,6 +287,13 @@ class TestEval:
         assert run_cli("eval", "--out", str(tmp_path / "ev"),
                        "--set", f"models={bad}") == 2
         assert "corrupt model file" in capsys.readouterr().err
+
+    def test_empty_sizes_rejected(self, tmp_path, capsys):
+        # used to write an empty report ("blocks": 0) and exit 0
+        assert run_cli("eval", "--oracle", "--out", str(tmp_path / "none"),
+                       "--set", "sizes=") == 1
+        assert "block sizes" in capsys.readouterr().err
+        assert not (tmp_path / "none" / "eval_summary.json").exists()
 
     def test_greedy_sizes_not_halving_rejected(self, tmp_path, capsys):
         assert run_cli("eval", "--oracle", "--out", str(tmp_path / "bad"),

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from oracles import (build_training_samples_loop, context_loop, sample_contexts_loop,
+                     stack_blocks)
 from psrnn import data as D
 from psrnn.errors import FormatError, ShapeError, SizeError, UsageError
 
@@ -156,6 +160,8 @@ class TestDegrade:
 
 
 class TestContexts:
+    # array properties are read from sample_contexts; origins and availability
+    # modes from the per-sample oracle, which draws the same samples
     def _pair(self, size=64, seed=0):
         img = D.GrayImage(np.random.default_rng(seed).random((size, size)).astype(np.float32))
         deg = D.degrade(img, D.DegradeConfig(qp=32))
@@ -163,50 +169,57 @@ class TestContexts:
 
     def test_count_zero(self):
         img, deg = self._pair()
-        assert D.sample_contexts(img, deg, 8, 0) == []
+        assert len(D.sample_contexts(img, deg, 8, 0)) == 0
+        assert sample_contexts_loop(img, deg, 8, 0) == []
 
     def test_same_seed_identical(self):
         img, deg = self._pair()
         a = D.sample_contexts(img, deg, 8, 20, seed=9)
         b = D.sample_contexts(img, deg, 8, 20, seed=9)
+        np.testing.assert_array_equal(a.contexts, b.contexts)
+        np.testing.assert_array_equal(a.targets, b.targets)
+        a = sample_contexts_loop(img, deg, 8, 20, seed=9)
+        b = sample_contexts_loop(img, deg, 8, 20, seed=9)
         for s, t in zip(a, b):
             assert s.origin == t.origin and s.availability_mode == t.availability_mode
-            np.testing.assert_array_equal(s.context, t.context)
-            np.testing.assert_array_equal(s.target, t.target)
 
     def test_masking_audit(self):
         img, deg = self._pair()
-        for block in D.sample_contexts(img, deg, 8, 200, seed=4, fill=0.5):
-            assert np.all(block.context[8:, 8:] == 0.5)
+        samples = D.sample_contexts(img, deg, 8, 200, seed=4, fill=0.5)
+        blocks = sample_contexts_loop(img, deg, 8, 200, seed=4, fill=0.5)
+        for block, context in zip(blocks, samples.contexts):
+            assert np.all(context[8:, 8:] == 0.5)
             if block.availability_mode == D.THREE_BLOCK:
-                assert np.all(block.context[8:, :8] == 0.5)
+                assert np.all(context[8:, :8] == 0.5)
 
     def test_alignment_audit(self):
         # degraded == clean: re-pasting the target must rebuild the window
         img, _ = self._pair(seed=5)
-        for block in D.sample_contexts(img, img, 8, 50, seed=6):
+        samples = D.sample_contexts(img, img, 8, 50, seed=6)
+        blocks = sample_contexts_loop(img, img, 8, 50, seed=6)
+        for block, context, target in zip(blocks, samples.contexts, samples.targets):
             y, x = block.origin
             window = img.pixels[y : y + 16, x : x + 16].copy()
-            rebuilt = block.context.copy()
-            rebuilt[8:, 8:] = block.target
+            rebuilt = context.copy()
+            rebuilt[8:, 8:] = target
             np.testing.assert_array_equal(rebuilt[8:, 8:], window[8:, 8:])
 
     def test_forced_mode(self):
         img, deg = self._pair()
-        blocks = D.sample_contexts(img, deg, 8, 30, seed=1,
-                                   availability_mode=D.FOUR_BLOCK)
+        blocks = sample_contexts_loop(img, deg, 8, 30, seed=1,
+                                      availability_mode=D.FOUR_BLOCK)
         assert all(b.availability_mode == D.FOUR_BLOCK for b in blocks)
 
     def test_mix_fraction(self):
         img, deg = self._pair(size=96)
-        blocks = D.sample_contexts(img, deg, 8, 3000, seed=2, availability_mix=0.25)
+        blocks = sample_contexts_loop(img, deg, 8, 3000, seed=2, availability_mix=0.25)
         four = sum(b.availability_mode == D.FOUR_BLOCK for b in blocks)
         assert 0.18 < four / len(blocks) < 0.32
 
     def test_disjoint_seeds_disjoint_origins(self):
         img, deg = self._pair(size=128)
-        a = {b.origin for b in D.sample_contexts(img, deg, 8, 300, seed=100)}
-        b = {b.origin for b in D.sample_contexts(img, deg, 8, 300, seed=200)}
+        a = {b.origin for b in sample_contexts_loop(img, deg, 8, 300, seed=100)}
+        b = {b.origin for b in sample_contexts_loop(img, deg, 8, 300, seed=200)}
         overlap = len(a & b) / 300
         assert overlap <= 0.05
 
@@ -223,9 +236,54 @@ class TestContexts:
 
     def test_range_invariant(self):
         img, deg = self._pair()
-        for block in D.sample_contexts(img, deg, 8, 50, seed=3):
-            for arr in (block.context, block.target):
-                assert arr.min() >= 0.0 and arr.max() <= 1.0
+        samples = D.sample_contexts(img, deg, 8, 50, seed=3)
+        for arr in (samples.contexts, samples.targets):
+            assert arr.min() >= 0.0 and arr.max() <= 1.0
+
+    @given(n=st.sampled_from([4, 8, 16, 32]), extra_h=st.integers(0, 40),
+           extra_w=st.integers(0, 40), count=st.integers(0, 57),
+           mode=st.sampled_from([None, D.FOUR_BLOCK, D.THREE_BLOCK]),
+           mix=st.sampled_from([0.0, 0.25, 0.7, 1.0]), fill=st.sampled_from([0.0, 0.5, 0.8]),
+           seed=st.integers(0, 2**16))
+    @example(n=8, extra_h=0, extra_w=0, count=0, mode=None, mix=0.25, fill=0.5, seed=0)
+    @example(n=32, extra_h=0, extra_w=3, count=57, mode=None, mix=0.25, fill=0.8, seed=1)
+    def test_gather_matches_per_sample_oracle(self, n, extra_h, extra_w, count, mode, mix,
+                                              fill, seed):
+        gen = np.random.default_rng(seed)
+        shape = (2 * n + extra_h, 2 * n + extra_w)
+        img = D.GrayImage(gen.random(shape).astype(np.float32))
+        deg = D.GrayImage(gen.random(shape).astype(np.float32))
+        kw = dict(availability_mix=mix, seed=seed, fill=fill, availability_mode=mode)
+        got = D.sample_contexts(img, deg, n, count, **kw)
+        want = stack_blocks(sample_contexts_loop(img, deg, n, count, **kw), n)
+        for arr, ref in zip((got.contexts, got.targets), want):
+            assert arr.dtype == ref.dtype and arr.shape == ref.shape
+            assert arr.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("origin", [(-1, 0), (0, -1), (-16, -16), (-40, 0),
+                                        (25, 0), (0, 35), (25, 35)])
+    def test_window_outside_image_rejected(self, origin):
+        # negative origins included: a gather would wrap them around silently
+        pixels = np.zeros((40, 50), dtype=np.float32)
+        with pytest.raises(SizeError):
+            D.make_context(pixels, pixels, origin, 8, D.FOUR_BLOCK)
+        with pytest.raises(SizeError):
+            D.cut_contexts(pixels, pixels, [0, origin[0]], [0, origin[1]], 8, True)
+
+    def test_edge_windows_accepted(self):
+        pixels = np.random.default_rng(1).random((40, 50)).astype(np.float32)
+        got = D.cut_contexts(pixels, pixels, [0, 24, 0, 24], [0, 0, 34, 34], 8, False)
+        want = stack_blocks([context_loop(pixels, pixels, (y, x), 8, D.FOUR_BLOCK)
+                             for y, x in ((0, 0), (24, 0), (0, 34), (24, 34))], 8)
+        assert got.contexts.tobytes() == want[0].tobytes()
+        assert got.targets.tobytes() == want[1].tobytes()
+
+    def test_unknown_mode_rejected(self):
+        img, deg = self._pair()
+        with pytest.raises(UsageError):
+            D.sample_contexts(img, deg, 8, 3, availability_mode="two-block")
+        with pytest.raises(UsageError):
+            D.make_context(deg.pixels, img.pixels, (0, 0), 8, "two-block")
 
 
 class TestSynthTextures:
@@ -268,6 +326,16 @@ class TestSynthTextures:
         images = D.synthetic_corpus(64, seed=3, per_kind=2)
         samples = D.build_training_samples(images, 8, 120, seed=3,
                                            availability_mode=D.THREE_BLOCK)
+        blocks = build_training_samples_loop(images, 8, 120, seed=3,
+                                             availability_mode=D.THREE_BLOCK)
         assert len(samples) == 120
-        assert all(s.availability_mode == D.THREE_BLOCK for s in samples)
-        assert all(s.context.shape == (16, 16) for s in samples)
+        assert all(s.availability_mode == D.THREE_BLOCK for s in blocks)
+        assert all(context.shape == (16, 16) for context in samples.contexts)
+        want = stack_blocks(blocks, 8)
+        assert samples.contexts.tobytes() == want[0].tobytes()
+        assert samples.targets.tobytes() == want[1].tobytes()
+
+    def test_training_samples_need_a_positive_count(self):
+        images = D.synthetic_corpus(32, seed=3, per_kind=1)
+        with pytest.raises(UsageError):
+            D.build_training_samples(images, 8, 0, seed=3)

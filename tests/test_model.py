@@ -262,6 +262,22 @@ class TestSerialization:
         with pytest.raises(IntegrityError):
             M.load_model(path)
 
+    def test_repeated_record(self, tmp_path):
+        # a CRC-valid file with a second rec1.b record: the last copy used to win
+        import struct, zlib
+
+        net = M.build_network(TINY, seed=0)
+        path = tmp_path / "m.psrnn"
+        M.save_model(net, path)
+        bias = M.parameters(net)["rec1.b"]
+        data = bytearray(path.read_bytes())[:-4]
+        data += struct.pack("<I", len(b"rec1.b")) + b"rec1.b" + struct.pack("<BI", 1, bias.size)
+        data += np.full(bias.size, 0.123, dtype="<f4").tobytes()
+        data += struct.pack("<I", zlib.crc32(bytes(data)) & 0xFFFFFFFF)
+        path.write_bytes(bytes(data))
+        with pytest.raises(IntegrityError, match="rec1.b"):
+            M.load_model(path)
+
     def test_version_mismatch(self, tmp_path):
         import struct, zlib
 
@@ -302,6 +318,9 @@ class TestSerialization:
             np.testing.assert_array_equal(p1[k], p2[k])
         p2["rec1.b"][...] = 9.0
         assert p1["rec1.b"][0] != 9.0
+        for a in p1.values():
+            for b in p2.values():
+                assert not np.shares_memory(a, b)
 
 
 class TestPsRnnPlus:

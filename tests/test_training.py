@@ -109,6 +109,9 @@ class TestTrain:
         net = build_network(SMALL_NET, seed=2)
         with pytest.raises(UsageError):
             TR.train(net, [], small_cfg())
+        img = D.synth_texture("flat", 32)
+        with pytest.raises(UsageError):
+            TR.train(net, D.sample_contexts(img, img, 8, 0), small_cfg())
 
     def test_block_size_mismatch(self):
         net = build_network(SMALL_NET, seed=2)
@@ -279,6 +282,12 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             TR.evaluate(None, self._images(), 32,
                         TR.EvalConfig(block_sizes=(8,), policy="greedy", oracle=True))
+
+    @pytest.mark.parametrize("policy", ["fixed", "greedy"])
+    def test_empty_sizes_rejected(self, policy):
+        # fixed tiling with no sizes used to write an empty report
+        with pytest.raises(ConfigError):
+            TR.EvalConfig(block_sizes=(), policy=policy)
 
     @pytest.mark.parametrize("sizes", [(32, 8), (16, 4), (32, 16, 4), (8, 32)])
     def test_greedy_sizes_must_halve(self, sizes):
