@@ -9,9 +9,10 @@ Prints one `<name> <sha256>` line for each of:
   three-block samples from 24 synthetic 128x128 images);
 - the model file and the training log of the reference `train-n8` config
   (default N=8 network, that sample set, 50 iterations, batch 32);
-- the fixed N=8 and the greedy 16/8 eval reports (CSV rows and summary)
-  of untrained default-width networks on six seeded 128x128 synthetic
-  images at qp 32.
+- the eval reports (CSV rows and summary) of untrained default-width
+  networks on six seeded 128x128 synthetic images at qp 32: fixed N=8,
+  greedy 16/8, greedy 32/16/8, and fixed N=8 with [1 2 1] reference
+  smoothing.
 
 Run it on two checkouts and diff the output to check that a change keeps
 model files, training logs and eval reports byte for byte:
@@ -83,12 +84,14 @@ def train_n8_config(seed: int, samples, workdir: Path) -> tuple[str, str]:
     return train_digests(net, samples, cfg, workdir)
 
 
-def eval_digest(seed: int, sizes: tuple[int, ...], policy: str) -> str:
+def eval_digest(seed: int, sizes: tuple[int, ...], policy: str,
+                ref_smoothing: bool = False) -> str:
     kinds = ("directional", "sinusoid", "rings")
     images = [D.synthetic_corpus(128, seed * 1000 + 1013 + i, kinds=(kinds[i % 3],),
                                  per_kind=1)[0] for i in range(6)]
     nets = {n: M.build_network(M.NetworkConfig(pu_size=n), seed=seed) for n in sizes}
-    report = TR.evaluate(nets, images, 32, TR.EvalConfig(block_sizes=sizes, policy=policy))
+    report = TR.evaluate(nets, images, 32, TR.EvalConfig(block_sizes=sizes, policy=policy,
+                                                         ref_smoothing=ref_smoothing))
     text = "\n".join(report.csv_rows()) + "\n" + json.dumps(report.summary, sort_keys=True)
     return _sha(text.encode())
 
@@ -111,6 +114,8 @@ def main():
         print(f"train-n8.train_log {log}")
     print(f"eval-fixed-n8.report {eval_digest(args.seed, (8,), 'fixed')}")
     print(f"eval-greedy-16-8.report {eval_digest(args.seed, (16, 8), 'greedy')}")
+    print(f"eval-greedy-32-16-8.report {eval_digest(args.seed, (32, 16, 8), 'greedy')}")
+    print(f"eval-fixed-n8-smoothing.report {eval_digest(args.seed, (8,), 'fixed', True)}")
 
 
 if __name__ == "__main__":

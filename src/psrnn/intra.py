@@ -11,13 +11,19 @@ References are the single line above (2N+1 samples including the corner)
 and to the left (2N samples). Unavailable segments are substituted by
 scanning from the bottom-left sample up the left column, through the corner
 and across the top, propagating the nearest available value; when nothing
-is available at all, mid-gray 0.5 is used.
+is available at all, the fill value (mid-gray 0.5) is used.
+
+Everything works on a chunk of k blocks at once. reference_lines gathers
+the (k, 4N+1) lines in that scan order with one fancy index and substitutes
+with a running maximum of the last available index; smooth_lines filters
+them; best_modes predicts all 35 modes of every block, scores the
+(k, 35, N, N) residues with one batched SATD and takes the argmin per
+block. The one-block functions are batches of one.
 
 The 33 angular modes are table-driven: per block size, cached gather
 indices and 1/32-sample weights map the reference line concat(top, left)
 straight to every angular prediction, negative-angle reference extension
-and horizontal-mode transpose included. One gather yields all 33 modes, and
-the mode search scores all 35 residues with one batched SATD.
+and horizontal-mode transpose included. One gather yields all 33 modes.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ INTRA_PRED_ANGLE = (
 INV_ANGLE = {-2: -4096, -5: -1638, -9: -910, -13: -630,
              -17: -482, -21: -390, -26: -315, -32: -256}
 
-SEGMENTS = ("below-left", "left", "corner", "above", "above-right")
+SEGMENTS = ("below-left", "left", "corner", "above", "above-right")  # in scan order
 
 DEFAULT_MODE_BITS = 6.0  # flat proxy per directional mode, no MPM modelling
 NETWORK_FLAG_BITS = 1.0  # selecting the network costs its flag bit only
@@ -64,6 +70,8 @@ def hm_lambda(qp: int) -> float:
 
 @dataclass
 class ReferenceSamples:
+    """The reference line of one block, split into its top and left parts."""
+
     top: np.ndarray   # (2N+1,), top[0] is the corner above-left
     left: np.ndarray  # (2N,)
     available: dict[str, bool]
@@ -71,111 +79,108 @@ class ReferenceSamples:
     n: int = field(default=0)
 
     def all_samples(self) -> np.ndarray:
+        """concat(top, left): the source order the predictors read."""
         return np.concatenate([self.top, self.left])
+
+    def line(self) -> np.ndarray:
+        """The line in scan order, from the bottom-left sample to the top-right one."""
+        return np.concatenate([self.left[::-1], self.top])
+
+
+@functools.cache
+def _line_layout(n: int) -> tuple[np.ndarray, ...]:
+    """Per scan position of a (4n+1,) reference line: its row and column
+    offset from the block origin and its SEGMENTS index; plus the line index
+    of every sample of concat(top, left), the predictors' source order."""
+    dy = np.concatenate([np.arange(2 * n - 1, -1, -1), np.full(2 * n + 1, -1)])
+    dx = np.concatenate([np.full(2 * n + 1, -1), np.arange(2 * n)])
+    seg = np.repeat(np.arange(len(SEGMENTS)), [n, n, 1, n, n])
+    src = np.concatenate([np.arange(2 * n, 4 * n + 1), np.arange(2 * n - 1, -1, -1)])
+    layout = (dy, dx, seg, src)
+    for t in layout:
+        t.flags.writeable = False
+    return layout
+
+
+def reference_lines(image: np.ndarray, origins, n: int,
+                    availability: dict[str, bool] | None = None,
+                    fill_value: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+    """Substituted reference lines of the n x n blocks at `origins`, in one gather.
+
+    `origins` is a (k, 2) array of (y, x). Returns (lines, available): lines
+    is (k, 4n+1) float64 in scan order, and available is (k, 5) bool in
+    SEGMENTS order. `availability` may force segments unavailable for every
+    block; segments reaching outside the image are unavailable regardless.
+    Every block must fit inside the image.
+    """
+    origins = np.asarray(origins, dtype=np.intp).reshape(-1, 2)
+    h, w = image.shape
+    ys, xs = origins[:, :1], origins[:, 1:]
+    if not ((ys >= 0) & (xs >= 0) & (ys + n <= h) & (xs + n <= w)).all():
+        raise SizeError(f"{n}x{n} blocks at these origins do not fit image {image.shape}")
+    available = np.concatenate([(xs > 0) & (ys + 2 * n <= h), xs > 0, (ys > 0) & (xs > 0),
+                                ys > 0, (ys > 0) & (xs + 2 * n <= w)], axis=1)
+    for k, v in (availability or {}).items():
+        if k not in SEGMENTS:
+            raise ShapeError(f"unknown reference segment {k!r}")
+        if not v:
+            available[:, SEGMENTS.index(k)] = False
+    dy, dx, seg, _ = _line_layout(n)
+    ok = available[:, seg]
+    # an unavailable sample copies the last available one before it in scan
+    # order; a leading gap copies the first available sample
+    last = np.maximum.accumulate(np.where(ok, np.arange(ok.shape[1]), -1), axis=1)
+    take = np.where(last >= 0, last, ok.argmax(axis=1)[:, None])
+    # clipping only moves the gather of lines with no available sample at all
+    lines = image[np.clip(ys + dy[take], 0, h - 1),
+                  np.clip(xs + dx[take], 0, w - 1)].astype(np.float64)
+    lines[~ok.any(axis=1)] = fill_value
+    return lines, available
+
+
+def smooth_lines(lines: np.ndarray) -> np.ndarray:
+    """[1 2 1]/4 filtering along (k, 4n+1) scan-order lines; endpoints unchanged."""
+    out = lines.copy()
+    out[:, 1:-1] = (lines[:, :-2] + 2.0 * lines[:, 1:-1] + lines[:, 2:]) / 4.0
+    return out
+
+
+def _from_line(line: np.ndarray, available: dict[str, bool], n: int,
+               fill_value: float) -> ReferenceSamples:
+    return ReferenceSamples(top=line[2 * n :], left=line[: 2 * n][::-1].copy(),
+                            available=available, fill_value=fill_value, n=n)
 
 
 def build_reference_samples(image: np.ndarray, block_origin: tuple[int, int],
                             n: int, availability: dict[str, bool] | None = None,
                             fill_value: float = 0.5) -> ReferenceSamples:
-    """Extract and substitute the reference line for a block at block_origin.
-
-    `availability` may force segments unavailable; segments reaching outside
-    the image are unavailable regardless. The block itself must fit inside.
-    """
-    h, w = image.shape
-    y, x = block_origin
-    if not (0 <= y and 0 <= x and y + n <= h and x + n <= w):
-        raise SizeError(f"block {n}x{n} at {block_origin} outside image {image.shape}")
-
-    img = image.astype(np.float64)
-    avail = {
-        "corner": y > 0 and x > 0,
-        "above": y > 0,
-        "above-right": y > 0 and x + 2 * n <= w,
-        "left": x > 0,
-        "below-left": x > 0 and y + 2 * n <= h,
-    }
-    if availability is not None:
-        for k, v in availability.items():
-            if k not in avail:
-                raise ShapeError(f"unknown reference segment {k!r}")
-            avail[k] = avail[k] and bool(v)
-
-    top = np.full(2 * n + 1, fill_value, dtype=np.float64)
-    left = np.full(2 * n, fill_value, dtype=np.float64)
-    if avail["corner"]:
-        top[0] = img[y - 1, x - 1]
-    if avail["above"]:
-        top[1 : n + 1] = img[y - 1, x : x + n]
-    if avail["above-right"]:
-        top[n + 1 :] = img[y - 1, x + n : x + 2 * n]
-    if avail["left"]:
-        left[:n] = img[y : y + n, x - 1]
-    if avail["below-left"]:
-        left[n:] = img[y + n : y + 2 * n, x - 1]
-
-    _substitute(top, left, avail, n, fill_value)
-    return ReferenceSamples(top=top, left=left, available=avail,
-                            fill_value=fill_value, n=n)
-
-
-def _substitute(top: np.ndarray, left: np.ndarray, avail: dict[str, bool],
-                n: int, fill_value: float) -> None:
-    """Fill unavailable segments by propagating the nearest available sample.
-
-    Scan order: bottom of the left column upward, corner, then the top row
-    rightward. Mutates top/left in place.
-    """
-    if all(avail.values()):
-        return
-    # (array, index, segment) triplets in scan order
-    scan = []
-    for j in range(2 * n - 1, -1, -1):
-        scan.append((left, j, "left" if j < n else "below-left"))
-    scan.append((top, 0, "corner"))
-    for i in range(1, 2 * n + 1):
-        scan.append((top, i, "above" if i <= n else "above-right"))
-
-    flags = [avail[seg] for _, _, seg in scan]
-    if not any(flags):
-        for arr, idx, _ in scan:
-            arr[idx] = fill_value
-        return
-    first = flags.index(True)
-    prev = scan[first][0][scan[first][1]]
-    for (arr, idx, _), ok in zip(scan, flags):
-        if ok:
-            prev = arr[idx]
-        else:
-            arr[idx] = prev
+    """The substituted reference line of the block at block_origin (reference_lines of one)."""
+    lines, available = reference_lines(image, [block_origin], n, availability, fill_value)
+    return _from_line(lines[0], dict(zip(SEGMENTS, available[0].tolist())), n, fill_value)
 
 
 def smooth_references(refs: ReferenceSamples) -> ReferenceSamples:
-    """[1 2 1]/4 filtering along the reference line; endpoints unchanged."""
-    n = refs.n
-    line = np.concatenate([refs.left[::-1], refs.top])  # bottom-left .. top-right
-    sm = line.copy()
-    sm[1:-1] = (line[:-2] + 2.0 * line[1:-1] + line[2:]) / 4.0
-    return ReferenceSamples(top=sm[2 * n :], left=sm[: 2 * n][::-1].copy(),
-                            available=dict(refs.available),
-                            fill_value=refs.fill_value, n=n)
+    """smooth_lines on one block's references."""
+    return _from_line(smooth_lines(refs.line()[None])[0], dict(refs.available),
+                      refs.n, refs.fill_value)
 
 
-def _predict_planar(refs: ReferenceSamples, n: int) -> np.ndarray:
-    top = refs.top[1 : n + 1]
-    left = refs.left[:n]
-    tr = refs.top[n + 1]
-    bl = refs.left[n]
+def _predict_planar(src: np.ndarray, n: int) -> np.ndarray:
+    """(k, n, n) planar predictions from (k, 4n+1) source-order references."""
+    top = src[:, 1 : n + 1]
+    left = src[:, 2 * n + 1 : 3 * n + 1]
+    tr = src[:, n + 1, None, None]
+    bl = src[:, 3 * n + 1, None, None]
     xs = np.arange(n, dtype=np.float64)
-    ys = np.arange(n, dtype=np.float64)
-    horiz = (n - 1 - xs)[None, :] * left[:, None] + (xs + 1)[None, :] * tr
-    vert = (n - 1 - ys)[:, None] * top[None, :] + (ys + 1)[:, None] * bl
+    ys = np.arange(n, dtype=np.float64)[:, None]
+    horiz = (n - 1 - xs) * left[:, :, None] + (xs + 1) * tr
+    vert = (n - 1 - ys) * top[:, None, :] + (ys + 1) * bl
     return (horiz + vert) / (2.0 * n)
 
 
-def _predict_dc(refs: ReferenceSamples, n: int) -> np.ndarray:
-    dc = (refs.top[1:].sum() + refs.left.sum()) / (4.0 * n)
-    return np.full((n, n), dc, dtype=np.float64)
+def _predict_dc(src: np.ndarray, n: int) -> np.ndarray:
+    """(k,) DC values from (k, 4n+1) source-order references."""
+    return (src[:, 1 : 2 * n + 1].sum(axis=1) + src[:, 2 * n + 1 :].sum(axis=1)) / (4.0 * n)
 
 
 @functools.cache
@@ -226,30 +231,34 @@ def _check_refs(refs: ReferenceSamples, n: int) -> None:
         raise ShapeError(f"references sized for n={refs.n}, requested n={n}")
 
 
+def _predict_all(src: np.ndarray, n: int) -> np.ndarray:
+    """(k, 35, n, n) stack of every mode's prediction from (k, 4n+1) source-order references."""
+    i1, i2, w1, w2 = _angular_tables(n)
+    preds = np.empty((src.shape[0], N_MODES, n, n), dtype=np.float64)
+    preds[:, MODE_PLANAR] = _predict_planar(src, n)
+    preds[:, MODE_DC] = _predict_dc(src, n)[:, None, None]
+    preds[:, 2:] = w1 * src[:, i1] + w2 * src[:, i2]
+    return preds
+
+
 def predict_mode(refs: ReferenceSamples, mode: int, n: int) -> np.ndarray:
     """N x N prediction for one mode from complete (post-fill) references."""
     if not 0 <= mode < N_MODES:
         raise ModeError(f"mode index must be 0..34, got {mode}")
     _check_refs(refs, n)
-    if mode == MODE_PLANAR:
-        return _predict_planar(refs, n)
-    if mode == MODE_DC:
-        return _predict_dc(refs, n)
-    i1, i2, w1, w2 = (t[mode - 2] for t in _angular_tables(n))
     src = refs.all_samples()
+    if mode == MODE_PLANAR:
+        return _predict_planar(src[None], n)[0]
+    if mode == MODE_DC:
+        return np.full((n, n), _predict_dc(src[None], n)[0])
+    i1, i2, w1, w2 = (t[mode - 2] for t in _angular_tables(n))
     return w1 * src[i1] + w2 * src[i2]
 
 
 def predict_all_modes(refs: ReferenceSamples, n: int) -> np.ndarray:
     """(35, n, n) stack of all mode predictions, equal to predict_mode's."""
     _check_refs(refs, n)
-    i1, i2, w1, w2 = _angular_tables(n)
-    src = refs.all_samples()
-    preds = np.empty((N_MODES, n, n), dtype=np.float64)
-    preds[MODE_PLANAR] = _predict_planar(refs, n)
-    preds[MODE_DC] = _predict_dc(refs, n)
-    preds[2:] = w1 * src[i1] + w2 * src[i2]
-    return preds
+    return _predict_all(refs.all_samples()[None], n)[0]
 
 
 @dataclass(frozen=True)
@@ -270,20 +279,38 @@ def network_mode_cost(satd_norm: float, lam: float) -> ModeCost:
                     bits_proxy=NETWORK_FLAG_BITS, lam=lam)
 
 
+def best_modes(lines: np.ndarray, targets: np.ndarray, n: int, lam: float,
+               satd_cfg: SatdConfig = SatdConfig()):
+    """Exhaustive 35-mode search for k blocks at once under SATD + lambda * bits.
+
+    `lines` are (k, 4n+1) scan-order reference lines (see reference_lines)
+    and `targets` the (k, n, n) blocks. All 35 * k residues go through one
+    satd_batch call; ties break toward the lowest mode index (argmin keeps
+    the first minimum). SATD is charged on the 8-bit pixel scale so the HM
+    lambda convention operates in its usual regime. Each row equals satd()
+    of that residue alone, so a per-mode re-evaluation reproduces the
+    winner's cost bit for bit. Returns (modes, satds, preds): the winning
+    mode, its SATD and its (n, n) prediction per block.
+    """
+    k = lines.shape[0]
+    if lines.shape != (k, 4 * n + 1) or targets.shape != (k, n, n):
+        raise ShapeError(f"need (k, {4 * n + 1}) lines and (k, {n}, {n}) targets, "
+                         f"got {lines.shape} and {targets.shape}")
+    preds = _predict_all(lines[:, _line_layout(n)[3]], n)
+    residues = preds - targets.astype(np.float64)[:, None]
+    satds = satd_batch(residues.reshape(k * N_MODES, n, n), satd_cfg).reshape(k, N_MODES)
+    satds *= PIXEL_SCALE
+    modes = np.argmin(satds + lam * DEFAULT_MODE_BITS, axis=1)
+    rows = np.arange(k)
+    return modes, satds[rows, modes], preds[rows, modes]
+
+
 def best_mode_search(refs: ReferenceSamples, target_block: np.ndarray, n: int,
                      lam: float, satd_cfg: SatdConfig = SatdConfig()) -> ModeCost:
-    """Exhaustive 35-mode search under SATD + lambda * bits.
-
-    All 35 residues go through one satd_batch call; ties break toward the
-    lowest mode index (argmin keeps the first minimum). SATD is charged on
-    the 8-bit pixel scale so the HM lambda convention operates in its usual
-    regime. Each batch row equals satd() of that residue alone, so an
-    independent per-mode re-evaluation reproduces the winner's cost bit for
-    bit.
-    """
+    """best_modes on one block's references."""
     if target_block.shape != (n, n):
         raise ShapeError(f"target block must be ({n}, {n}), got {target_block.shape}")
-    residues = predict_all_modes(refs, n) - target_block.astype(np.float64)
-    satds = satd_batch(residues, satd_cfg) * PIXEL_SCALE
-    best = int(np.argmin(satds + lam * DEFAULT_MODE_BITS))
-    return ModeCost(mode=best, satd=float(satds[best]), bits_proxy=DEFAULT_MODE_BITS, lam=lam)
+    _check_refs(refs, n)
+    modes, satds, _ = best_modes(refs.line()[None], target_block[None], n, lam, satd_cfg)
+    return ModeCost(mode=int(modes[0]), satd=float(satds[0]), bits_proxy=DEFAULT_MODE_BITS,
+                    lam=lam)

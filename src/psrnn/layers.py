@@ -108,8 +108,12 @@ class GruSweepCache:
 
 
 def gru_sweep_forward(params: GruParams, xs: np.ndarray, h0: np.ndarray,
-                      gate_activation: str = "sigmoid"):
-    """Unroll over xs of shape (n_steps, batch, input_dim); returns (hs, cache)."""
+                      gate_activation: str = "sigmoid", need_cache: bool = True):
+    """Unroll over xs of shape (n_steps, batch, input_dim); returns (hs, cache).
+
+    need_cache=False stores only hs and returns None for the cache: an
+    inference sweep keeps no inputs, previous states, gates or candidates.
+    """
     act, _ = _gate_fn(gate_activation)
     params.validate()
     n, b, d = xs.shape
@@ -122,22 +126,23 @@ def gru_sweep_forward(params: GruParams, xs: np.ndarray, h0: np.ndarray,
     WxT, UzrT, UT = _t64(params.Wx), _t64(params.Uzr), _t64(params.U)
     b64 = params.b.astype(np.float64)
     xproj = (xs.reshape(n * b, -1) @ WxT).reshape(n, b, 3 * h)
-    h_prevs = np.empty((n, b, h))
-    zs = np.empty((n, b, h))
-    rs = np.empty((n, b, h))
-    cs = np.empty((n, b, h))
     hs = np.empty((n, b, h))
+    if need_cache:
+        h_prevs, zs, rs, cs = (np.empty((n, b, h)) for _ in range(4))
     ht = np.asarray(h0, dtype=np.float64)
     for t in range(n):
-        h_prevs[t] = ht
         azar = xproj[t, :, : 2 * h] + ht @ UzrT
         zr = act(azar)
         z = zr[:, :h]
         r = zr[:, h:]
         ac = xproj[t, :, 2 * h :] + (r * ht) @ UT + b64
         c = np.tanh(ac)
+        if need_cache:
+            h_prevs[t], zs[t], rs[t], cs[t] = ht, z, r, c
         ht = z * ht + (1.0 - z) * c
-        zs[t], rs[t], cs[t], hs[t] = z, r, c, ht
+        hs[t] = ht
+    if not need_cache:
+        return hs, None
     cache = GruSweepCache(xs=xs, h_prevs=h_prevs, z=zs, r=rs, c=cs, hs=hs,
                           gate_activation=gate_activation)
     return hs, cache

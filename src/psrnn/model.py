@@ -212,16 +212,18 @@ def param_count(net: PsRnnNetwork) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _conv_forward(layer: ConvLayer, x64: np.ndarray, keep_cols: bool = True):
+def _conv_forward(layer: ConvLayer, x64: np.ndarray, need_cache: bool = True):
+    """Conv (+ PReLU); the cache holds the input, pre-activation and patch matrix.
+
+    need_cache=False keeps none of them and returns None for the cache.
+    """
     pre, cols = conv2d_forward_batch(x64, layer.w.astype(np.float64),
                                      layer.b.astype(np.float64), layer.spec,
                                      return_cols=True)
-    if not keep_cols:
-        cols = None
-    if layer.alpha is None:
-        return pre, (x64, None, cols)
-    out = prelu_forward(pre, layer.alpha.astype(np.float64))
-    return out, (x64, pre, cols)
+    out = pre if layer.alpha is None else prelu_forward(pre, layer.alpha.astype(np.float64))
+    if not need_cache:
+        return out, None
+    return out, (x64, None if layer.alpha is None else pre, cols)
 
 
 def _conv_backward(layer: ConvLayer, cache, grad_out, grads: dict, prefix: str):
@@ -264,19 +266,24 @@ def _from_planes(planes: np.ndarray, axis: str, channels: int) -> np.ndarray:
 
 
 def unit_forward_batch(unit: PsRnnUnitParams, feat: np.ndarray, gate_activation: str,
-                       keep_cols: bool = True):
-    """One recurrent unit over a (b, n, n, c) float64 feature stack."""
-    xs_h = _to_planes(feat, HORIZONTAL)
-    xs_v = _to_planes(feat, VERTICAL)
-    b, c = feat.shape[0], feat.shape[3]
-    h0 = np.zeros((b, unit.gru_h.hidden), dtype=np.float64)
-    hs_h, cache_h = gru_sweep_forward(unit.gru_h, xs_h, h0, gate_activation)
-    hs_v, cache_v = gru_sweep_forward(unit.gru_v, xs_v, h0, gate_activation)
+                       need_cache: bool = True):
+    """One recurrent unit over a (b, n, n, c) float64 feature stack.
+
+    need_cache=False returns None for the cache and stores no sweep state.
+    """
+    h0 = np.zeros((len(feat), unit.gru_h.hidden), dtype=np.float64)
+    hs_h, cache_h = gru_sweep_forward(unit.gru_h, _to_planes(feat, HORIZONTAL), h0,
+                                      gate_activation, need_cache)
+    hs_v, cache_v = gru_sweep_forward(unit.gru_v, _to_planes(feat, VERTICAL), h0,
+                                      gate_activation, need_cache)
     ch = unit.hidden_per_pos
     concat = np.concatenate([_from_planes(hs_h, HORIZONTAL, ch),
                              _from_planes(hs_v, VERTICAL, ch)], axis=-1)
-    out, fuse_cache = _conv_forward(unit.fusion, concat, keep_cols)
-    return out, (c, cache_h, cache_v, fuse_cache)
+    # without a cache, the sweep states are freed before the fusion conv
+    # gathers its patch matrix, the largest array of an inference pass
+    del hs_h, hs_v
+    out, fuse_cache = _conv_forward(unit.fusion, concat, need_cache)
+    return out, (feat.shape[3], cache_h, cache_v, fuse_cache) if need_cache else None
 
 
 def unit_backward_batch(unit: PsRnnUnitParams, cache, grad_out, grads: dict,
@@ -298,10 +305,12 @@ def unit_backward_batch(unit: PsRnnUnitParams, cache, grad_out, grads: dict,
 
 
 def forward_batch(net: PsRnnNetwork, contexts: np.ndarray, need_cache: bool = True):
-    """Predict a (b, N, N) stack from (b, 2N, 2N) contexts; returns cache.
+    """Predict a (b, N, N) stack from (b, 2N, 2N) contexts; returns (pred, cache).
 
-    need_cache=False drops the patch matrices a later backward would reuse,
-    keeping inference passes over large batches lean.
+    need_cache=False is the inference pass: no layer keeps its input,
+    pre-activation, patch matrix or GRU state, each activation is freed once
+    the next layer has read it, and the cache returned is None. The
+    arithmetic is the same either way.
     """
     cs = net.config.context_size
     if contexts.ndim != 3 or contexts.shape[1:] != (cs, cs):
@@ -322,9 +331,10 @@ def forward_batch(net: PsRnnNetwork, contexts: np.ndarray, need_cache: bool = Tr
     for layer in net.recon:
         x, c = _conv_forward(layer, x, need_cache)
         caches["rec"].append(c)
-    pre_clip = x[..., 0]
-    caches["pre_clip"] = pre_clip
-    pred = np.clip(pre_clip, 0.0, 1.0)
+    pred = np.clip(x[..., 0], 0.0, 1.0)
+    if not need_cache:
+        return pred, None
+    caches["pre_clip"] = x[..., 0]
     return pred, caches
 
 
@@ -356,7 +366,7 @@ def network_forward(net: PsRnnNetwork, context: np.ndarray) -> np.ndarray:
     cs = net.config.context_size
     if context.shape != (cs, cs):
         raise ShapeError(f"context must be ({cs}, {cs}), got {context.shape}")
-    pred, _ = forward_batch(net, np.asarray(context, dtype=np.float64)[None])
+    pred, _ = forward_batch(net, np.asarray(context, dtype=np.float64)[None], need_cache=False)
     return pred[0].astype(np.float32)
 
 

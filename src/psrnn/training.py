@@ -18,13 +18,13 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import THREE_BLOCK, DegradeConfig, GrayImage, SampleSet, cut_contexts, degrade
 from .errors import ConfigError, DivergenceError, UsageError
-from .hadamard import SatdConfig, satd, satd_batch, satd_loss_grad_batch
-from .intra import (NETWORK, SPLIT_FLAG_BITS, ModeCost, best_mode_search,
-                    build_reference_samples, hm_lambda, network_mode_cost, predict_mode,
-                    smooth_references)
+from .hadamard import SatdConfig, satd_batch, satd_loss_grad_batch
+from .intra import (DEFAULT_MODE_BITS, NETWORK, SPLIT_FLAG_BITS, ModeCost, best_modes,
+                    hm_lambda, network_mode_cost, reference_lines, smooth_lines)
 from .layers import AdamState, adam_step, clip_global_norm, lr_at, scaled_schedule
 from .model import (NetworkConfig, PsRnnNetwork, PsRnnPlus, backward_batch,
                     build_network, forward_batch, parameters,
@@ -287,9 +287,9 @@ def evaluate(nets: dict[int, PsRnnNetwork] | None, images: list[GrayImage], qp: 
 
     `nets` maps a block size to its network, or is None (baseline only /
     oracle). Contexts are built with the availability mode and fill value
-    the corresponding model was trained with. The fixed policy runs each
-    network once per image; the greedy policy runs it once per quad-tree
-    level of each top-level block, scoring every candidate of that level.
+    the corresponding model was trained with. Each image is scored one
+    block size (fixed) or one quad-tree level (greedy) at a time, in
+    fixed-size chunks of blocks, so peak memory does not grow with the image.
     """
     if nets is not None and not cfg.oracle:
         for n in cfg.block_sizes:
@@ -315,80 +315,115 @@ def _contexts(net: PsRnnNetwork, image: GrayImage, recon: GrayImage, origins) ->
                         c.availability_mode == THREE_BLOCK, c.fill_value).contexts
 
 
-def _tile_origins(shape: tuple[int, int], n: int):
+def _tile_origins(shape: tuple[int, int], n: int) -> np.ndarray:
+    """(k, 2) origins of the n x n tiles at n, 2n, ... that leave an n margin, row-major."""
     h, w = shape
-    for y in range(n, h - n + 1, n):
-        for x in range(n, w - n + 1, n):
-            yield y, x
+    ys, xs = np.meshgrid(np.arange(n, h - n + 1, n), np.arange(n, w - n + 1, n), indexing="ij")
+    return np.stack([ys.ravel(), xs.ravel()], axis=1)
 
 
-def _block_record(image: GrayImage, recon: GrayImage,
-                  origin: tuple[int, int], n: int, lam: float, cfg: EvalConfig,
-                  net_pred: np.ndarray | None) -> BlockRecord:
-    y, x = origin
-    target = image.pixels[y : y + n, x : x + n].astype(np.float64)
-    refs = build_reference_samples(recon.pixels, origin, n)
-    if cfg.ref_smoothing:
-        refs = smooth_references(refs)
-    base = best_mode_search(refs, target, n, lam, cfg.satd)
-    base_pred = predict_mode(refs, base.mode, n)
-    base_mse = float(np.mean((base_pred - target) ** 2))
-    if cfg.oracle:
-        net_pred = target
-    if net_pred is None:
-        return BlockRecord(origin=origin, n=n, base=base, net=None,
-                           winner="baseline", base_mse=base_mse, net_mse=None)
-    net_cost = network_mode_cost(satd(net_pred - target, cfg.satd), lam)
-    winner = NETWORK if net_cost.total < base.total else "baseline"
-    net_mse = float(np.mean((net_pred - target) ** 2))
-    return BlockRecord(origin=origin, n=n, base=base, net=net_cost,
-                       winner=winner, base_mse=base_mse, net_mse=net_mse)
+# Blocks scored together: a network forward of the greedy policy or one
+# baseline search covers max(1, EVAL_CHUNK_PIXELS // n**2) blocks of size n,
+# so the memory a level needs does not grow with the image. At 2048 the
+# greedy 16/8 eval ran faster but its peak RSS grew by about 15%.
+EVAL_CHUNK_PIXELS = 1024
+
+
+def _chunk(n: int) -> int:
+    return max(1, EVAL_CHUNK_PIXELS // (n * n))
+
+
+def _mse(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    return ((preds - targets) ** 2).reshape(len(preds), -1).mean(axis=1)
+
+
+def _level_records(net: PsRnnNetwork | None, image: GrayImage, recon: GrayImage,
+                   origins: np.ndarray, n: int, lam: float, cfg: EvalConfig,
+                   net_chunk: int) -> list[BlockRecord]:
+    """Race the baseline against the network on every n x n block at `origins`.
+
+    The network runs on all blocks in chunks of `net_chunk` contexts, the
+    baseline search in chunks of _chunk(n) blocks.
+    """
+    if not len(origins):
+        return []
+    preds = None
+    if net is not None:
+        preds = _forward_chunked(net, _contexts(net, image, recon, origins), net_chunk)
+    blocks = sliding_window_view(image.pixels, (n, n))
+    records: list[BlockRecord] = []
+    step = _chunk(n)
+    for i in range(0, len(origins), step):
+        part = origins[i : i + step]
+        targets = blocks[part[:, 0], part[:, 1]].astype(np.float64)
+        lines, _ = reference_lines(recon.pixels, part, n)
+        if cfg.ref_smoothing:
+            lines = smooth_lines(lines)
+        modes, satds, base_preds = best_modes(lines, targets, n, lam, cfg.satd)
+        base_mse = _mse(base_preds, targets)
+        net_preds = targets if cfg.oracle else None if preds is None else preds[i : i + step]
+        if net_preds is not None:
+            net_satds = satd_batch(net_preds - targets, cfg.satd)
+            net_mse = _mse(net_preds, targets)
+        for j, origin in enumerate(map(tuple, part.tolist())):
+            base = ModeCost(mode=int(modes[j]), satd=float(satds[j]),
+                            bits_proxy=DEFAULT_MODE_BITS, lam=lam)
+            net = None if net_preds is None else network_mode_cost(float(net_satds[j]), lam)
+            records.append(BlockRecord(
+                origin=origin, n=n, base=base, net=net,
+                winner=NETWORK if net is not None and net.total < base.total else "baseline",
+                base_mse=float(base_mse[j]), net_mse=None if net is None else float(net_mse[j])))
+    return records
 
 
 def _eval_fixed(net: PsRnnNetwork | None, image: GrayImage, recon: GrayImage, n: int,
                 lam: float, cfg: EvalConfig) -> list[BlockRecord]:
-    origins = list(_tile_origins(image.pixels.shape, n))
-    preds = [None] * len(origins)
-    if net is not None:
-        preds = _forward_chunked(net, _contexts(net, image, recon, origins), 256)
-    return [_block_record(image, recon, origin, n, lam, cfg, pred)
-            for origin, pred in zip(origins, preds)]
+    # 256-context network chunks: smaller ones change the last bits of N=4 reports
+    return _level_records(net, image, recon, _tile_origins(image.pixels.shape, n), n, lam,
+                          cfg, 256)
 
 
 def _eval_greedy(nets: dict[int, PsRnnNetwork], image: GrayImage, recon: GrayImage,
                  lam: float, cfg: EvalConfig) -> list[BlockRecord]:
+    """Score every quad-tree level of the whole image, then split top-down.
+
+    A level's blocks are listed root by root, so at sizes 32/16/8 each
+    network chunk holds exactly one root's blocks of that level.
+    """
     sizes = cfg.greedy_sizes()
-
-    def level_predictions(origin) -> dict:
-        """Network predictions for every node of one tree: a batch per level."""
-        preds = {}
-        level = [origin]
-        for n in sizes:
-            if n in nets:
-                batch, _ = forward_batch(nets[n], _contexts(nets[n], image, recon, level),
-                                         need_cache=False)
-                preds.update(((o, n), p) for o, p in zip(level, batch))
-            half = n // 2
-            level = [(y + dy, x + dx) for y, x in level for dy in (0, half) for dx in (0, half)]
-        return preds
-
-    def descend(origin, n, preds) -> list[BlockRecord]:
-        whole = _block_record(image, recon, origin, n, lam, cfg, preds.get((origin, n)))
-        if n == sizes[-1]:
-            return [whole]
+    roots = level = _tile_origins(image.pixels.shape, sizes[0])
+    table: dict[tuple[tuple[int, int], int], BlockRecord] = {}
+    for n in sizes:
+        records = _level_records(nets.get(n), image, recon, level, n, lam, cfg, _chunk(n))
+        table.update(((r.origin, n), r) for r in records)
         half = n // 2
-        children: list[BlockRecord] = []
-        for dy in (0, half):
-            for dx in (0, half):
-                children.extend(descend((origin[0] + dy, origin[1] + dx), half, preds))
-        split_cost = sum(r.winner_total for r in children) + lam * SPLIT_FLAG_BITS
-        return children if split_cost < whole.winner_total else [whole]
-
+        level = (level[:, None] + np.array([(0, 0), (0, half), (half, 0), (half, half)])
+                 ).reshape(-1, 2)
     out: list[BlockRecord] = []
-    top = sizes[0]
-    for origin in _tile_origins(image.pixels.shape, top):
-        out.extend(descend(origin, top, level_predictions(origin)))
+    for y, x in roots.tolist():
+        out.extend(_descend(table, (y, x), sizes[0], sizes[-1], lam))
     return out
+
+
+def _descend(table: dict, origin: tuple[int, int], n: int, smallest: int,
+             lam: float) -> list[BlockRecord]:
+    """The cheaper of a block's own record and its four children's best splits.
+
+    Module-level on purpose: a nested recursive closure is a reference cycle
+    that keeps each image's table alive until the cyclic garbage collector
+    runs, which raised the greedy eval's peak memory from image to image.
+    """
+    whole = table[origin, n]
+    if n == smallest:
+        return [whole]
+    half = n // 2
+    children: list[BlockRecord] = []
+    for dy in (0, half):
+        for dx in (0, half):
+            children.extend(_descend(table, (origin[0] + dy, origin[1] + dx), half, smallest,
+                                     lam))
+    split_cost = sum(r.winner_total for r in children) + lam * SPLIT_FLAG_BITS
+    return children if split_cost < whole.winner_total else [whole]
 
 
 def _make_report(records: list[BlockRecord], qp: int, lam: float) -> EvalReport:

@@ -4,11 +4,14 @@
   spelled out) that the fused sweep in psrnn.layers must reproduce.
 - The eps-smoothed SATD objective, evaluated tile by tile, whose exact
   gradient psrnn.hadamard.satd_loss_grad_batch claims to be.
-- The per-mode angular predictor (build the projected reference line for
-  one mode, then interpolate), which psrnn.intra's gather tables must
-  reproduce bit for bit.
-- The greedy quad-tree evaluation with one batch-1 network pass per
-  candidate block, which the level-batched evaluation must match.
+- The per-block intra baseline: reference samples substituted by a Python
+  scan, [1 2 1] smoothing, planar and DC in closed form, the per-mode
+  angular predictor (build the projected reference line for one mode, then
+  interpolate) and a mode-by-mode search. psrnn.intra's batched gathers,
+  tables and search must reproduce it bit for bit.
+- The greedy quad-tree evaluation with one batch-1 network pass and one
+  per-block record per candidate, which the level-batched evaluation must
+  match.
 - Context sampling with one slice-and-mask per sample, which the one-gather
   psrnn.data.sample_contexts and build_training_samples must reproduce byte
   for byte. It returns ContextBlock items, so the origin and availability
@@ -26,9 +29,10 @@ import numpy as np
 from psrnn import training as TR
 from psrnn.data import (FOUR_BLOCK, THREE_BLOCK, TRAIN_QPS, ContextBlock, DegradeConfig,
                         GrayImage, degrade)
-from psrnn.hadamard import SatdConfig, hadamard_matrix
-from psrnn.intra import (INTRA_PRED_ANGLE, INV_ANGLE, MODE_DC, MODE_PLANAR, SPLIT_FLAG_BITS,
-                         ReferenceSamples, _predict_dc, _predict_planar, hm_lambda)
+from psrnn.hadamard import SatdConfig, hadamard_matrix, satd
+from psrnn.intra import (DEFAULT_MODE_BITS, INTRA_PRED_ANGLE, INV_ANGLE, MODE_DC,
+                         MODE_PLANAR, N_MODES, NETWORK, PIXEL_SCALE, SPLIT_FLAG_BITS,
+                         ModeCost, ReferenceSamples, hm_lambda, network_mode_cost)
 from psrnn.layers import GruParams, _gate_fn
 from psrnn.model import forward_batch
 from psrnn.rng import stream
@@ -116,6 +120,97 @@ def satd_smooth(d: np.ndarray, cfg: SatdConfig = SatdConfig()) -> float:
     return total
 
 
+def reference_samples_loop(image: np.ndarray, origin: tuple[int, int], n: int,
+                           availability: dict[str, bool] | None = None,
+                           fill_value: float = 0.5) -> ReferenceSamples:
+    """Slice one block's reference segments, then fill the gaps by a scan."""
+    h, w = image.shape
+    y, x = origin
+    img = image.astype(np.float64)
+    avail = {
+        "corner": y > 0 and x > 0,
+        "above": y > 0,
+        "above-right": y > 0 and x + 2 * n <= w,
+        "left": x > 0,
+        "below-left": x > 0 and y + 2 * n <= h,
+    }
+    for k, v in (availability or {}).items():
+        avail[k] = avail[k] and bool(v)
+    top = np.full(2 * n + 1, fill_value, dtype=np.float64)
+    left = np.full(2 * n, fill_value, dtype=np.float64)
+    if avail["corner"]:
+        top[0] = img[y - 1, x - 1]
+    if avail["above"]:
+        top[1 : n + 1] = img[y - 1, x : x + n]
+    if avail["above-right"]:
+        top[n + 1 :] = img[y - 1, x + n : x + 2 * n]
+    if avail["left"]:
+        left[:n] = img[y : y + n, x - 1]
+    if avail["below-left"]:
+        left[n:] = img[y + n : y + 2 * n, x - 1]
+    substitute_loop(top, left, avail, n, fill_value)
+    return ReferenceSamples(top=top, left=left, available=avail, fill_value=fill_value, n=n)
+
+
+def substitute_loop(top: np.ndarray, left: np.ndarray, avail: dict[str, bool],
+                    n: int, fill_value: float) -> None:
+    """Fill unavailable segments by propagating the nearest available sample.
+
+    Scan order: bottom of the left column upward, corner, then the top row
+    rightward. Mutates top/left in place.
+    """
+    if all(avail.values()):
+        return
+    # (array, index, segment) triplets in scan order
+    scan = []
+    for j in range(2 * n - 1, -1, -1):
+        scan.append((left, j, "left" if j < n else "below-left"))
+    scan.append((top, 0, "corner"))
+    for i in range(1, 2 * n + 1):
+        scan.append((top, i, "above" if i <= n else "above-right"))
+
+    flags = [avail[seg] for _, _, seg in scan]
+    if not any(flags):
+        for arr, idx, _ in scan:
+            arr[idx] = fill_value
+        return
+    first = flags.index(True)
+    prev = scan[first][0][scan[first][1]]
+    for (arr, idx, _), ok in zip(scan, flags):
+        if ok:
+            prev = arr[idx]
+        else:
+            arr[idx] = prev
+
+
+def smooth_references_loop(refs: ReferenceSamples) -> ReferenceSamples:
+    """[1 2 1]/4 filtering along the reference line; endpoints unchanged."""
+    n = refs.n
+    line = np.concatenate([refs.left[::-1], refs.top])  # bottom-left .. top-right
+    sm = line.copy()
+    sm[1:-1] = (line[:-2] + 2.0 * line[1:-1] + line[2:]) / 4.0
+    return ReferenceSamples(top=sm[2 * n :], left=sm[: 2 * n][::-1].copy(),
+                            available=dict(refs.available),
+                            fill_value=refs.fill_value, n=n)
+
+
+def predict_planar_loop(refs: ReferenceSamples, n: int) -> np.ndarray:
+    top = refs.top[1 : n + 1]
+    left = refs.left[:n]
+    tr = refs.top[n + 1]
+    bl = refs.left[n]
+    xs = np.arange(n, dtype=np.float64)
+    ys = np.arange(n, dtype=np.float64)
+    horiz = (n - 1 - xs)[None, :] * left[:, None] + (xs + 1)[None, :] * tr
+    vert = (n - 1 - ys)[:, None] * top[None, :] + (ys + 1)[:, None] * bl
+    return (horiz + vert) / (2.0 * n)
+
+
+def predict_dc_loop(refs: ReferenceSamples, n: int) -> np.ndarray:
+    dc = (refs.top[1:].sum() + refs.left.sum()) / (4.0 * n)
+    return np.full((n, n), dc, dtype=np.float64)
+
+
 def angular_ref_array(primary_full: np.ndarray, secondary: np.ndarray,
                       angle: int, n: int) -> tuple[np.ndarray, int]:
     """Projection reference with offset indexing; ref[off + k] = logical k.
@@ -140,9 +235,9 @@ def angular_ref_array(primary_full: np.ndarray, secondary: np.ndarray,
 def predict_mode_loop(refs: ReferenceSamples, mode: int, n: int) -> np.ndarray:
     """N x N prediction for one mode: closed-form planar/DC, else predict_angular."""
     if mode == MODE_PLANAR:
-        return _predict_planar(refs, n)
+        return predict_planar_loop(refs, n)
     if mode == MODE_DC:
-        return _predict_dc(refs, n)
+        return predict_dc_loop(refs, n)
     return predict_angular(refs, mode, n)
 
 
@@ -166,6 +261,44 @@ def predict_angular(refs: ReferenceSamples, mode: int, n: int) -> np.ndarray:
     return pred if vertical else pred.T
 
 
+def mode_search_loop(refs: ReferenceSamples, target: np.ndarray, n: int, lam: float,
+                     satd_cfg: SatdConfig = SatdConfig()) -> tuple[ModeCost, np.ndarray]:
+    """Score the 35 modes one at a time; the first strict minimum wins.
+
+    Returns the winner's cost and its prediction.
+    """
+    best, best_pred = None, None
+    for mode in range(N_MODES):
+        pred = predict_mode_loop(refs, mode, n)
+        cost = ModeCost(mode=mode, satd=satd(pred - target, satd_cfg) * PIXEL_SCALE,
+                        bits_proxy=DEFAULT_MODE_BITS, lam=lam)
+        if best is None or cost.total < best.total:
+            best, best_pred = cost, pred
+    return best, best_pred
+
+
+def block_record(image, recon, origin: tuple[int, int], n: int, lam: float, cfg,
+                 net_pred: np.ndarray | None):
+    """One block's evaluation record, built from the per-block oracles."""
+    y, x = origin
+    target = image.pixels[y : y + n, x : x + n].astype(np.float64)
+    refs = reference_samples_loop(recon.pixels, origin, n)
+    if cfg.ref_smoothing:
+        refs = smooth_references_loop(refs)
+    base, base_pred = mode_search_loop(refs, target, n, lam, cfg.satd)
+    base_mse = float(np.mean((base_pred - target) ** 2))
+    if cfg.oracle:
+        net_pred = target
+    if net_pred is None:
+        return TR.BlockRecord(origin=origin, n=n, base=base, net=None,
+                              winner="baseline", base_mse=base_mse, net_mse=None)
+    net_cost = network_mode_cost(satd(net_pred - target, cfg.satd), lam)
+    winner = NETWORK if net_cost.total < base.total else "baseline"
+    net_mse = float(np.mean((net_pred - target) ** 2))
+    return TR.BlockRecord(origin=origin, n=n, base=base, net=net_cost,
+                          winner=winner, base_mse=base_mse, net_mse=net_mse)
+
+
 def greedy_eval_batch1(nets, images, qp: int, cfg) -> list:
     """Greedy top-down block records, running the network once per candidate."""
     sizes = sorted(cfg.block_sizes, reverse=True)
@@ -176,10 +309,10 @@ def greedy_eval_batch1(nets, images, qp: int, cfg) -> list:
 
         def descend(origin, n):
             pred = None
-            if n in nets:
+            if n in nets and not cfg.oracle:
                 ctx = TR._contexts(nets[n], image, recon, [origin])
                 pred = forward_batch(nets[n], ctx, need_cache=False)[0][0]
-            whole = TR._block_record(image, recon, origin, n, lam, cfg, pred)
+            whole = block_record(image, recon, origin, n, lam, cfg, pred)
             if n == sizes[-1]:
                 return [whole]
             half = n // 2
@@ -190,8 +323,25 @@ def greedy_eval_batch1(nets, images, qp: int, cfg) -> list:
             split_cost = sum(r.winner_total for r in children) + lam * SPLIT_FLAG_BITS
             return children if split_cost < whole.winner_total else [whole]
 
-        for origin in TR._tile_origins(image.pixels.shape, sizes[0]):
-            records.extend(descend(origin, sizes[0]))
+        h, w = image.pixels.shape
+        top = sizes[0]
+        for y in range(top, h - top + 1, top):
+            for x in range(top, w - top + 1, top):
+                records.extend(descend((y, x), top))
+    return records
+
+
+def fixed_baseline_loop(images, qp: int, cfg) -> list:
+    """Baseline-only fixed-tiling block records, one per-block record per tile."""
+    lam = hm_lambda(qp)
+    records = []
+    for image in images:
+        recon = degrade(image, DegradeConfig(qp=qp))
+        h, w = image.pixels.shape
+        for n in cfg.block_sizes:
+            for y in range(n, h - n + 1, n):
+                for x in range(n, w - n + 1, n):
+                    records.append(block_record(image, recon, (y, x), n, lam, cfg, None))
     return records
 
 

@@ -211,7 +211,8 @@ class TestTrainFromFiles:
 
     @pytest.mark.parametrize("count", [5, 300])
     def test_archive_samples_match_per_pair_oracle(self, tmp_path, manifest, count):
-        # 8 prepared pairs: 5 samples keep the first of each of 5 pairs
+        # 8 prepared pairs: 5 samples take one from each of the first 5 pairs;
+        # 300 take 38 from each of the first 4 pairs and 37 from the rest
         archive = tmp_path / "prepared"
         assert run_cli("prepare", "--set", f"manifest={manifest}", "--set", "scales=false",
                        "--out", str(archive)) == 0
@@ -221,12 +222,23 @@ class TestTrainFromFiles:
         pairs = [line.split("\t")[:2] for line in (archive / "index.tsv").read_text().splitlines()]
         blocks = []
         for i, (clean, deg) in enumerate(pairs):
-            blocks += sample_contexts_loop(D.load_image(archive / clean), D.load_image(archive / deg),
-                                           8, max(1, count // len(pairs)), seed=i, fill=0.8,
-                                           availability_mode=D.FOUR_BLOCK)
-        want = stack_blocks(blocks[:count], 8)
+            per = count // len(pairs) + (i < count % len(pairs))
+            if per:
+                blocks += sample_contexts_loop(D.load_image(archive / clean),
+                                               D.load_image(archive / deg), 8, per, seed=i,
+                                               fill=0.8, availability_mode=D.FOUR_BLOCK)
+        assert len(got) == len(blocks) == count
+        want = stack_blocks(blocks, 8)
         assert got.contexts.tobytes() == want[0].tobytes()
         assert got.targets.tobytes() == want[1].tobytes()
+
+    def test_archive_rejects_nonpositive_count(self, tmp_path, manifest, capsys):
+        archive = tmp_path / "prepared"
+        assert run_cli("prepare", "--set", f"manifest={manifest}", "--set", "scales=false",
+                       "--out", str(archive)) == 0
+        assert run_cli("train", "--out", str(tmp_path / "t"), "--set", f"data={archive}",
+                       *self.FAST, "--set", "samples=0") == 1
+        assert "sample count" in capsys.readouterr().err
 
     def test_manifest(self, tmp_path, manifest):
         self.train_twice(tmp_path, manifest)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracles import predict_mode_loop
+from oracles import (mode_search_loop, predict_mode_loop, reference_samples_loop,
+                     smooth_references_loop)
 from psrnn import intra as I
 from psrnn.errors import ModeError, ShapeError, SizeError
 from psrnn.hadamard import SatdConfig, satd
@@ -232,3 +233,65 @@ class TestBestModeSearch:
     def test_wrong_target_shape(self):
         with pytest.raises(ShapeError):
             I.best_mode_search(random_refs(0), np.zeros((4, 4)), 8, lam=1.0)
+
+
+class TestBatchedSearch:
+    # the chunked search the evaluator runs, against the per-block oracle
+
+    @given(n=st.sampled_from([4, 8, 16, 32]), seed=st.integers(0, 2**32 - 1),
+           extra=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+           avail=st.dictionaries(st.sampled_from(I.SEGMENTS), st.booleans()),
+           smoothing=st.booleans())
+    @example(n=4, seed=0, extra=(0, 0), avail={}, smoothing=False)
+    @example(n=8, seed=1, extra=(3, 9), avail={k: False for k in I.SEGMENTS}, smoothing=True)
+    def test_matches_per_block_oracle(self, n, seed, extra, avail, smoothing):
+        gen = np.random.default_rng(seed)
+        h, w = n + extra[0], n + extra[1]
+        img = gen.random((h, w)).astype(np.float32)
+        # every image edge and corner, the middle, and random interior blocks
+        ys = [0, (h - n) // 2, h - n] + list(gen.integers(0, h - n + 1, 3))
+        xs = [0, (w - n) // 2, w - n] + list(gen.integers(0, w - n + 1, 3))
+        origins = np.array([(y, x) for y in ys for x in xs])
+        targets = gen.random((len(origins), n, n))
+        lam = I.hm_lambda(int(gen.integers(22, 38)))
+        lines, available = I.reference_lines(img, origins, n, availability=avail)
+        if smoothing:
+            lines = I.smooth_lines(lines)
+        modes, satds, preds = I.best_modes(lines, targets, n, lam)
+        for i, (y, x) in enumerate(origins.tolist()):
+            refs = reference_samples_loop(img, (y, x), n, availability=avail)
+            assert available[i].tolist() == [refs.available[k] for k in I.SEGMENTS]
+            if smoothing:
+                refs = smooth_references_loop(refs)
+            assert lines[i].tobytes() == np.concatenate([refs.left[::-1], refs.top]).tobytes()
+            best, pred = mode_search_loop(refs, targets[i], n, lam)
+            assert (int(modes[i]), float(satds[i])) == (best.mode, best.satd)
+            assert preds[i].tobytes() == pred.tobytes()
+            # the one-block API is a batch of one
+            one = I.build_reference_samples(img, (y, x), n, availability=avail)
+            if smoothing:
+                one = I.smooth_references(one)
+            assert one.all_samples().tobytes() == refs.all_samples().tobytes()
+            assert I.best_mode_search(one, targets[i], n, lam) == best
+
+    def test_ties_break_to_lowest_index_per_block(self):
+        # a flat image makes every mode predict the same block
+        n = 4
+        img = np.full((16, 16), 0.5, dtype=np.float32)
+        origins = np.array([(0, 0), (4, 4), (8, 12)])
+        lines, _ = I.reference_lines(img, origins, n)
+        modes, satds, _ = I.best_modes(lines, np.full((3, n, n), 0.5), n, lam=1.0)
+        assert modes.tolist() == [0, 0, 0] and satds.tolist() == [0.0, 0.0, 0.0]
+
+    def test_block_outside_image(self):
+        img = np.zeros((16, 16), dtype=np.float32)
+        for origin in [(12, 0), (0, 12), (-1, 0)]:
+            with pytest.raises(SizeError):
+                I.reference_lines(img, np.array([(0, 0), origin]), 8)
+
+    def test_shapes_checked(self):
+        lines, _ = I.reference_lines(np.zeros((16, 16), np.float32), np.array([(4, 4)]), 4)
+        with pytest.raises(ShapeError):
+            I.best_modes(lines, np.zeros((2, 4, 4)), 4, lam=1.0)
+        with pytest.raises(ShapeError):
+            I.best_modes(lines, np.zeros((1, 4, 4)), 8, lam=1.0)

@@ -56,6 +56,18 @@ class TestGruForward:
             single, _ = L.gru_sweep_forward(p, xs[:, i : i + 1], h0[i : i + 1])
             np.testing.assert_allclose(batch[:, i], single[:, 0], rtol=1e-12)
 
+    @pytest.mark.parametrize("gate", L.GATE_ACTIVATIONS)
+    def test_lean_sweep_matches_cached(self, gate):
+        # need_cache=False stores only the hidden states, with the same bits
+        gen = np.random.default_rng(8)
+        p = random_gru(gen, 6, 5)
+        xs = gen.uniform(-1, 1, (7, 3, 5))
+        h0 = gen.uniform(-1, 1, (3, 6))
+        hs, cache = L.gru_sweep_forward(p, xs, h0, gate)
+        lean, none = L.gru_sweep_forward(p, xs, h0, gate, need_cache=False)
+        assert none is None
+        assert lean.tobytes() == hs.tobytes() == cache.hs.tobytes()
+
     @given(seed=st.integers(0, 10_000))
     def test_gates_strictly_boxed(self, seed):
         gen = np.random.default_rng(seed)

@@ -69,6 +69,16 @@ class TestForward:
                 preds[i], M.network_forward(net, ctxs[i].astype(np.float32)),
                 rtol=0, atol=1e-7)
 
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    def test_lean_forward_matches_cached(self, n):
+        # the inference pass keeps no cache and computes the same bits
+        net = M.build_network(M.NetworkConfig(pu_size=n), seed=n)
+        ctxs = np.random.default_rng(n).random((3, 2 * n, 2 * n)).astype(np.float32)
+        preds, caches = M.forward_batch(net, ctxs)
+        lean, none = M.forward_batch(net, ctxs, need_cache=False)
+        assert caches is not None and none is None
+        assert lean.tobytes() == preds.tobytes()
+
     def test_spatial_flow_guard(self):
         net = M.build_network(TINY, seed=0)
         net.downsample.stride = 1

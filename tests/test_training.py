@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from conftest import rel_err
 from psrnn import data as D
 from psrnn import training as TR
 from psrnn.errors import ConfigError, DivergenceError, UsageError
-from oracles import greedy_eval_batch1, satd_smooth
+from oracles import fixed_baseline_loop, greedy_eval_batch1, satd_smooth
 from psrnn.hadamard import SatdConfig, satd, satd_batch, satd_loss_grad_batch
 from psrnn.model import NetworkConfig, build_network, parameters
 
@@ -319,6 +321,51 @@ class TestEvaluate:
             assert got.net_mse == pytest.approx(ref.net_mse, rel=1e-12, abs=0)
         again = TR.evaluate(nets, images, 32, cfg)
         assert list(again.csv_rows()) == list(report.csv_rows())
+
+    @pytest.mark.parametrize("policy, sizes", [("fixed", (8,)), ("greedy", (16, 8))])
+    def test_image_without_tiles_scores_no_blocks(self, policy, sizes):
+        # a 40x12 image has no tile with an n margin at these sizes; it used to
+        # abort the eval of every other image once a model was loaded
+        small = D.GrayImage(np.random.default_rng(4).random((12, 40)).astype(np.float32))
+        big = self._images(count=1)[0]
+        cfg = TR.EvalConfig(block_sizes=sizes, policy=policy)
+        nets = {n: build_network(replace(SMALL_NET, pu_size=n), seed=9) for n in sizes}
+        for models in (nets, None):
+            mixed = TR.evaluate(models, [small, big, small], 32, cfg)
+            alone = TR.evaluate(models, [big], 32, cfg)
+            assert list(mixed.csv_rows()) == list(alone.csv_rows())
+            assert json.dumps(mixed.summary) == json.dumps(alone.summary)  # NaN-safe
+            assert TR.evaluate(models, [small], 32, cfg).summary["blocks"] == 0
+
+    @pytest.mark.parametrize("policy, sizes", [("fixed", (8,)), ("greedy", (16, 8))])
+    def test_ref_smoothing_matches_per_block_oracle(self, policy, sizes):
+        images = self._images(count=2, size=48) + [self._images(count=1)[0]]
+        cfg = TR.EvalConfig(block_sizes=sizes, policy=policy, ref_smoothing=True)
+        report = TR.evaluate(None, images, 32, cfg)
+        if policy == "fixed":
+            want = fixed_baseline_loop(images, 32, cfg)
+        else:
+            want = greedy_eval_batch1({}, images, 32, cfg)
+        key = lambda r: (r.origin, r.n, r.base.mode, r.base.satd, r.base_mse, r.winner)
+        assert [key(r) for r in report.records] == [key(r) for r in want]
+        plain = TR.evaluate(None, images, 32, replace(cfg, ref_smoothing=False))
+        assert [r.base for r in plain.records] != [r.base for r in report.records]
+
+    def test_greedy_eval_memory_is_bounded(self):
+        # one image's level runs in chunks of 1024 // n**2 blocks: about 7 MiB
+        # at 16/8 on a 128x128 image, where one pass per whole level takes
+        # over 100 MiB
+        nets = {n: build_network(NetworkConfig(pu_size=n), seed=1) for n in (16, 8)}
+        image = D.synthetic_corpus(128, 1013, kinds=("directional",), per_kind=1)
+        cfg = TR.EvalConfig(block_sizes=(16, 8), policy="greedy")
+        TR.evaluate(nets, image, 32, cfg)
+        tracemalloc.start()
+        try:
+            TR.evaluate(nets, image, 32, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestExperiments:
