@@ -333,7 +333,10 @@ def _eval_images(resolved: dict) -> list[D.GrayImage]:
             kind = kinds[i % len(kinds)]
             images.append(D.synthetic_corpus(size, seed + i, kinds=(kind,), per_kind=1)[0])
         return images
-    return [D.load_image(p) for p in D.read_manifest(resolved["images"])]
+    paths = D.read_manifest(resolved["images"])
+    if not paths:
+        raise UsageError("no inputs in manifest")
+    return [D.load_image(p) for p in paths]
 
 
 def cmd_eval(resolved: dict) -> int:

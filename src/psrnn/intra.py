@@ -18,7 +18,8 @@ the (k, 4N+1) lines in that scan order with one fancy index and substitutes
 with a running maximum of the last available index; smooth_lines filters
 them; best_modes predicts all 35 modes of every block, scores the
 (k, 35, N, N) residues with one batched SATD and takes the argmin per
-block. The one-block functions are batches of one.
+block. The one-block functions build_reference_samples and best_mode_search
+are batches of one, and predict_mode reads the same predictor code.
 
 The 33 angular modes are table-driven: per block size, cached gather
 indices and 1/32-sample weights map the reference line concat(top, left)
@@ -145,24 +146,15 @@ def smooth_lines(lines: np.ndarray) -> np.ndarray:
     return out
 
 
-def _from_line(line: np.ndarray, available: dict[str, bool], n: int,
-               fill_value: float) -> ReferenceSamples:
-    return ReferenceSamples(top=line[2 * n :], left=line[: 2 * n][::-1].copy(),
-                            available=available, fill_value=fill_value, n=n)
-
-
 def build_reference_samples(image: np.ndarray, block_origin: tuple[int, int],
                             n: int, availability: dict[str, bool] | None = None,
                             fill_value: float = 0.5) -> ReferenceSamples:
     """The substituted reference line of the block at block_origin (reference_lines of one)."""
     lines, available = reference_lines(image, [block_origin], n, availability, fill_value)
-    return _from_line(lines[0], dict(zip(SEGMENTS, available[0].tolist())), n, fill_value)
-
-
-def smooth_references(refs: ReferenceSamples) -> ReferenceSamples:
-    """smooth_lines on one block's references."""
-    return _from_line(smooth_lines(refs.line()[None])[0], dict(refs.available),
-                      refs.n, refs.fill_value)
+    line = lines[0]
+    return ReferenceSamples(top=line[2 * n :], left=line[: 2 * n][::-1].copy(),
+                            available=dict(zip(SEGMENTS, available[0].tolist())),
+                            fill_value=fill_value, n=n)
 
 
 def _predict_planar(src: np.ndarray, n: int) -> np.ndarray:
@@ -253,12 +245,6 @@ def predict_mode(refs: ReferenceSamples, mode: int, n: int) -> np.ndarray:
         return np.full((n, n), _predict_dc(src[None], n)[0])
     i1, i2, w1, w2 = (t[mode - 2] for t in _angular_tables(n))
     return w1 * src[i1] + w2 * src[i2]
-
-
-def predict_all_modes(refs: ReferenceSamples, n: int) -> np.ndarray:
-    """(35, n, n) stack of all mode predictions, equal to predict_mode's."""
-    _check_refs(refs, n)
-    return _predict_all(refs.all_samples()[None], n)[0]
 
 
 @dataclass(frozen=True)

@@ -29,17 +29,16 @@ from __future__ import annotations
 import copy
 import struct
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, IntegrityError, ShapeError, UsageError, VersionError
+from .errors import ConfigError, IntegrityError, ShapeError, VersionError
 from .layers import (GATE_ACTIVATIONS, GruParams, glorot_uniform,
                      gru_sweep_backward, gru_sweep_forward, init_gru,
                      prelu_backward, prelu_forward)
 from .rng import stream
-from .tensor import (ConvSpec, _col2im, _im2col, _pad_spatial, conv2d_backward_batch,
-                     conv2d_forward_batch)
+from .tensor import ConvSpec, conv2d_backward_batch, conv2d_forward_batch
 
 PU_SIZES = (4, 8, 16, 32)
 AVAILABILITY_MODES = ("four-block", "three-block")
@@ -203,10 +202,6 @@ def parameters(net: PsRnnNetwork) -> dict[str, np.ndarray]:
     return out
 
 
-def param_count(net: PsRnnNetwork) -> int:
-    return sum(int(np.prod(v.shape)) for v in parameters(net).values())
-
-
 # ---------------------------------------------------------------------------
 # Forward / backward
 # ---------------------------------------------------------------------------
@@ -338,7 +333,8 @@ def forward_batch(net: PsRnnNetwork, contexts: np.ndarray, need_cache: bool = Tr
     return pred, caches
 
 
-def _backward_core(net: PsRnnNetwork, caches, grad_pred: np.ndarray):
+def backward_batch(net: PsRnnNetwork, caches, grad_pred: np.ndarray) -> dict[str, np.ndarray]:
+    """Float64 gradients for every parameter, given d(loss)/d(prediction)."""
     pre_clip = caches["pre_clip"]
     # clip01 passes gradient where the pre-clip value is inside [0, 1]
     g = grad_pred * ((pre_clip >= 0.0) & (pre_clip <= 1.0))
@@ -352,12 +348,6 @@ def _backward_core(net: PsRnnNetwork, caches, grad_pred: np.ndarray):
     g = unit_backward_batch(net.units[0], caches["units"][0], g, grads, "u0")
     for i in range(len(net.preproc) - 1, -1, -1):
         g = _conv_backward(net.preproc[i], caches["pre"][i], g, grads, f"pre{i}")
-    return grads, g[..., 0]
-
-
-def backward_batch(net: PsRnnNetwork, caches, grad_pred: np.ndarray) -> dict[str, np.ndarray]:
-    """Float64 gradients for every parameter, given d(loss)/d(prediction)."""
-    grads, _ = _backward_core(net, caches, grad_pred)
     return grads
 
 
@@ -497,153 +487,3 @@ def load_model(path, expected_config: NetworkConfig | None = None) -> PsRnnNetwo
         v[...] = records[k]
     return net
 
-
-# ---------------------------------------------------------------------------
-# Unified variable-block-size composite
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ConvTransposeLayer:
-    w: np.ndarray  # (kh, kw, cin, cout)
-    b: np.ndarray
-    alpha: np.ndarray | None
-    stride: int
-    padding: int
-
-    named = ConvLayer.named
-
-
-def _taps_matrix(w: np.ndarray) -> np.ndarray:
-    """(kh, kw, cin, cout) weights as the float64 (cin, kh*kw*cout) GEMM operand."""
-    kh, kw, cin, cout = w.shape
-    return w.astype(np.float64).transpose(2, 0, 1, 3).reshape(cin, kh * kw * cout)
-
-
-def conv_transpose_forward_batch(layer: ConvTransposeLayer, x: np.ndarray):
-    """Transposed conv: one GEMM gives every tap's contribution, _col2im adds them up."""
-    b, h, w_in, cin = x.shape
-    kh, kw, _, cout = layer.w.shape
-    s, p = layer.stride, layer.padding
-    full = _col2im(x.reshape(-1, cin) @ _taps_matrix(layer.w),
-                   (b, (h - 1) * s + kh, (w_in - 1) * s + kw, cout), kh, kw, s, h, w_in)
-    out = full[:, p : full.shape[1] - p, p : full.shape[2] - p, :] + layer.b.astype(np.float64)
-    if layer.alpha is None:
-        return out, (x, None)
-    act = prelu_forward(out, layer.alpha.astype(np.float64))
-    return act, (x, out)
-
-
-def conv_transpose_backward_batch(layer: ConvTransposeLayer, cache, grad_out,
-                                  grads: dict, prefix: str):
-    """_im2col of the padded gradient, then one GEMM each for gx and gw."""
-    x, pre = cache
-    if layer.alpha is not None:
-        grad_out, g_alpha = prelu_backward(pre, layer.alpha.astype(np.float64), grad_out)
-        grads[f"{prefix}.alpha"] = g_alpha
-    _, h, w_in, cin = x.shape
-    kh, kw, _, cout = layer.w.shape
-    g_taps = _im2col(_pad_spatial(grad_out, layer.padding), kh, kw, layer.stride, h, w_in)
-    gw = (x.reshape(-1, cin).T @ g_taps).reshape(cin, kh, kw, cout)
-    grads[f"{prefix}.w"] = np.ascontiguousarray(gw.transpose(1, 2, 0, 3))
-    grads[f"{prefix}.b"] = grad_out.sum(axis=(0, 1, 2))
-    return (g_taps @ _taps_matrix(layer.w).T).reshape(x.shape)
-
-
-@dataclass
-class PsRnnPlus:
-    """Shared N=8 base with rescaling heads for 16x16 and 32x32 blocks."""
-
-    base: PsRnnNetwork
-    target_n: int
-    pre: list[ConvLayer] = field(default_factory=list)
-    post: list[ConvTransposeLayer] = field(default_factory=list)
-
-
-def build_psrnn_plus(base: PsRnnNetwork, target_n: int, seed: int = 0,
-                     channels: int = 64) -> PsRnnPlus:
-    """Wrap an N=8 base network for a larger block size.
-
-    The head downsamples the 2N x 2N context to the base's 16 x 16 input
-    with two stride convolutions; the tail upsamples the base's 8 x 8
-    prediction to N x N with two transposed convolutions. 4x4 blocks keep
-    their own dedicated model, so target_n=4 is rejected.
-    """
-    if target_n == 4:
-        raise UsageError("4x4 blocks use their dedicated model, not the composite")
-    if target_n not in (16, 32):
-        raise UsageError(f"target_n must be 16 or 32, got {target_n}")
-    if base.config.pu_size != 8:
-        raise ConfigError(f"composite base must be an N=8 model, got N={base.config.pu_size}")
-    gen = stream(seed, f"plus/{target_n}")
-    k = channels
-    strides_pre = (2, 2) if target_n == 32 else (2, 1)
-    pre = [
-        _init_conv(gen, 3, 3, 1, k, stride=strides_pre[0]),
-        _init_conv(gen, 3, 3, k, 1, stride=strides_pre[1], activation=False),
-    ]
-
-    def deconv(cin, cout, up, activation):
-        kh = 4 if up == 2 else 3
-        fan = kh * kh
-        w = glorot_uniform(gen, (kh, kh, cin, cout), fan * cin, fan * cout)
-        alpha = np.full(cout, 0.25, dtype=np.float32) if activation else None
-        return ConvTransposeLayer(w=w, b=np.zeros(cout, dtype=np.float32),
-                                  alpha=alpha, stride=up, padding=1)
-
-    ups = (2, 2) if target_n == 32 else (2, 1)
-    post = [deconv(1, k, ups[0], True), deconv(k, 1, ups[1], False)]
-    return PsRnnPlus(base=base, target_n=target_n, pre=pre, post=post)
-
-
-def psrnn_plus_forward_batch(plus: PsRnnPlus, contexts: np.ndarray):
-    cs = 2 * plus.target_n
-    if contexts.ndim != 3 or contexts.shape[1:] != (cs, cs):
-        raise ShapeError(f"contexts must be (b, {cs}, {cs}), got {contexts.shape}")
-    x = contexts.astype(np.float64)[..., None]
-    caches = {"pre": [], "post": []}
-    for layer in plus.pre:
-        x, c = _conv_forward(layer, x)
-        caches["pre"].append(c)
-    caches["pre_ctx_raw"] = x[..., 0]
-    base_ctx = np.clip(x[..., 0], 0.0, 1.0)
-    base_pred, base_cache = forward_batch(plus.base, base_ctx)
-    caches["base"] = base_cache
-    x = base_pred[..., None]
-    for layer in plus.post:
-        x, c = conv_transpose_forward_batch(layer, x)
-        caches["post"].append(c)
-    caches["post_raw"] = x[..., 0]
-    pred = np.clip(x[..., 0], 0.0, 1.0)
-    return pred, caches
-
-
-def psrnn_plus_backward_batch(plus: PsRnnPlus, caches, grad_pred) -> dict[str, np.ndarray]:
-    """Gradients for the rescaling heads only; the base stays frozen."""
-    grads: dict[str, np.ndarray] = {}
-    raw = caches["post_raw"]
-    g = (grad_pred * ((raw >= 0.0) & (raw <= 1.0)))[..., None]
-    for i in range(len(plus.post) - 1, -1, -1):
-        g = conv_transpose_backward_batch(plus.post[i], caches["post"][i], g, grads, f"post{i}")
-    g = g[..., 0]
-    # chain through the frozen base to reach the head; its grads are discarded
-    _, g = _backward_core(plus.base, caches["base"], g)
-    raw_ctx = caches["pre_ctx_raw"]
-    g = (g * ((raw_ctx >= 0.0) & (raw_ctx <= 1.0)))[..., None]
-    for i in range(len(plus.pre) - 1, -1, -1):
-        g = _conv_backward(plus.pre[i], caches["pre"][i], g, grads, f"pre{i}")
-    return grads
-
-
-def psrnn_plus_parameters(plus: PsRnnPlus) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    for i, layer in enumerate(plus.pre):
-        out.update(layer.named(f"pre{i}"))
-    for i, layer in enumerate(plus.post):
-        out.update(layer.named(f"post{i}"))
-    return out
-
-
-def psrnn_plus_overhead_ratio(plus: PsRnnPlus) -> float:
-    extra = sum(int(np.prod(v.shape)) for v in psrnn_plus_parameters(plus).values())
-    return extra / param_count(plus.base)

@@ -6,8 +6,8 @@ cout). The network keeps activations in float64 and only stores parameters
 in float32; these kernels compute in whatever dtype they are handed, which
 is float64 throughout the package. A single sample is a batch of one.
 
-One gather/scatter pair, _im2col and its adjoint _col2im, serves both the
-conv here and the composite's transposed conv in model.py.
+One gather/scatter pair, _im2col and its adjoint _col2im, serves the
+forward and the backward pass.
 """
 
 from __future__ import annotations

@@ -26,10 +26,8 @@ from .hadamard import SatdConfig, satd_batch, satd_loss_grad_batch
 from .intra import (DEFAULT_MODE_BITS, NETWORK, SPLIT_FLAG_BITS, ModeCost, best_modes,
                     hm_lambda, network_mode_cost, reference_lines, smooth_lines)
 from .layers import AdamState, adam_step, clip_global_norm, lr_at, scaled_schedule
-from .model import (NetworkConfig, PsRnnNetwork, PsRnnPlus, backward_batch,
-                    build_network, forward_batch, parameters,
-                    psrnn_plus_backward_batch, psrnn_plus_forward_batch,
-                    psrnn_plus_parameters)
+from .model import (NetworkConfig, PsRnnNetwork, backward_batch, build_network,
+                    forward_batch, parameters)
 from .rng import stream
 
 LOG_HEADER = "iteration,lr,train_loss,val_loss"
@@ -378,9 +376,11 @@ def _level_records(net: PsRnnNetwork | None, image: GrayImage, recon: GrayImage,
 
 def _eval_fixed(net: PsRnnNetwork | None, image: GrayImage, recon: GrayImage, n: int,
                 lam: float, cfg: EvalConfig) -> list[BlockRecord]:
-    # 256-context network chunks: smaller ones change the last bits of N=4 reports
+    # 256 contexts per network chunk up to N=8 (smaller chunks change the last
+    # bits of N=4 reports), 16384 pixels above that: an N=32 inference pass
+    # holds about 5 MiB per context
     return _level_records(net, image, recon, _tile_origins(image.pixels.shape, n), n, lam,
-                          cfg, 256)
+                          cfg, min(256, 16384 // (n * n)))
 
 
 def _eval_greedy(nets: dict[int, PsRnnNetwork], image: GrayImage, recon: GrayImage,
@@ -452,7 +452,7 @@ def _make_report(records: list[BlockRecord], qp: int, lam: float) -> EvalReport:
 
 
 # ---------------------------------------------------------------------------
-# Experiments: loss comparison, unit-count ablation, composite fine-tuning
+# Experiments: loss comparison and unit-count ablation
 # ---------------------------------------------------------------------------
 
 
@@ -522,27 +522,3 @@ def ablate_units(data, unit_counts, cfg: TrainConfig, eval_images: list[GrayImag
         })
     return rows
 
-
-def fine_tune_psrnn_plus(plus: PsRnnPlus, data, iters: int = 300,
-                         lr: float = 1e-3, batch_size: int = 16,
-                         seed: int = 0, satd_cfg: SatdConfig = SatdConfig()):
-    """Adapt the rescaling heads on target-size samples; the base is frozen."""
-    samples = as_sample_set(data)
-    if samples.contexts.shape[1] != 2 * plus.target_n:
-        raise ConfigError(
-            f"samples sized {samples.contexts.shape[1]} != context {2 * plus.target_n}")
-    params = psrnn_plus_parameters(plus)
-    state = AdamState()
-    batches = stream(seed, "plus-batches")
-    losses = []
-    for it in range(iters):
-        idx = batches.integers(0, len(samples), size=batch_size)
-        preds, caches = psrnn_plus_forward_batch(plus, samples.contexts[idx])
-        loss, grad_pred = loss_and_grad(preds, samples.targets[idx], "satd", satd_cfg)
-        if not math.isfinite(loss):
-            raise DivergenceError(it)
-        grads = psrnn_plus_backward_batch(plus, caches, grad_pred)
-        clip_global_norm(grads, 5.0)
-        adam_step(params, grads, state, lr)
-        losses.append(loss)
-    return plus, losses

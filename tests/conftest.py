@@ -88,17 +88,6 @@ def min_kink_margin(caches) -> float:
     return margin
 
 
-def plus_kink_margin(caches) -> float:
-    """Kink margin for the composite: heads, both clips, and the base."""
-    margin = min_kink_margin(caches["base"])
-    for c in caches["pre"] + caches["post"]:
-        margin = min(margin, _conv_cache_margin(c))
-    for raw in (caches["pre_ctx_raw"], caches["post_raw"]):
-        margin = min(margin, float(np.min(np.abs(raw))),
-                     float(np.min(np.abs(raw - 1.0))))
-    return margin
-
-
 def dyadic_residue(gen: np.random.Generator, shape, scale_bits: int = 12) -> np.ndarray:
     """Random residue whose entries are multiples of 2**-scale_bits in [-1, 1].
 

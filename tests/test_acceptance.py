@@ -483,18 +483,7 @@ def test_variable_block_size():
         pred = M.network_forward(net, ctx)
         assert pred.shape == (n, n)
         assert pred.min() >= 0.0 and pred.max() <= 1.0
-    base = M.build_network(M.NetworkConfig(pu_size=8), seed=7)
-    ratios = []
-    for target in (16, 32):
-        plus = M.build_psrnn_plus(base, target, seed=7)
-        ctx = gen.random((1, 2 * target, 2 * target)).astype(np.float32)
-        pred = M.psrnn_plus_forward_batch(plus, ctx)[0][0]
-        assert pred.shape == (target, target)
-        ratio = M.psrnn_plus_overhead_ratio(plus)
-        assert ratio <= 0.10
-        ratios.append(ratio)
-    ok("variable-block-size",
-       f"(per-N 4/8/16/32 shapes, composite overhead {ratios[0]:.3f}/{ratios[1]:.3f})")
+    ok("variable-block-size", "(per-N 4/8/16/32 shapes)")
 
 
 # ---------------------------------------------------------------------------

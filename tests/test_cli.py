@@ -307,6 +307,15 @@ class TestEval:
         assert "block sizes" in capsys.readouterr().err
         assert not (tmp_path / "none" / "eval_summary.json").exists()
 
+    def test_empty_manifest(self, tmp_path, capsys):
+        # used to write a 0-block report and exit 0, unlike prepare and train
+        m = tmp_path / "m.txt"
+        m.write_text("# no images\n\n")
+        assert run_cli("eval", "--out", str(tmp_path / "ev"),
+                       "--set", f"images={m}") == 1
+        assert "no inputs" in capsys.readouterr().err
+        assert not (tmp_path / "ev" / "eval_summary.json").exists()
+
     def test_greedy_sizes_not_halving_rejected(self, tmp_path, capsys):
         assert run_cli("eval", "--oracle", "--out", str(tmp_path / "bad"),
                        "--set", "block_policy=greedy", "--set", "sizes=32,8") == 1

@@ -136,10 +136,8 @@ class TestPredictions:
         # any availability mask at an interior block, bit for bit
         img = np.random.default_rng(seed).random((4 * n, 4 * n))
         refs = I.build_reference_samples(img, (n, n), n, availability=avail)
-        preds = I.predict_all_modes(refs, n)
         for mode in range(I.N_MODES):
             want = predict_mode_loop(refs, mode, n).tobytes()
-            assert preds[mode].tobytes() == want
             assert I.predict_mode(refs, mode, n).tobytes() == want
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32])
@@ -147,21 +145,29 @@ class TestPredictions:
         gen = np.random.default_rng(n)
         refs = I.ReferenceSamples(top=gen.random(2 * n + 1), left=gen.random(2 * n),
                                   available={k: True for k in I.SEGMENTS}, n=n)
-        preds = I.predict_all_modes(refs, n)
-        assert preds.shape == (35, n, n)
-        assert np.isfinite(preds).all()
+        for mode in range(I.N_MODES):
+            pred = I.predict_mode(refs, mode, n)
+            assert pred.shape == (n, n)
+            assert np.isfinite(pred).all()
+
+
+def smoothed(refs):
+    """smooth_lines on one block's line, split back into (top, left) like ReferenceSamples."""
+    line = I.smooth_lines(refs.line()[None])[0]
+    return I.ReferenceSamples(top=line[2 * refs.n :], left=line[: 2 * refs.n][::-1],
+                              available=refs.available, n=refs.n)
 
 
 class TestSmoothing:
     def test_endpoints_unchanged(self):
         refs = random_refs(9)
-        sm = I.smooth_references(refs)
+        sm = smoothed(refs)
         assert sm.top[-1] == refs.top[-1]
         assert sm.left[-1] == refs.left[-1]
 
     def test_interior_is_121_filter(self):
         refs = random_refs(10)
-        sm = I.smooth_references(refs)
+        sm = smoothed(refs)
         n = refs.n
         want_corner = (refs.left[0] + 2 * refs.top[0] + refs.top[1]) / 4
         assert sm.top[0] == pytest.approx(want_corner)
@@ -174,7 +180,7 @@ class TestSmoothing:
         n = 4
         refs = I.ReferenceSamples(top=np.full(2 * n + 1, 0.3), left=np.full(2 * n, 0.3),
                                   available={k: True for k in I.SEGMENTS}, n=n)
-        sm = I.smooth_references(refs)
+        sm = smoothed(refs)
         np.testing.assert_allclose(sm.top, 0.3)
         np.testing.assert_allclose(sm.left, 0.3)
 
@@ -270,7 +276,7 @@ class TestBatchedSearch:
             # the one-block API is a batch of one
             one = I.build_reference_samples(img, (y, x), n, availability=avail)
             if smoothing:
-                one = I.smooth_references(one)
+                one = smoothed(one)
             assert one.all_samples().tobytes() == refs.all_samples().tobytes()
             assert I.best_mode_search(one, targets[i], n, lam) == best
 

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import (directional_check, min_kink_margin, plus_kink_margin,
-                      rewrite_config_text)
+from conftest import directional_check, min_kink_margin, rewrite_config_text
 from psrnn import model as M
-from psrnn.errors import ConfigError, IntegrityError, ShapeError, UsageError, VersionError
+from psrnn.errors import ConfigError, IntegrityError, ShapeError, VersionError
 from psrnn.layers import AdamState, adam_step
 from oracles import gru_sequence_forward
 
@@ -332,57 +331,3 @@ class TestSerialization:
             for b in p2.values():
                 assert not np.shares_memory(a, b)
 
-
-class TestPsRnnPlus:
-    @pytest.fixture()
-    def base(self):
-        return M.build_network(M.NetworkConfig(pu_size=8), seed=12)
-
-    @pytest.mark.parametrize("target", [16, 32])
-    def test_shapes(self, base, target):
-        plus = M.build_psrnn_plus(base, target, seed=1)
-        ctx = np.random.default_rng(0).random((1, 2 * target, 2 * target))
-        pred = M.psrnn_plus_forward_batch(plus, ctx)[0][0]
-        assert pred.shape == (target, target)
-        assert pred.min() >= 0.0 and pred.max() <= 1.0
-
-    def test_target_four_unsupported(self, base):
-        with pytest.raises(UsageError):
-            M.build_psrnn_plus(base, 4)
-
-    def test_base_must_be_eight(self):
-        small = M.build_network(TINY, seed=0)
-        with pytest.raises(ConfigError):
-            M.build_psrnn_plus(small, 16)
-
-    def test_parameter_overhead_within_bound(self, base):
-        for target in (16, 32):
-            plus = M.build_psrnn_plus(base, target, seed=0)
-            ratio = M.psrnn_plus_overhead_ratio(plus)
-            assert 0.0 < ratio <= 0.10
-
-    def test_head_gradients_match_finite_differences(self, base):
-        plus = M.build_psrnn_plus(base, 16, seed=2)
-        # bias every clipped stage into its interior so the finite
-        # difference does not straddle a clip kink at the random init
-        M.parameters(plus.base)["rec1.b"][...] = 0.5
-        plus.pre[-1].b[...] = 0.5
-        plus.post[-1].b[...] = 0.5
-        gen = np.random.default_rng(0)
-        ctx = gen.uniform(0.2, 0.8, (1, 32, 32))
-        probe = gen.uniform(-1, 1, (1, 16, 16))
-        preds, caches = M.psrnn_plus_forward_batch(plus, ctx)
-        assert 0.01 < preds.min() and preds.max() < 0.99
-        margin = plus_kink_margin(caches)
-        h = min(2e-5, margin / 20)
-        assert h > 1e-8
-        grads = M.psrnn_plus_backward_batch(plus, caches, probe)
-        params = M.psrnn_plus_parameters(plus)
-        assert set(grads) == set(params)
-
-        def loss():
-            return float(np.sum(M.psrnn_plus_forward_batch(plus, ctx)[0] * probe))
-
-        for name, arr in params.items():
-            err = directional_check(loss, arr, grads[name], gen, h=h)
-            assert err < 1e-3, f"{name}: {err}"

@@ -15,7 +15,7 @@ from psrnn import training as TR
 from psrnn.errors import ConfigError, DivergenceError, UsageError
 from oracles import fixed_baseline_loop, greedy_eval_batch1, satd_smooth
 from psrnn.hadamard import SatdConfig, satd, satd_batch, satd_loss_grad_batch
-from psrnn.model import NetworkConfig, build_network, parameters
+from psrnn.model import NetworkConfig, build_network, forward_batch, parameters
 
 
 def make_samples(n=8, count=600, seed=0, size=64):
@@ -367,6 +367,24 @@ class TestEvaluate:
             tracemalloc.stop()
         assert peak < 12 * 2**20
 
+    def test_fixed_eval_network_chunks_are_bounded(self, monkeypatch):
+        # an N=32 inference pass holds about 5 MiB per context at default
+        # widths, so fixed tiling runs at most 16 contexts per call there
+        sizes = []
+
+        def recording(net, contexts, need_cache=True):
+            sizes.append(len(contexts))
+            return forward_batch(net, contexts, need_cache)
+
+        monkeypatch.setattr(TR, "forward_batch", recording)
+        narrow = NetworkConfig(pu_size=32, preproc_channels=(2, 2), unit_hidden=(2, 2),
+                               recon_channels=(2,))
+        image = D.synthetic_corpus(192, 5, kinds=("directional",), per_kind=1)
+        report = TR.evaluate({32: build_network(narrow, seed=1)}, image, 32,
+                             TR.EvalConfig(block_sizes=(32,)))
+        assert report.summary["blocks"] == 25 and sum(sizes) == 25
+        assert max(sizes) <= 16
+
 
 class TestExperiments:
     def test_compare_losses_needs_three_seeds(self):
@@ -399,19 +417,3 @@ class TestExperiments:
         for r in rows:
             assert np.isfinite(r["final_val_loss"])
 
-    def test_fine_tune_composite_heads(self):
-        from psrnn.model import (build_psrnn_plus, psrnn_plus_parameters)
-
-        base = build_network(SMALL_NET, seed=3)
-        plus = build_psrnn_plus(base, 16, seed=3, channels=16)
-        base_before = {k: v.copy() for k, v in parameters(base).items()}
-        head_before = {k: v.copy() for k, v in psrnn_plus_parameters(plus).items()}
-        samples = make_samples(n=16, count=200, size=96)
-        plus, losses = TR.fine_tune_psrnn_plus(plus, samples, iters=8, batch_size=4)
-        assert len(losses) == 8 and all(np.isfinite(l) for l in losses)
-        # the base stays frozen; the heads move
-        for k, v in parameters(plus.base).items():
-            np.testing.assert_array_equal(v, base_before[k])
-        moved = any(not np.array_equal(v, head_before[k])
-                    for k, v in psrnn_plus_parameters(plus).items())
-        assert moved
