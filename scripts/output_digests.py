@@ -11,8 +11,9 @@ Prints one `<name> <sha256>` line for each of:
   (default N=8 network, that sample set, 50 iterations, batch 32);
 - the eval reports (CSV rows and summary) of untrained default-width
   networks on six seeded 128x128 synthetic images at qp 32: fixed N=8,
-  greedy 16/8, greedy 32/16/8, and fixed N=8 with [1 2 1] reference
-  smoothing.
+  greedy 16/8, greedy 32/16/8, fixed N=8 with [1 2 1] reference
+  smoothing, and fixed N=16 and N=32 (whose inference convs gather their
+  patch matrices in several slabs).
 
 Run it on two checkouts and diff the output to check that a change keeps
 model files, training logs and eval reports byte for byte:
@@ -116,6 +117,8 @@ def main():
     print(f"eval-greedy-16-8.report {eval_digest(args.seed, (16, 8), 'greedy')}")
     print(f"eval-greedy-32-16-8.report {eval_digest(args.seed, (32, 16, 8), 'greedy')}")
     print(f"eval-fixed-n8-smoothing.report {eval_digest(args.seed, (8,), 'fixed', True)}")
+    print(f"eval-fixed-n16.report {eval_digest(args.seed, (16,), 'fixed')}")
+    print(f"eval-fixed-n32.report {eval_digest(args.seed, (32,), 'fixed')}")
 
 
 if __name__ == "__main__":

@@ -210,24 +210,29 @@ def parameters(net: PsRnnNetwork) -> dict[str, np.ndarray]:
 def _conv_forward(layer: ConvLayer, x64: np.ndarray, need_cache: bool = True):
     """Conv (+ PReLU); the cache holds the input, pre-activation and patch matrix.
 
-    need_cache=False keeps none of them and returns None for the cache.
+    need_cache=False keeps none of them and returns None for the cache; the
+    conv then never holds the whole patch matrix, only one slab of it.
     """
-    pre, cols = conv2d_forward_batch(x64, layer.w.astype(np.float64),
-                                     layer.b.astype(np.float64), layer.spec,
-                                     return_cols=True)
+    w, b = layer.w.astype(np.float64), layer.b.astype(np.float64)
+    if need_cache:
+        pre, cols = conv2d_forward_batch(x64, w, b, layer.spec, return_cols=True)
+    else:
+        pre = conv2d_forward_batch(x64, w, b, layer.spec)
     out = pre if layer.alpha is None else prelu_forward(pre, layer.alpha.astype(np.float64))
     if not need_cache:
         return out, None
     return out, (x64, None if layer.alpha is None else pre, cols)
 
 
-def _conv_backward(layer: ConvLayer, cache, grad_out, grads: dict, prefix: str):
+def _conv_backward(layer: ConvLayer, cache, grad_out, grads: dict, prefix: str,
+                   need_grad_x: bool = True):
+    """Store the layer's parameter gradients; returns the input gradient (or None)."""
     x64, pre, cols = cache
     if layer.alpha is not None:
         grad_out, g_alpha = prelu_backward(pre, layer.alpha.astype(np.float64), grad_out)
         grads[f"{prefix}.alpha"] = g_alpha
     gx, gw, gb = conv2d_backward_batch(x64, layer.w.astype(np.float64), layer.spec,
-                                       grad_out, cols)
+                                       grad_out, cols, need_grad_x)
     grads[f"{prefix}.w"] = gw
     grads[f"{prefix}.b"] = gb
     return gx
@@ -274,8 +279,7 @@ def unit_forward_batch(unit: PsRnnUnitParams, feat: np.ndarray, gate_activation:
     ch = unit.hidden_per_pos
     concat = np.concatenate([_from_planes(hs_h, HORIZONTAL, ch),
                              _from_planes(hs_v, VERTICAL, ch)], axis=-1)
-    # without a cache, the sweep states are freed before the fusion conv
-    # gathers its patch matrix, the largest array of an inference pass
+    # without a cache, the sweep states are freed before the fusion conv runs
     del hs_h, hs_v
     out, fuse_cache = _conv_forward(unit.fusion, concat, need_cache)
     return out, (feat.shape[3], cache_h, cache_v, fuse_cache) if need_cache else None
@@ -304,8 +308,9 @@ def forward_batch(net: PsRnnNetwork, contexts: np.ndarray, need_cache: bool = Tr
 
     need_cache=False is the inference pass: no layer keeps its input,
     pre-activation, patch matrix or GRU state, each activation is freed once
-    the next layer has read it, and the cache returned is None. The
-    arithmetic is the same either way.
+    the next layer has read it, and the cache returned is None. Each conv
+    then gathers its patch matrix one slab of samples at a time
+    (tensor.SLAB_MACS) instead of whole. The bits are the same either way.
     """
     cs = net.config.context_size
     if contexts.ndim != 3 or contexts.shape[1:] != (cs, cs):
@@ -346,8 +351,10 @@ def backward_batch(net: PsRnnNetwork, caches, grad_pred: np.ndarray) -> dict[str
         g = unit_backward_batch(net.units[i], caches["units"][i], g, grads, f"u{i}")
     g = _conv_backward(net.downsample, caches["down"], g, grads, "down")
     g = unit_backward_batch(net.units[0], caches["units"][0], g, grads, "u0")
+    # nothing needs the gradient with respect to the network input
     for i in range(len(net.preproc) - 1, -1, -1):
-        g = _conv_backward(net.preproc[i], caches["pre"][i], g, grads, f"pre{i}")
+        g = _conv_backward(net.preproc[i], caches["pre"][i], g, grads, f"pre{i}",
+                           need_grad_x=i > 0)
     return grads
 
 

@@ -378,7 +378,7 @@ def _eval_fixed(net: PsRnnNetwork | None, image: GrayImage, recon: GrayImage, n:
                 lam: float, cfg: EvalConfig) -> list[BlockRecord]:
     # 256 contexts per network chunk up to N=8 (smaller chunks change the last
     # bits of N=4 reports), 16384 pixels above that: an N=32 inference pass
-    # holds about 5 MiB per context
+    # holds about 14 MiB for one context and 1.8 MiB for each further one
     return _level_records(net, image, recon, _tile_origins(image.pixels.shape, n), n, lam,
                           cfg, min(256, 16384 // (n * n)))
 

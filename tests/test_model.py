@@ -3,12 +3,15 @@ import pytest
 
 from conftest import directional_check, min_kink_margin, rewrite_config_text
 from psrnn import model as M
+from psrnn import tensor as T
 from psrnn.errors import ConfigError, IntegrityError, ShapeError, VersionError
 from psrnn.layers import AdamState, adam_step
 from oracles import gru_sequence_forward
 
 TINY = M.NetworkConfig(pu_size=4, preproc_channels=(2, 2), unit_hidden=(2, 2),
                        recon_channels=(2,))
+# the widths of the determinism-test network
+LEAN_WIDTHS = dict(preproc_channels=(4, 4), unit_hidden=(4, 2, 2), recon_channels=(4,))
 
 
 class TestConfig:
@@ -69,14 +72,32 @@ class TestForward:
                 rtol=0, atol=1e-7)
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32])
-    def test_lean_forward_matches_cached(self, n):
-        # the inference pass keeps no cache and computes the same bits
-        net = M.build_network(M.NetworkConfig(pu_size=n), seed=n)
-        ctxs = np.random.default_rng(n).random((3, 2 * n, 2 * n)).astype(np.float32)
-        preds, caches = M.forward_batch(net, ctxs)
-        lean, none = M.forward_batch(net, ctxs, need_cache=False)
-        assert caches is not None and none is None
-        assert lean.tobytes() == preds.tobytes()
+    def test_lean_forward_matches_cached(self, n, monkeypatch):
+        # the inference pass keeps no cache and computes the same bits, also
+        # on a fixed-eval chunk (at N=8 the 225 tiles of a 128x128 image),
+        # where its convs split into several slabs; only the lean N=4
+        # network's convs stay within one slab there, and at N=32 even a
+        # batch of 3 splits
+        slabs, bounds = [], T._slab_bounds
+
+        def counting(b, sample_macs):
+            slabs.append(len(bounds(b, sample_macs)) - 1)
+            return bounds(b, sample_macs)
+
+        monkeypatch.setattr(T, "_slab_bounds", counting)
+        chunk = {4: 256, 8: 225, 16: 64, 32: 16}[n]
+        for b, widths, splits in ((3, {}, n == 32), (chunk, {}, True),
+                                  (chunk, LEAN_WIDTHS, n > 4)):
+            net = M.build_network(M.NetworkConfig(pu_size=n, **widths), seed=n)
+            ctxs = np.random.default_rng(n).random((b, 2 * n, 2 * n)).astype(np.float32)
+            preds, caches = M.forward_batch(net, ctxs)
+            assert caches is not None
+            del caches
+            slabs.clear()
+            lean, none = M.forward_batch(net, ctxs, need_cache=False)
+            assert none is None
+            assert lean.tobytes() == preds.tobytes()
+            assert (max(slabs) > 1) == splits
 
     def test_spatial_flow_guard(self):
         net = M.build_network(TINY, seed=0)
@@ -210,6 +231,32 @@ class TestBackward:
         g2 = single_backward(net, ctx, g)
         for k in g1:
             np.testing.assert_array_equal(g1[k], g2[k])
+
+    def test_network_input_gradient_is_skipped(self, monkeypatch):
+        # the first preprocessing conv computes no input gradient (no
+        # _col2im scatter onto the one-channel context) and the parameter
+        # gradients keep their bits
+        net = M.build_network(M.NetworkConfig(pu_size=8), seed=4)
+        gen = np.random.default_rng(4)
+        _, caches = M.forward_batch(net, gen.random((4, 16, 16)))
+        grad = gen.uniform(-1, 1, (4, 8, 8))
+        full = T.conv2d_backward_batch
+        monkeypatch.setattr(M, "conv2d_backward_batch",
+                            lambda *args: full(*args[:5], need_grad_x=True))
+        want = M.backward_batch(net, caches, grad)
+        monkeypatch.undo()
+        scattered, col2im = [], T._col2im
+
+        def recording(cols, shape, *args):
+            scattered.append(shape)
+            return col2im(cols, shape, *args)
+
+        monkeypatch.setattr(T, "_col2im", recording)
+        got = M.backward_batch(net, caches, grad)
+        assert list(got) == list(want)
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+        convs = len(net.preproc) + len(net.units) + 1 + len(net.recon)
+        assert len(scattered) == convs - 1 and all(s[-1] > 1 for s in scattered)
 
     def test_finite_difference_spot_check(self):
         # full-coverage FD checks live in the acceptance suite; this guards

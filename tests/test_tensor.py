@@ -193,6 +193,34 @@ class TestConv2d:
                 rflat[i] = (fp - fm) / (2 * h)
             assert rel_err(analytic, ref) < 1e-4
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("cout, b, oh, cin", [
+        (1, 229, 32, 4), (2, 115, 32, 4), (4, 58, 32, 4), (8, 29, 32, 4),
+        (4, 147, 32, 4), (8, 76, 32, 4), (8, 3, 64, 16)])
+    def test_slabs_match_patch_matrix_path(self, cout, b, oh, cin, stride):
+        # the inference path splits these batches into two or five uneven
+        # slabs (three of one sample in the last case) and must give the
+        # whole patch matrix's bits
+        assert len(T._slab_bounds(b, oh * oh * 9 * cin * cout)) > 2
+        gen = np.random.default_rng(cout + 10 * stride)
+        x = gen.random((b, oh * stride, oh * stride, cin))
+        w = gen.uniform(-1, 1, (3, 3, cin, cout))
+        bias = gen.uniform(-1, 1, cout)
+        spec = _spec(3, 3, stride, 1, cin, cout)
+        want, _ = T.conv2d_forward_batch(x, w, bias, spec, return_cols=True)
+        assert T.conv2d_forward_batch(x, w, bias, spec).tobytes() == want.tobytes()
+
+    @given(st.integers(0, 600), st.integers(1, 3 * T.SLAB_MACS))
+    def test_slab_bounds_are_balanced_and_bounded(self, b, sample_macs):
+        bounds = T._slab_bounds(b, sample_macs)
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == b
+        assert sizes.max() - sizes.min() <= 1
+        assert sizes.max() * sample_macs < 2 * T.SLAB_MACS + sample_macs
+        if len(sizes) > 1:
+            # above the 10**6 multiply-adds of OpenBLAS's small-matrix kernels
+            assert sizes.min() >= 1 and sizes.min() * sample_macs >= T.SLAB_MACS // 2 > 10**6
+
     def test_shape_errors(self):
         spec = _spec(3, 3, 1, 1, 2, 3)
         with pytest.raises(ShapeError):

@@ -351,25 +351,37 @@ class TestEvaluate:
         plain = TR.evaluate(None, images, 32, replace(cfg, ref_smoothing=False))
         assert [r.base for r in plain.records] != [r.base for r in report.records]
 
-    def test_greedy_eval_memory_is_bounded(self):
-        # one image's level runs in chunks of 1024 // n**2 blocks: about 7 MiB
-        # at 16/8 on a 128x128 image, where one pass per whole level takes
-        # over 100 MiB
-        nets = {n: build_network(NetworkConfig(pu_size=n), seed=1) for n in (16, 8)}
+    @staticmethod
+    def _second_eval_peak(sizes: tuple[int, ...], policy: str) -> int:
+        """tracemalloc peak of a second eval of one 128x128 image, default widths."""
+        nets = {n: build_network(NetworkConfig(pu_size=n), seed=1) for n in sizes}
         image = D.synthetic_corpus(128, 1013, kinds=("directional",), per_kind=1)
-        cfg = TR.EvalConfig(block_sizes=(16, 8), policy="greedy")
+        cfg = TR.EvalConfig(block_sizes=sizes, policy=policy)
         TR.evaluate(nets, image, 32, cfg)
         tracemalloc.start()
         try:
             TR.evaluate(nets, image, 32, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 2**20
+
+    def test_greedy_eval_memory_is_bounded(self):
+        # one image's level runs in chunks of 1024 // n**2 blocks: about 7 MiB
+        # at 16/8 on a 128x128 image, where one pass per whole level takes
+        # over 100 MiB
+        assert self._second_eval_peak((16, 8), "greedy") < 12 * 2**20
+
+    def test_fixed_eval_memory_is_bounded(self):
+        # the 225 tiles of a 128x128 image run as one N=8 network chunk; its
+        # convs gather their patch matrices in slabs of about 4 MiB (29 MiB
+        # peak), where the first unit's whole fusion patch matrix alone takes
+        # 63 MiB (87 MiB peak)
+        assert self._second_eval_peak((8,), "fixed") < 45 * 2**20
 
     def test_fixed_eval_network_chunks_are_bounded(self, monkeypatch):
-        # an N=32 inference pass holds about 5 MiB per context at default
-        # widths, so fixed tiling runs at most 16 contexts per call there
+        # an N=32 inference pass at default widths holds about 14 MiB for one
+        # context and about 1.8 MiB for each further one (41 MiB for 16), so
+        # fixed tiling runs at most 16 contexts per call there
         sizes = []
 
         def recording(net, contexts, need_cache=True):
