@@ -13,7 +13,11 @@ Prints one `<name> <sha256>` line for each of:
   networks on six seeded 128x128 synthetic images at qp 32: fixed N=8,
   greedy 16/8, greedy 32/16/8, fixed N=8 with [1 2 1] reference
   smoothing, and fixed N=16 and N=32 (whose inference convs gather their
-  patch matrices in several slabs).
+  patch matrices in several slabs);
+- the output directories of three CLI verbs, files and written `.config`
+  included: `psrnn demo` of an untrained N=8 network built from the seed
+  (kind=directional, cases=2), and the tiny `compare-losses` and
+  `ablate-units` runs of tests/test_cli.py (config seed 0).
 
 Run it on two checkouts and diff the output to check that a change keeps
 model files, training logs and eval reports byte for byte:
@@ -25,8 +29,11 @@ at another checkout's src/ digests that checkout's library with this script.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -35,6 +42,7 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
+from psrnn import cli
 from psrnn import data as D
 from psrnn import model as M
 from psrnn import training as TR
@@ -97,6 +105,34 @@ def eval_digest(seed: int, sizes: tuple[int, ...], policy: str,
     return _sha(text.encode())
 
 
+def verb_digest(workdir: Path, verb: str, *args: str) -> str:
+    """Run a CLI verb with --out out/ inside workdir; digest every file it wrote.
+
+    Paths in the written config are relative to workdir, so the digest does
+    not depend on where the temporary directory lies.
+    """
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([verb, "--out", "out", *args])
+    finally:
+        os.chdir(cwd)
+    if code != 0:
+        raise SystemExit(f"psrnn {verb} failed")
+    h = hashlib.sha256()
+    for path in sorted((workdir / "out").iterdir()):
+        h.update(path.name.encode() + b"\n" + path.read_bytes())
+    return h.hexdigest()
+
+
+def demo_digest(seed: int, workdir: Path) -> str:
+    M.save_model(M.build_network(M.NetworkConfig(pu_size=8), seed=seed),
+                 workdir / "model.psrnn")
+    return verb_digest(workdir, "demo", "--seed", str(seed), "--set", "model=model.psrnn",
+                       "--set", "kind=directional", "--set", "cases=2")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -119,6 +155,16 @@ def main():
     print(f"eval-fixed-n8-smoothing.report {eval_digest(args.seed, (8,), 'fixed', True)}")
     print(f"eval-fixed-n16.report {eval_digest(args.seed, (16,), 'fixed')}")
     print(f"eval-fixed-n32.report {eval_digest(args.seed, (32,), 'fixed')}")
+    with tempfile.TemporaryDirectory() as tmp:
+        print(f"demo.out {demo_digest(args.seed, Path(tmp))}")
+    with tempfile.TemporaryDirectory() as tmp:
+        print("compare-losses.out " + verb_digest(
+            Path(tmp), "compare-losses", "--set", "iters=12", "--set", "samples=400",
+            "--set", "batch=8", "--set", "corpus_size=64", "--set", "seeds=1,2,3"))
+    with tempfile.TemporaryDirectory() as tmp:
+        print("ablate-units.out " + verb_digest(
+            Path(tmp), "ablate-units", "--set", "counts=1,2", "--set", "iters=10",
+            "--set", "samples=400", "--set", "batch=8", "--set", "corpus_size=64"))
 
 
 if __name__ == "__main__":

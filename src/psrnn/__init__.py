@@ -15,7 +15,7 @@ from .hadamard import SatdConfig, hadamard_matrix, satd, satd_batch, satd_loss_g
 from .layers import (AdamState, GruParams, LrSchedule, adam_step, gru_sweep_backward,
                      gru_sweep_forward, lr_at)
 from .model import (NetworkConfig, PsRnnNetwork, backward_batch, build_network,
-                    forward_batch, load_model, network_forward, save_model)
+                    forward_batch, load_model, save_model)
 from .training import EvalConfig, EvalReport, TrainConfig, evaluate, loss_and_grad, train
 
 __version__ = "0.1.0"

@@ -31,10 +31,10 @@ import numpy as np
 from . import data as D
 from .errors import ConfigError, UsageError
 from .hadamard import SatdConfig
-from .model import NetworkConfig, build_network, load_model, network_forward, save_model
+from .model import NetworkConfig, build_network, forward_batch, load_model, save_model
 from .training import (EvalConfig, TrainConfig, ablate_units,
                        compare_losses, evaluate, train, write_training_log)
-from .intra import best_mode_search, build_reference_samples, hm_lambda, predict_mode
+from .intra import best_modes, hm_lambda, reference_lines
 
 # ---------------------------------------------------------------------------
 # key=value config handling
@@ -237,34 +237,37 @@ def cmd_prepare(resolved: dict) -> int:
     return 0
 
 
+def _train_defaults(resolved: dict) -> dict:
+    """resolved over the train schema's defaults, for verbs that train with fewer keys."""
+    return {**{key: default for key, (_, default) in SCHEMAS["train"].items()}, **resolved}
+
+
 def _network_config(resolved: dict) -> NetworkConfig:
     return NetworkConfig(
         pu_size=resolved["n"],
-        preproc_channels=resolved.get("preproc_channels", (8, 8)),
-        unit_hidden=resolved.get("unit_hidden", (8, 4, 4)),
-        recon_channels=resolved.get("recon_channels", (8,)),
-        fusion_kernel=resolved.get("fusion_kernel", 3),
-        gate_activation=resolved.get("gate_activation", "sigmoid"),
+        preproc_channels=resolved["preproc_channels"],
+        unit_hidden=resolved["unit_hidden"],
+        recon_channels=resolved["recon_channels"],
+        fusion_kernel=resolved["fusion_kernel"],
+        gate_activation=resolved["gate_activation"],
         availability_mode=resolved["availability"],
-        fill_value=resolved.get("fill", 0.5),
+        fill_value=resolved["fill"],
     )
 
 
 def _train_config(resolved: dict) -> TrainConfig:
     return TrainConfig(
-        loss=resolved.get("loss", "satd"),
+        loss=resolved["loss"],
         total_iters=resolved["iters"],
-        milestones=resolved.get("milestones") or None,
-        base_lr=resolved.get("base_lr", 0.001),
+        milestones=resolved["milestones"] or None,
+        base_lr=resolved["base_lr"],
         batch_size=resolved["batch"],
         seed=resolved["seed"],
-        validation_fraction=resolved.get("val_fraction", 0.1),
-        selection_window=resolved.get("selection_window", 0.2),
-        satd=SatdConfig(partition=resolved.get("partition", 4),
-                        epsilon=resolved.get("epsilon", 1e-8)),
-        block_size=resolved["n"],
+        validation_fraction=resolved["val_fraction"],
+        selection_window=resolved["selection_window"],
+        satd=SatdConfig(partition=resolved["partition"], epsilon=resolved["epsilon"]),
         availability_mode=resolved["availability"],
-        clip_grad_norm=resolved.get("clip_grad_norm", 5.0) or None,
+        clip_grad_norm=resolved["clip_grad_norm"] or None,
     )
 
 
@@ -272,15 +275,14 @@ def _load_samples(resolved: dict):
     seed = resolved["seed"]
     n = resolved["n"]
     count = resolved["samples"]
-    fill = resolved.get("fill", 0.5)
+    fill = resolved["fill"]
     availability = resolved["availability"]
     source = resolved["data"]
     if source == "synthetic":
         images = D.synthetic_corpus(resolved["corpus_size"], seed,
-                                    kinds=resolved.get("corpus_kinds", ("directional", "sinusoid")),
-                                    per_kind=resolved.get("corpus_per_kind", 12))
-        return D.build_training_samples(images, n, count, seed,
-                                        qps=resolved.get("qps", D.TRAIN_QPS),
+                                    kinds=resolved["corpus_kinds"],
+                                    per_kind=resolved["corpus_per_kind"])
+        return D.build_training_samples(images, n, count, seed, qps=resolved["qps"],
                                         availability_mode=availability, fill=fill)
     src = Path(source)
     if src.is_dir():
@@ -303,8 +305,7 @@ def _load_samples(resolved: dict):
     images = [D.load_image(p) for p in D.read_manifest(src)]
     if not images:
         raise UsageError("no inputs in manifest")
-    return D.build_training_samples(images, n, count, seed,
-                                    qps=resolved.get("qps", D.TRAIN_QPS),
+    return D.build_training_samples(images, n, count, seed, qps=resolved["qps"],
                                     availability_mode=availability, fill=fill)
 
 
@@ -392,13 +393,13 @@ def cmd_demo(resolved: dict) -> int:
         block = D.make_context(recon.pixels, img.pixels,
                                (origin[0] - n, origin[1] - n), n,
                                net.config.availability_mode, net.config.fill_value)
-        pred_net = network_forward(net, block.context)
-        refs = build_reference_samples(recon.pixels, origin, n)
-        best = best_mode_search(refs, block.target.astype(np.float64), n, lam)
-        pred_base = predict_mode(refs, best.mode, n)
+        # the calls eval runs, on a batch of one block
+        pred_net, _ = forward_batch(net, block.context[None], need_cache=False)
+        lines, _ = reference_lines(recon.pixels, [origin], n)
+        _, _, pred_base = best_modes(lines, block.target[None], n, lam)
         D.save_pgm(block.context, out / f"{kind}_{case}_context.pgm")
-        D.save_pgm(pred_net, out / f"{kind}_{case}_psrnn.pgm")
-        D.save_pgm(pred_base, out / f"{kind}_{case}_baseline.pgm")
+        D.save_pgm(pred_net[0].astype(np.float32), out / f"{kind}_{case}_psrnn.pgm")
+        D.save_pgm(pred_base[0], out / f"{kind}_{case}_baseline.pgm")
         D.save_pgm(block.target, out / f"{kind}_{case}_truth.pgm")
     write_resolved("demo", resolved, out)
     print(f"wrote {resolved['cases']} prediction quads -> {out}")
@@ -407,12 +408,8 @@ def cmd_demo(resolved: dict) -> int:
 
 def cmd_compare_losses(resolved: dict) -> int:
     out = _out_dir(resolved)
-    base = {**resolved, "data": "synthetic", "loss": "satd",
-            "corpus_kinds": ("directional", "sinusoid"), "corpus_per_kind": 12,
-            "qps": D.TRAIN_QPS}
-    samples = _load_samples(base)
-    cfg = _train_config({**resolved, "loss": "satd"})
-    result = compare_losses(samples, cfg, resolved["seeds"])
+    base = _train_defaults(resolved)
+    result = compare_losses(_load_samples(base), _train_config(base), resolved["seeds"])
     with open(out / "compare_losses.csv", "w") as fh:
         fh.write("seed,satd_val_satd,satd_val_mse,mse_val_satd,mse_val_mse,satd_gap\n")
         for row in result["rows"]:
@@ -428,11 +425,9 @@ def cmd_compare_losses(resolved: dict) -> int:
 
 def cmd_ablate_units(resolved: dict) -> int:
     out = _out_dir(resolved)
-    base = {**resolved, "data": "synthetic",
-            "corpus_kinds": ("directional", "sinusoid"), "corpus_per_kind": 12,
-            "qps": D.TRAIN_QPS}
+    base = _train_defaults(resolved)
     samples = _load_samples(base)
-    cfg = _train_config({**resolved, "loss": "satd"})
+    cfg = _train_config(base)
     images = _eval_images({**resolved, "images": "synthetic",
                            "eval_size": resolved["corpus_size"], "eval_count": 3})
     rows = ablate_units(samples, resolved["counts"], cfg, images, qp=resolved["qp"])

@@ -171,6 +171,8 @@ def _load_raw(path: Path, data: bytes) -> GrayImage:
         width, height = (int(t) for t in sidecar.read_text().split()[:2])
     except (ValueError, IndexError):
         raise FormatError(f"sidecar {sidecar.name} must hold 'width height'") from None
+    if width < 1 or height < 1:
+        raise FormatError(f"bad dimensions {width}x{height}")
     if len(data) < width * height:
         raise FormatError("raw payload smaller than width*height")
     arr = np.frombuffer(data[: width * height], dtype=np.uint8)

@@ -8,18 +8,19 @@ samples. Mode indices: 0 planar, 1 DC, 2..34 angular (10 pure horizontal,
 26 pure vertical).
 
 References are the single line above (2N+1 samples including the corner)
-and to the left (2N samples). Unavailable segments are substituted by
-scanning from the bottom-left sample up the left column, through the corner
-and across the top, propagating the nearest available value; when nothing
-is available at all, the fill value (mid-gray 0.5) is used.
+and to the left (2N samples), held as one (4N+1,) line in scan order: from
+the bottom-left sample up the left column, through the corner and across
+the top. Unavailable segments are substituted along that scan, propagating
+the nearest available value; when nothing is available at all, mid-gray
+(FILL_VALUE) is used.
 
 Everything works on a chunk of k blocks at once. reference_lines gathers
-the (k, 4N+1) lines in that scan order with one fancy index and substitutes
-with a running maximum of the last available index; smooth_lines filters
-them; best_modes predicts all 35 modes of every block, scores the
-(k, 35, N, N) residues with one batched SATD and takes the argmin per
-block. The one-block functions build_reference_samples and best_mode_search
-are batches of one, and predict_mode reads the same predictor code.
+the (k, 4N+1) lines with one fancy index and substitutes with a running
+maximum of the last available index; smooth_lines filters them; best_modes
+predicts all 35 modes of every block, scores the (k, 35, N, N) residues
+with one batched SATD and takes the argmin per block. For one block,
+build_reference_samples is reference_lines of one origin, and predict_mode
+reads a line through the same predictor code.
 
 The 33 angular modes are table-driven: per block size, cached gather
 indices and 1/32-sample weights map the reference line concat(top, left)
@@ -30,7 +31,7 @@ and horizontal-mode transpose included. One gather yields all 33 modes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,30 +63,12 @@ DEFAULT_MODE_BITS = 6.0  # flat proxy per directional mode, no MPM modelling
 NETWORK_FLAG_BITS = 1.0  # selecting the network costs its flag bit only
 SPLIT_FLAG_BITS = 1.0    # one quad-tree split flag per greedy decision
 PIXEL_SCALE = 255.0      # rate-distortion costs are charged on the 8-bit scale
+FILL_VALUE = 0.5         # every sample of a line with no available segment
 
 
 def hm_lambda(qp: int) -> float:
     """Intra-search lambda for a quantization parameter, HM convention."""
     return 0.57 * 2.0 ** ((qp - 12) / 3.0)
-
-
-@dataclass
-class ReferenceSamples:
-    """The reference line of one block, split into its top and left parts."""
-
-    top: np.ndarray   # (2N+1,), top[0] is the corner above-left
-    left: np.ndarray  # (2N,)
-    available: dict[str, bool]
-    fill_value: float = 0.5
-    n: int = field(default=0)
-
-    def all_samples(self) -> np.ndarray:
-        """concat(top, left): the source order the predictors read."""
-        return np.concatenate([self.top, self.left])
-
-    def line(self) -> np.ndarray:
-        """The line in scan order, from the bottom-left sample to the top-right one."""
-        return np.concatenate([self.left[::-1], self.top])
 
 
 @functools.cache
@@ -104,8 +87,7 @@ def _line_layout(n: int) -> tuple[np.ndarray, ...]:
 
 
 def reference_lines(image: np.ndarray, origins, n: int,
-                    availability: dict[str, bool] | None = None,
-                    fill_value: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+                    availability: dict[str, bool] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Substituted reference lines of the n x n blocks at `origins`, in one gather.
 
     `origins` is a (k, 2) array of (y, x). Returns (lines, available): lines
@@ -135,7 +117,7 @@ def reference_lines(image: np.ndarray, origins, n: int,
     # clipping only moves the gather of lines with no available sample at all
     lines = image[np.clip(ys + dy[take], 0, h - 1),
                   np.clip(xs + dx[take], 0, w - 1)].astype(np.float64)
-    lines[~ok.any(axis=1)] = fill_value
+    lines[~ok.any(axis=1)] = FILL_VALUE
     return lines, available
 
 
@@ -147,14 +129,9 @@ def smooth_lines(lines: np.ndarray) -> np.ndarray:
 
 
 def build_reference_samples(image: np.ndarray, block_origin: tuple[int, int],
-                            n: int, availability: dict[str, bool] | None = None,
-                            fill_value: float = 0.5) -> ReferenceSamples:
-    """The substituted reference line of the block at block_origin (reference_lines of one)."""
-    lines, available = reference_lines(image, [block_origin], n, availability, fill_value)
-    line = lines[0]
-    return ReferenceSamples(top=line[2 * n :], left=line[: 2 * n][::-1].copy(),
-                            available=dict(zip(SEGMENTS, available[0].tolist())),
-                            fill_value=fill_value, n=n)
+                            n: int) -> np.ndarray:
+    """The (4n+1,) substituted reference line of the block at block_origin."""
+    return reference_lines(image, [block_origin], n)[0][0]
 
 
 def _predict_planar(src: np.ndarray, n: int) -> np.ndarray:
@@ -218,11 +195,6 @@ def _angular_tables(n: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def _check_refs(refs: ReferenceSamples, n: int) -> None:
-    if refs.top.shape != (2 * n + 1,) or refs.left.shape != (2 * n,):
-        raise ShapeError(f"references sized for n={refs.n}, requested n={n}")
-
-
 def _predict_all(src: np.ndarray, n: int) -> np.ndarray:
     """(k, 35, n, n) stack of every mode's prediction from (k, 4n+1) source-order references."""
     i1, i2, w1, w2 = _angular_tables(n)
@@ -233,12 +205,13 @@ def _predict_all(src: np.ndarray, n: int) -> np.ndarray:
     return preds
 
 
-def predict_mode(refs: ReferenceSamples, mode: int, n: int) -> np.ndarray:
-    """N x N prediction for one mode from complete (post-fill) references."""
+def predict_mode(line: np.ndarray, mode: int, n: int) -> np.ndarray:
+    """N x N prediction for one mode from a (4n+1,) substituted reference line."""
     if not 0 <= mode < N_MODES:
         raise ModeError(f"mode index must be 0..34, got {mode}")
-    _check_refs(refs, n)
-    src = refs.all_samples()
+    if line.shape != (4 * n + 1,):
+        raise ShapeError(f"need a ({4 * n + 1},) reference line for n={n}, got {line.shape}")
+    src = line[_line_layout(n)[3]]
     if mode == MODE_PLANAR:
         return _predict_planar(src[None], n)[0]
     if mode == MODE_DC:
@@ -289,14 +262,3 @@ def best_modes(lines: np.ndarray, targets: np.ndarray, n: int, lam: float,
     modes = np.argmin(satds + lam * DEFAULT_MODE_BITS, axis=1)
     rows = np.arange(k)
     return modes, satds[rows, modes], preds[rows, modes]
-
-
-def best_mode_search(refs: ReferenceSamples, target_block: np.ndarray, n: int,
-                     lam: float, satd_cfg: SatdConfig = SatdConfig()) -> ModeCost:
-    """best_modes on one block's references."""
-    if target_block.shape != (n, n):
-        raise ShapeError(f"target block must be ({n}, {n}), got {target_block.shape}")
-    _check_refs(refs, n)
-    modes, satds, _ = best_modes(refs.line()[None], target_block[None], n, lam, satd_cfg)
-    return ModeCost(mode=int(modes[0]), satd=float(satds[0]), bits_proxy=DEFAULT_MODE_BITS,
-                    lam=lam)

@@ -358,15 +358,6 @@ def backward_batch(net: PsRnnNetwork, caches, grad_pred: np.ndarray) -> dict[str
     return grads
 
 
-def network_forward(net: PsRnnNetwork, context: np.ndarray) -> np.ndarray:
-    """Predict the N x N bottom-right region from one 2N x 2N context."""
-    cs = net.config.context_size
-    if context.shape != (cs, cs):
-        raise ShapeError(f"context must be ({cs}, {cs}), got {context.shape}")
-    pred, _ = forward_batch(net, np.asarray(context, dtype=np.float64)[None], need_cache=False)
-    return pred[0].astype(np.float32)
-
-
 def clone_network(net: PsRnnNetwork) -> PsRnnNetwork:
     return copy.deepcopy(net)
 

@@ -44,7 +44,6 @@ class TrainConfig:
     validation_fraction: float = 0.1
     selection_window: float = 0.2  # final fraction searched for the best model
     satd: SatdConfig = field(default_factory=SatdConfig)
-    block_size: int = 8
     availability_mode: str = "three-block"
     clip_grad_norm: float | None = 5.0
     val_subset_cap: int = 512
@@ -143,6 +142,16 @@ def validation_metric(net: PsRnnNetwork, contexts, targets, loss_kind: str,
     return loss_and_grad(preds, targets, loss_kind, satd_cfg, need_grad=False)[0]
 
 
+def _validation_split(n_samples: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(val_idx, train_idx) of a sample set: a permutation drawn from cfg.seed
+    whose first validation_fraction validates, capped at val_subset_cap."""
+    split = stream(cfg.seed, "split").permutation(n_samples)
+    n_val = max(1, int(round(n_samples * cfg.validation_fraction)))
+    if n_val >= n_samples:
+        raise UsageError("not enough samples to split off a validation set")
+    return split[:n_val][: cfg.val_subset_cap], split[n_val:]
+
+
 def train(net: PsRnnNetwork, data, cfg: TrainConfig):
     """Run the minibatch loop; returns (best network, validation log rows).
 
@@ -151,19 +160,11 @@ def train(net: PsRnnNetwork, data, cfg: TrainConfig):
     parameters overwritten). Deterministic given cfg.seed.
     """
     samples = as_sample_set(data)
-    if net.config.pu_size != cfg.block_size:
-        raise ConfigError(
-            f"network pu_size {net.config.pu_size} != config block_size {cfg.block_size}")
     if samples.contexts.shape[1] != net.config.context_size:
         raise ConfigError(
             f"samples sized {samples.contexts.shape[1]} != context {net.config.context_size}")
 
-    split = stream(cfg.seed, "split").permutation(len(samples))
-    n_val = max(1, int(round(len(samples) * cfg.validation_fraction)))
-    if n_val >= len(samples):
-        raise UsageError("not enough samples to split off a validation set")
-    val_idx = split[:n_val][: cfg.val_subset_cap]
-    train_idx = split[n_val:]
+    val_idx, train_idx = _validation_split(len(samples), cfg)
     val_ctx = samples.contexts[val_idx]
     val_tgt = samples.targets[val_idx]
 
@@ -456,10 +457,11 @@ def _make_report(records: list[BlockRecord], qp: int, lam: float) -> EvalReport:
 # ---------------------------------------------------------------------------
 
 
-def _network_for(cfg: TrainConfig, seed: int, unit_hidden=None,
+def _network_for(samples: SampleSet, cfg: TrainConfig, seed: int, unit_hidden=None,
                  net_config: NetworkConfig | None = None) -> PsRnnNetwork:
+    """net_config's network, or a default-width one sized for the samples' contexts."""
     if net_config is None:
-        net_config = NetworkConfig(pu_size=cfg.block_size,
+        net_config = NetworkConfig(pu_size=samples.contexts.shape[1] // 2,
                                    availability_mode=cfg.availability_mode,
                                    unit_hidden=unit_hidden or (8, 4, 4))
     return build_network(net_config, seed=seed)
@@ -485,11 +487,9 @@ def compare_losses(data, cfg_base: TrainConfig, seeds,
         row = {"seed": seed}
         for arm, kind in zip(("satd", "mse"), kinds):
             cfg = replace(cfg_base, loss=kind, seed=seed)
-            net = _network_for(cfg, seed, net_config=net_config)
+            net = _network_for(samples, cfg, seed, net_config=net_config)
             net, _ = train(net, samples, cfg)
-            split = stream(seed, "split").permutation(len(samples))
-            val_idx = split[: max(1, int(round(len(samples) * cfg.validation_fraction)))]
-            val_idx = val_idx[: cfg.val_subset_cap]
+            val_idx, _ = _validation_split(len(samples), cfg)
             ctx, tgt = samples.contexts[val_idx], samples.targets[val_idx]
             row[f"{arm}_val_satd"] = validation_metric(net, ctx, tgt, "satd", cfg.satd)
             row[f"{arm}_val_mse"] = validation_metric(net, ctx, tgt, "mse", cfg.satd)
@@ -504,15 +504,16 @@ def compare_losses(data, cfg_base: TrainConfig, seeds,
 def ablate_units(data, unit_counts, cfg: TrainConfig, eval_images: list[GrayImage],
                  qp: int = 32) -> list[dict]:
     """Train one model per recurrent-unit count at a fixed budget."""
+    samples = as_sample_set(data)
     rows = []
     for count in unit_counts:
         if count < 1:
             raise UsageError("network must contain at least one recurrent unit")
         hidden = (8,) + (4,) * (count - 1)
-        net = _network_for(cfg, cfg.seed, unit_hidden=hidden)
-        net, log = train(net, data, cfg)
-        report = evaluate({cfg.block_size: net}, eval_images, qp,
-                          EvalConfig(block_sizes=(cfg.block_size,), satd=cfg.satd))
+        net = _network_for(samples, cfg, cfg.seed, unit_hidden=hidden)
+        net, log = train(net, samples, cfg)
+        n = net.config.pu_size
+        report = evaluate({n: net}, eval_images, qp, EvalConfig(block_sizes=(n,), satd=cfg.satd))
         rows.append({
             "units": count,
             "val_satd": log[-1].val_loss if cfg.loss == "satd" else float("nan"),

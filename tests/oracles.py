@@ -4,11 +4,12 @@
   spelled out) that the fused sweep in psrnn.layers must reproduce.
 - The eps-smoothed SATD objective, evaluated tile by tile, whose exact
   gradient psrnn.hadamard.satd_loss_grad_batch claims to be.
-- The per-block intra baseline: reference samples substituted by a Python
-  scan, [1 2 1] smoothing, planar and DC in closed form, the per-mode
-  angular predictor (build the projected reference line for one mode, then
-  interpolate) and a mode-by-mode search. psrnn.intra's batched gathers,
-  tables and search must reproduce it bit for bit.
+- The per-block intra baseline, on references in their own plain form
+  (Refs: top row, left column, per-segment availability): samples
+  substituted by a Python scan, [1 2 1] smoothing, planar and DC in closed
+  form, the per-mode angular predictor (build the projected reference line
+  for one mode, then interpolate) and a mode-by-mode search. psrnn.intra's
+  batched gathers, tables and search must reproduce it bit for bit.
 - The greedy quad-tree evaluation with one batch-1 network pass and one
   per-block record per candidate, which the level-batched evaluation must
   match.
@@ -23,6 +24,7 @@ All favour plainness over speed; the numeric ones run in float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from psrnn.data import (FOUR_BLOCK, THREE_BLOCK, TRAIN_QPS, ContextBlock, Degrad
 from psrnn.hadamard import SatdConfig, hadamard_matrix, satd
 from psrnn.intra import (DEFAULT_MODE_BITS, INTRA_PRED_ANGLE, INV_ANGLE, MODE_DC,
                          MODE_PLANAR, N_MODES, NETWORK, PIXEL_SCALE, SPLIT_FLAG_BITS,
-                         ModeCost, ReferenceSamples, hm_lambda, network_mode_cost)
+                         ModeCost, hm_lambda, network_mode_cost)
 from psrnn.layers import GruParams, _gate_fn
 from psrnn.model import forward_batch
 from psrnn.rng import stream
@@ -120,9 +122,22 @@ def satd_smooth(d: np.ndarray, cfg: SatdConfig = SatdConfig()) -> float:
     return total
 
 
+class Refs(NamedTuple):
+    """One block's references: the row above and the column to the left."""
+
+    top: np.ndarray   # (2n+1,), top[0] is the corner above-left
+    left: np.ndarray  # (2n,), from the row of the block's first line down
+    available: dict[str, bool]
+
+
+def scan_line(refs: Refs) -> np.ndarray:
+    """The (4n+1,) line psrnn.intra works on: bottom-left sample to top-right one."""
+    return np.concatenate([refs.left[::-1], refs.top])
+
+
 def reference_samples_loop(image: np.ndarray, origin: tuple[int, int], n: int,
                            availability: dict[str, bool] | None = None,
-                           fill_value: float = 0.5) -> ReferenceSamples:
+                           fill_value: float = 0.5) -> Refs:
     """Slice one block's reference segments, then fill the gaps by a scan."""
     h, w = image.shape
     y, x = origin
@@ -149,7 +164,7 @@ def reference_samples_loop(image: np.ndarray, origin: tuple[int, int], n: int,
     if avail["below-left"]:
         left[n:] = img[y + n : y + 2 * n, x - 1]
     substitute_loop(top, left, avail, n, fill_value)
-    return ReferenceSamples(top=top, left=left, available=avail, fill_value=fill_value, n=n)
+    return Refs(top=top, left=left, available=avail)
 
 
 def substitute_loop(top: np.ndarray, left: np.ndarray, avail: dict[str, bool],
@@ -183,18 +198,16 @@ def substitute_loop(top: np.ndarray, left: np.ndarray, avail: dict[str, bool],
             arr[idx] = prev
 
 
-def smooth_references_loop(refs: ReferenceSamples) -> ReferenceSamples:
+def smooth_references_loop(refs: Refs) -> Refs:
     """[1 2 1]/4 filtering along the reference line; endpoints unchanged."""
-    n = refs.n
-    line = np.concatenate([refs.left[::-1], refs.top])  # bottom-left .. top-right
+    n2 = len(refs.left)
+    line = scan_line(refs)
     sm = line.copy()
     sm[1:-1] = (line[:-2] + 2.0 * line[1:-1] + line[2:]) / 4.0
-    return ReferenceSamples(top=sm[2 * n :], left=sm[: 2 * n][::-1].copy(),
-                            available=dict(refs.available),
-                            fill_value=refs.fill_value, n=n)
+    return Refs(top=sm[n2:], left=sm[:n2][::-1].copy(), available=dict(refs.available))
 
 
-def predict_planar_loop(refs: ReferenceSamples, n: int) -> np.ndarray:
+def predict_planar_loop(refs: Refs, n: int) -> np.ndarray:
     top = refs.top[1 : n + 1]
     left = refs.left[:n]
     tr = refs.top[n + 1]
@@ -206,7 +219,7 @@ def predict_planar_loop(refs: ReferenceSamples, n: int) -> np.ndarray:
     return (horiz + vert) / (2.0 * n)
 
 
-def predict_dc_loop(refs: ReferenceSamples, n: int) -> np.ndarray:
+def predict_dc_loop(refs: Refs, n: int) -> np.ndarray:
     dc = (refs.top[1:].sum() + refs.left.sum()) / (4.0 * n)
     return np.full((n, n), dc, dtype=np.float64)
 
@@ -232,7 +245,7 @@ def angular_ref_array(primary_full: np.ndarray, secondary: np.ndarray,
     return ref, off
 
 
-def predict_mode_loop(refs: ReferenceSamples, mode: int, n: int) -> np.ndarray:
+def predict_mode_loop(refs: Refs, mode: int, n: int) -> np.ndarray:
     """N x N prediction for one mode: closed-form planar/DC, else predict_angular."""
     if mode == MODE_PLANAR:
         return predict_planar_loop(refs, n)
@@ -241,7 +254,7 @@ def predict_mode_loop(refs: ReferenceSamples, mode: int, n: int) -> np.ndarray:
     return predict_angular(refs, mode, n)
 
 
-def predict_angular(refs: ReferenceSamples, mode: int, n: int) -> np.ndarray:
+def predict_angular(refs: Refs, mode: int, n: int) -> np.ndarray:
     """N x N prediction of angular mode 2..34, one mode at a time."""
     angle = INTRA_PRED_ANGLE[mode - 2]
     vertical = mode >= 18
@@ -261,7 +274,7 @@ def predict_angular(refs: ReferenceSamples, mode: int, n: int) -> np.ndarray:
     return pred if vertical else pred.T
 
 
-def mode_search_loop(refs: ReferenceSamples, target: np.ndarray, n: int, lam: float,
+def mode_search_loop(refs: Refs, target: np.ndarray, n: int, lam: float,
                      satd_cfg: SatdConfig = SatdConfig()) -> tuple[ModeCost, np.ndarray]:
     """Score the 35 modes one at a time; the first strict minimum wins.
 

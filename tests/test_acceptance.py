@@ -364,27 +364,25 @@ def test_gru_contract():
 
 
 def test_baseline_golden_and_search_oracle():
+    # references are scan-order lines: left column bottom-up, corner, top row
     n = 8
-    flat = I.ReferenceSamples(top=np.full(2 * n + 1, 0.5), left=np.full(2 * n, 0.5),
-                              available={k: True for k in I.SEGMENTS}, n=n)
+    flat = np.full(4 * n + 1, 0.5)
     np.testing.assert_array_equal(I.predict_mode(flat, I.MODE_DC, n), np.full((n, n), 0.5))
 
     gen = np.random.default_rng(1005)
-    refs = I.ReferenceSamples(top=gen.random(2 * n + 1), left=gen.random(2 * n),
-                              available={k: True for k in I.SEGMENTS}, n=n)
-    ph = I.predict_mode(refs, I.MODE_HORIZONTAL, n)
+    top, left = gen.random(2 * n + 1), gen.random(2 * n)
+    line = np.concatenate([left[::-1], top])
+    ph = I.predict_mode(line, I.MODE_HORIZONTAL, n)
     for y in range(n):
-        np.testing.assert_array_equal(ph[y], np.full(n, refs.left[y]))
-    pv = I.predict_mode(refs, I.MODE_VERTICAL, n)
+        np.testing.assert_array_equal(ph[y], np.full(n, left[y]))
+    pv = I.predict_mode(line, I.MODE_VERTICAL, n)
     for x in range(n):
-        np.testing.assert_array_equal(pv[:, x], np.full(n, refs.top[1 + x]))
+        np.testing.assert_array_equal(pv[:, x], np.full(n, top[1 + x]))
 
     a, bx, by = 0.3, 0.02, 0.015
     plane = lambda y, x: a + bx * x + by * y
-    lin = I.ReferenceSamples(
-        top=np.array([plane(-1, x) for x in range(-1, 2 * n)]),
-        left=np.array([plane(y, -1) for y in range(2 * n)]),
-        available={k: True for k in I.SEGMENTS}, n=n)
+    lin = np.concatenate([[plane(y, -1) for y in range(2 * n - 1, -1, -1)],
+                          [plane(-1, x) for x in range(-1, 2 * n)]])
     pred = I.predict_mode(lin, I.MODE_PLANAR, n)
     u = np.arange(n)[:, None] / (n - 1)
     v = np.arange(n)[None, :] / (n - 1)
@@ -396,17 +394,16 @@ def test_baseline_golden_and_search_oracle():
     cfg = H.SatdConfig()
     for k in range(200):
         size = 4 if k % 2 == 0 else 8
-        r = I.ReferenceSamples(top=gen.random(2 * size + 1), left=gen.random(2 * size),
-                               available={kk: True for kk in I.SEGMENTS}, n=size)
+        r = gen.random(4 * size + 1)
         target = gen.random((size, size))
-        best = I.best_mode_search(r, target, size, lam)
+        modes, satds, _ = I.best_modes(r[None], target[None], size, lam)
         costs = []
         for mode in range(35):
             p = I.predict_mode(r, mode, size)
             costs.append(H.satd(p - target, cfg) * I.PIXEL_SCALE
                          + lam * I.DEFAULT_MODE_BITS)
-        assert best.total == min(costs)
-        assert best.mode == int(np.argmin(costs))
+        assert float(satds[0]) + lam * I.DEFAULT_MODE_BITS == min(costs)
+        assert int(modes[0]) == int(np.argmin(costs))
     ok("baseline-correctness", "(golden modes exact, 200-block search oracle exact)")
 
 
@@ -479,9 +476,9 @@ def test_variable_block_size():
     gen = np.random.default_rng(1009)
     for n in (4, 8, 16, 32):
         net = M.build_network(M.NetworkConfig(pu_size=n), seed=7)
-        ctx = gen.random((2 * n, 2 * n)).astype(np.float32)
-        pred = M.network_forward(net, ctx)
-        assert pred.shape == (n, n)
+        ctx = gen.random((1, 2 * n, 2 * n)).astype(np.float32)
+        pred, _ = M.forward_batch(net, ctx, need_cache=False)
+        assert pred.shape == (1, n, n)
         assert pred.min() >= 0.0 and pred.max() <= 1.0
     ok("variable-block-size", "(per-N 4/8/16/32 shapes)")
 

@@ -62,6 +62,15 @@ class TestPgm:
         with pytest.raises(FormatError):
             D.load_image(p)
 
+    @pytest.mark.parametrize("sidecar", ["-1 4", "0 5", "6 -1"])
+    def test_raw_plane_sizes_below_one(self, tmp_path, sidecar):
+        # a negative size used to reshape to a wrong image, a zero one to an empty one
+        p = tmp_path / "a.y"
+        p.write_bytes(bytes(range(36)))
+        (tmp_path / "a.y.txt").write_text(sidecar + "\n")
+        with pytest.raises(FormatError, match="bad dimensions"):
+            D.load_image(p)
+
     def test_unsupported_format(self, tmp_path):
         p = tmp_path / "a.png"
         p.write_bytes(b"\x89PNG....")

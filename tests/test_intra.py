@@ -3,57 +3,71 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from oracles import (mode_search_loop, predict_mode_loop, reference_samples_loop,
-                     smooth_references_loop)
+                     scan_line, smooth_references_loop)
 from psrnn import intra as I
 from psrnn.errors import ModeError, ShapeError, SizeError
 from psrnn.hadamard import SatdConfig, satd
 
 
-def random_refs(seed, n=8):
-    gen = np.random.default_rng(seed)
-    return I.ReferenceSamples(top=gen.random(2 * n + 1), left=gen.random(2 * n),
-                              available={k: True for k in I.SEGMENTS}, n=n)
+def random_line(seed, n=8):
+    return np.random.default_rng(seed).random(4 * n + 1)
+
+
+def top_left(line, n):
+    """A scan-order line's top row (corner first) and left column (top down)."""
+    return line[2 * n :], line[: 2 * n][::-1]
+
+
+def line_of(top, left):
+    return np.concatenate([left[::-1], top])
+
+
+def one_block(img, origin, n, availability=None):
+    """reference_lines of one block: its line and its availability by segment."""
+    lines, available = I.reference_lines(img, [origin], n, availability=availability)
+    return lines[0], dict(zip(I.SEGMENTS, available[0].tolist()))
 
 
 class TestReferenceConstruction:
     def test_interior_block_no_filling(self):
         gen = np.random.default_rng(0)
         img = gen.random((32, 32)).astype(np.float32)
-        refs = I.build_reference_samples(img, (8, 8), 4)
-        assert all(refs.available.values())
-        np.testing.assert_allclose(refs.top[0], img[7, 7])
-        np.testing.assert_allclose(refs.top[1:], img[7, 8:16])
-        np.testing.assert_allclose(refs.left, img[8:16, 7])
+        line, available = one_block(img, (8, 8), 4)
+        assert all(available.values())
+        top, left = top_left(line, 4)
+        np.testing.assert_allclose(top[0], img[7, 7])
+        np.testing.assert_allclose(top[1:], img[7, 8:16])
+        np.testing.assert_allclose(left, img[8:16, 7])
+        assert I.build_reference_samples(img, (8, 8), 4).tobytes() == line.tobytes()
 
     def test_corner_block_all_mid_gray(self):
         img = np.random.default_rng(1).random((32, 32)).astype(np.float32)
-        refs = I.build_reference_samples(img, (0, 0), 4)
-        assert not any(refs.available.values())
-        assert np.all(refs.top == 0.5)
-        assert np.all(refs.left == 0.5)
+        line, available = one_block(img, (0, 0), 4)
+        assert not any(available.values())
+        assert np.all(line == I.FILL_VALUE) and I.FILL_VALUE == 0.5
 
     def test_left_edge_extends_first_above_sample(self):
         img = np.random.default_rng(2).random((32, 32)).astype(np.float32)
-        refs = I.build_reference_samples(img, (8, 0), 4)
-        assert not refs.available["left"] and not refs.available["corner"]
-        assert refs.available["above"]
+        line, available = one_block(img, (8, 0), 4)
+        assert not available["left"] and not available["corner"]
+        assert available["above"]
+        top, left = top_left(line, 4)
         first_above = img[7, 0]
-        np.testing.assert_allclose(refs.left, first_above)
-        np.testing.assert_allclose(refs.top[0], first_above)
+        np.testing.assert_allclose(left, first_above)
+        np.testing.assert_allclose(top[0], first_above)
 
     def test_top_edge_extends_left_samples(self):
         img = np.random.default_rng(3).random((32, 32)).astype(np.float32)
-        refs = I.build_reference_samples(img, (0, 8), 4)
-        assert refs.available["left"] and not refs.available["above"]
+        line, available = one_block(img, (0, 8), 4)
+        assert available["left"] and not available["above"]
         # scan runs left-bottom -> corner -> top; top inherits the last left sample
-        np.testing.assert_allclose(refs.top, img[0, 7])
+        np.testing.assert_allclose(top_left(line, 4)[0], img[0, 7])
 
     def test_forced_unavailability(self):
         img = np.full((32, 32), 0.25, dtype=np.float32)
-        refs = I.build_reference_samples(img, (8, 8), 4,
-                                         availability={"below-left": False})
-        assert not refs.available["below-left"]
-        np.testing.assert_allclose(refs.left[4:], img[11, 7])  # extended upward value
+        line, available = one_block(img, (8, 8), 4, availability={"below-left": False})
+        assert not available["below-left"]
+        np.testing.assert_allclose(top_left(line, 4)[1][4:], img[11, 7])  # extended upward
 
     def test_block_outside_image(self):
         img = np.zeros((16, 16), dtype=np.float32)
@@ -63,27 +77,28 @@ class TestReferenceConstruction:
     def test_unknown_segment_rejected(self):
         img = np.zeros((32, 32), dtype=np.float32)
         with pytest.raises(ShapeError):
-            I.build_reference_samples(img, (8, 8), 4, availability={"behind": True})
+            I.reference_lines(img, [(8, 8)], 4, availability={"behind": True})
 
 
 class TestPredictions:
     def test_dc_constant(self):
         n = 8
-        refs = I.ReferenceSamples(top=np.full(2 * n + 1, 0.5), left=np.full(2 * n, 0.5),
-                                  available={k: True for k in I.SEGMENTS}, n=n)
-        np.testing.assert_array_equal(I.predict_mode(refs, I.MODE_DC, n), np.full((n, n), 0.5))
+        np.testing.assert_array_equal(I.predict_mode(np.full(4 * n + 1, 0.5), I.MODE_DC, n),
+                                      np.full((n, n), 0.5))
 
     def test_horizontal_row_copy(self):
-        refs = random_refs(5)
-        pred = I.predict_mode(refs, I.MODE_HORIZONTAL, 8)
+        line = random_line(5)
+        pred = I.predict_mode(line, I.MODE_HORIZONTAL, 8)
+        left = top_left(line, 8)[1]
         for y in range(8):
-            np.testing.assert_array_equal(pred[y], np.full(8, refs.left[y]))
+            np.testing.assert_array_equal(pred[y], np.full(8, left[y]))
 
     def test_vertical_column_copy(self):
-        refs = random_refs(6)
-        pred = I.predict_mode(refs, I.MODE_VERTICAL, 8)
+        line = random_line(6)
+        pred = I.predict_mode(line, I.MODE_VERTICAL, 8)
+        top = top_left(line, 8)[0]
         for x in range(8):
-            np.testing.assert_array_equal(pred[:, x], np.full(8, refs.top[1 + x]))
+            np.testing.assert_array_equal(pred[:, x], np.full(8, top[1 + x]))
 
     def test_planar_on_linear_refs_is_bilinear_through_corners(self):
         n = 8
@@ -91,42 +106,41 @@ class TestPredictions:
         plane = lambda y, x: a + bx * x + by * y
         top = np.array([plane(-1, x) for x in range(-1, 2 * n)])
         left = np.array([plane(y, -1) for y in range(0, 2 * n)])
-        refs = I.ReferenceSamples(top=top, left=left,
-                                  available={k: True for k in I.SEGMENTS}, n=n)
-        pred = I.predict_mode(refs, I.MODE_PLANAR, n)
+        pred = I.predict_mode(line_of(top, left), I.MODE_PLANAR, n)
         u = np.arange(n)[:, None] / (n - 1)
         v = np.arange(n)[None, :] / (n - 1)
         want = (pred[0, 0] * (1 - u) * (1 - v) + pred[0, -1] * (1 - u) * v
                 + pred[-1, 0] * u * (1 - v) + pred[-1, -1] * u * v)
         assert np.max(np.abs(pred - want)) < 1.0 / 255
         # constant references reproduce the constant exactly
-        flat = I.ReferenceSamples(top=np.full(2 * n + 1, 0.4), left=np.full(2 * n, 0.4),
-                                  available={k: True for k in I.SEGMENTS}, n=n)
-        np.testing.assert_allclose(I.predict_mode(flat, I.MODE_PLANAR, n), 0.4, rtol=1e-12)
+        np.testing.assert_allclose(I.predict_mode(np.full(4 * n + 1, 0.4), I.MODE_PLANAR, n),
+                                   0.4, rtol=1e-12)
 
     def test_invalid_mode(self):
         with pytest.raises(ModeError):
-            I.predict_mode(random_refs(0), 35, 8)
+            I.predict_mode(random_line(0), 35, 8)
         with pytest.raises(ModeError):
-            I.predict_mode(random_refs(0), -1, 8)
+            I.predict_mode(random_line(0), -1, 8)
+
+    def test_wrong_line_shape(self):
+        with pytest.raises(ShapeError):
+            I.predict_mode(random_line(0, n=4), I.MODE_DC, 8)
+        with pytest.raises(ShapeError):
+            I.predict_mode(random_line(0)[None], I.MODE_DC, 8)
 
     @given(seed=st.integers(0, 5000), mode=st.integers(1, 34))
     def test_convex_combination_bounds(self, seed, mode):
-        refs = random_refs(seed)
-        pred = I.predict_mode(refs, mode, 8)
-        lo = min(refs.top.min(), refs.left.min())
-        hi = max(refs.top.max(), refs.left.max())
-        assert pred.min() >= lo - 1e-12
-        assert pred.max() <= hi + 1e-12
+        line = random_line(seed)
+        pred = I.predict_mode(line, mode, 8)
+        assert pred.min() >= line.min() - 1e-12
+        assert pred.max() <= line.max() + 1e-12
 
     @given(seed=st.integers(0, 5000), mode=st.sampled_from([1] + list(range(2, 35))),
            delta=st.floats(-0.2, 0.2))
     def test_translation_equivariance(self, seed, mode, delta):
-        refs = random_refs(seed)
-        shifted = I.ReferenceSamples(top=refs.top + delta, left=refs.left + delta,
-                                     available=refs.available, n=refs.n)
-        p0 = I.predict_mode(refs, mode, 8)
-        p1 = I.predict_mode(shifted, mode, 8)
+        line = random_line(seed)
+        p0 = I.predict_mode(line, mode, 8)
+        p1 = I.predict_mode(line + delta, mode, 8)
         np.testing.assert_allclose(p1 - p0, delta, atol=1e-9)
 
     @given(n=st.sampled_from([4, 8, 16, 32]), seed=st.integers(0, 2**32 - 1),
@@ -135,95 +149,86 @@ class TestPredictions:
     def test_tables_match_per_mode_oracle(self, n, seed, avail):
         # any availability mask at an interior block, bit for bit
         img = np.random.default_rng(seed).random((4 * n, 4 * n))
-        refs = I.build_reference_samples(img, (n, n), n, availability=avail)
+        refs = reference_samples_loop(img, (n, n), n, availability=avail)
         for mode in range(I.N_MODES):
             want = predict_mode_loop(refs, mode, n).tobytes()
-            assert I.predict_mode(refs, mode, n).tobytes() == want
+            assert I.predict_mode(scan_line(refs), mode, n).tobytes() == want
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32])
     def test_all_modes_all_sizes(self, n):
-        gen = np.random.default_rng(n)
-        refs = I.ReferenceSamples(top=gen.random(2 * n + 1), left=gen.random(2 * n),
-                                  available={k: True for k in I.SEGMENTS}, n=n)
+        line = random_line(n, n=n)
         for mode in range(I.N_MODES):
-            pred = I.predict_mode(refs, mode, n)
+            pred = I.predict_mode(line, mode, n)
             assert pred.shape == (n, n)
             assert np.isfinite(pred).all()
 
 
-def smoothed(refs):
-    """smooth_lines on one block's line, split back into (top, left) like ReferenceSamples."""
-    line = I.smooth_lines(refs.line()[None])[0]
-    return I.ReferenceSamples(top=line[2 * refs.n :], left=line[: 2 * refs.n][::-1],
-                              available=refs.available, n=refs.n)
+def smoothed(line):
+    return I.smooth_lines(line[None])[0]
 
 
 class TestSmoothing:
     def test_endpoints_unchanged(self):
-        refs = random_refs(9)
-        sm = smoothed(refs)
-        assert sm.top[-1] == refs.top[-1]
-        assert sm.left[-1] == refs.left[-1]
+        line = random_line(9)
+        sm = smoothed(line)
+        assert sm[0] == line[0] and sm[-1] == line[-1]
 
     def test_interior_is_121_filter(self):
-        refs = random_refs(10)
-        sm = smoothed(refs)
-        n = refs.n
-        want_corner = (refs.left[0] + 2 * refs.top[0] + refs.top[1]) / 4
-        assert sm.top[0] == pytest.approx(want_corner)
-        want_top3 = (refs.top[2] + 2 * refs.top[3] + refs.top[4]) / 4
-        assert sm.top[3] == pytest.approx(want_top3)
-        want_left2 = (refs.left[1] + 2 * refs.left[2] + refs.left[3]) / 4
-        assert sm.left[2] == pytest.approx(want_left2)
+        line = random_line(10)
+        (top, left), (sm_top, sm_left) = top_left(line, 8), top_left(smoothed(line), 8)
+        want_corner = (left[0] + 2 * top[0] + top[1]) / 4
+        assert sm_top[0] == pytest.approx(want_corner)
+        want_top3 = (top[2] + 2 * top[3] + top[4]) / 4
+        assert sm_top[3] == pytest.approx(want_top3)
+        want_left2 = (left[1] + 2 * left[2] + left[3]) / 4
+        assert sm_left[2] == pytest.approx(want_left2)
 
     def test_constant_refs_invariant(self):
-        n = 4
-        refs = I.ReferenceSamples(top=np.full(2 * n + 1, 0.3), left=np.full(2 * n, 0.3),
-                                  available={k: True for k in I.SEGMENTS}, n=n)
-        sm = smoothed(refs)
-        np.testing.assert_allclose(sm.top, 0.3)
-        np.testing.assert_allclose(sm.left, 0.3)
+        np.testing.assert_allclose(smoothed(np.full(4 * 4 + 1, 0.3)), 0.3)
+
+
+def search_one(line, target, n, lam):
+    """best_modes on a batch of one block: (mode, satd, prediction)."""
+    modes, satds, preds = I.best_modes(line[None], target[None], n, lam)
+    return int(modes[0]), float(satds[0]), preds[0]
 
 
 class TestBestModeSearch:
     def test_dc_wins_on_dc_target(self):
-        refs = random_refs(11)
-        target = I.predict_mode(refs, I.MODE_DC, 8)
-        cost = I.best_mode_search(refs, target, 8, lam=10.0)
-        assert cost.mode == I.MODE_DC
-        assert cost.satd == 0.0
+        line = random_line(11)
+        target = I.predict_mode(line, I.MODE_DC, 8)
+        mode, satd_, _ = search_one(line, target, 8, lam=10.0)
+        assert (mode, satd_) == (I.MODE_DC, 0.0)
 
     def test_horizontal_stripes_pick_mode_10(self):
-        refs = random_refs(12)
-        target = np.repeat(refs.left[:8, None], 8, axis=1)
-        cost = I.best_mode_search(refs, target, 8, lam=10.0)
-        assert cost.mode == I.MODE_HORIZONTAL
-        assert cost.satd == 0.0
+        line = random_line(12)
+        target = np.repeat(top_left(line, 8)[1][:8, None], 8, axis=1)
+        mode, satd_, _ = search_one(line, target, 8, lam=10.0)
+        assert (mode, satd_) == (I.MODE_HORIZONTAL, 0.0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_exhaustive_recheck(self, seed):
         gen = np.random.default_rng(100 + seed)
-        refs = random_refs(seed)
+        line = random_line(seed)
         target = gen.random((8, 8))
         lam = I.hm_lambda(32)
-        best = I.best_mode_search(refs, target, 8, lam)
+        mode, best_satd, best_pred = search_one(line, target, 8, lam)
+        best_total = best_satd + lam * I.DEFAULT_MODE_BITS
         cfg = SatdConfig()
-        for mode in range(35):
-            pred = I.predict_mode(refs, mode, 8)
+        for m in range(35):
+            pred = I.predict_mode(line, m, 8)
             total = satd(pred - target, cfg) * I.PIXEL_SCALE + lam * I.DEFAULT_MODE_BITS
-            assert best.total <= total + 1e-9
-        # and the winner's cost is attained exactly by its own mode
-        pred = I.predict_mode(refs, best.mode, 8)
-        recomputed = satd(pred - target, cfg) * I.PIXEL_SCALE
-        assert best.satd == pytest.approx(recomputed, rel=1e-12)
+            assert best_total <= total + 1e-9
+        # the winner's prediction and cost are attained exactly by its own mode
+        pred = I.predict_mode(line, mode, 8)
+        assert pred.tobytes() == best_pred.tobytes()
+        assert best_satd == pytest.approx(satd(pred - target, cfg) * I.PIXEL_SCALE, rel=1e-12)
 
     def test_tie_breaks_to_lowest_index(self):
         n = 4
-        refs = I.ReferenceSamples(top=np.full(2 * n + 1, 0.5), left=np.full(2 * n, 0.5),
-                                  available={k: True for k in I.SEGMENTS}, n=n)
         target = np.full((n, n), 0.5)
-        best = I.best_mode_search(refs, target, n, lam=1.0)
-        assert best.mode == 0  # every mode ties at satd 0 and equal bits
+        mode, _, _ = search_one(np.full(4 * n + 1, 0.5), target, n, lam=1.0)
+        assert mode == 0  # every mode ties at satd 0 and equal bits
 
     def test_network_cost_entry(self):
         cost = I.network_mode_cost(0.5, lam=2.0)
@@ -238,7 +243,7 @@ class TestBestModeSearch:
 
     def test_wrong_target_shape(self):
         with pytest.raises(ShapeError):
-            I.best_mode_search(random_refs(0), np.zeros((4, 4)), 8, lam=1.0)
+            search_one(random_line(0), np.zeros((4, 4)), 8, lam=1.0)
 
 
 class TestBatchedSearch:
@@ -269,16 +274,15 @@ class TestBatchedSearch:
             assert available[i].tolist() == [refs.available[k] for k in I.SEGMENTS]
             if smoothing:
                 refs = smooth_references_loop(refs)
-            assert lines[i].tobytes() == np.concatenate([refs.left[::-1], refs.top]).tobytes()
+            assert lines[i].tobytes() == scan_line(refs).tobytes()
             best, pred = mode_search_loop(refs, targets[i], n, lam)
             assert (int(modes[i]), float(satds[i])) == (best.mode, best.satd)
             assert preds[i].tobytes() == pred.tobytes()
-            # the one-block API is a batch of one
-            one = I.build_reference_samples(img, (y, x), n, availability=avail)
-            if smoothing:
-                one = smoothed(one)
-            assert one.all_samples().tobytes() == refs.all_samples().tobytes()
-            assert I.best_mode_search(one, targets[i], n, lam) == best
+            # the one-block calls: a line of one origin, one mode's prediction
+            if not avail:
+                one = I.build_reference_samples(img, (y, x), n)
+                assert (smoothed(one) if smoothing else one).tobytes() == lines[i].tobytes()
+            assert I.predict_mode(lines[i], best.mode, n).tobytes() == pred.tobytes()
 
     def test_ties_break_to_lowest_index_per_block(self):
         # a flat image makes every mode predict the same block

@@ -45,21 +45,23 @@ class TestForward:
     @pytest.mark.parametrize("n", [4, 8])
     def test_output_shape(self, n):
         net = M.build_network(M.NetworkConfig(pu_size=n), seed=0)
-        ctx = np.random.default_rng(0).random((2 * n, 2 * n)).astype(np.float32)
-        pred = M.network_forward(net, ctx)
-        assert pred.shape == (n, n)
+        ctx = np.random.default_rng(0).random((1, 2 * n, 2 * n)).astype(np.float32)
+        pred, _ = M.forward_batch(net, ctx, need_cache=False)
+        assert pred.shape == (1, n, n)
 
     def test_wrong_context_size(self):
         net = M.build_network(M.NetworkConfig(pu_size=8), seed=0)
         with pytest.raises(ShapeError):
-            M.network_forward(net, np.zeros((8, 8), np.float32))
+            M.forward_batch(net, np.zeros((1, 8, 8), np.float32), need_cache=False)
+        with pytest.raises(ShapeError):
+            M.forward_batch(net, np.zeros((16, 16), np.float32), need_cache=False)
 
     def test_output_clipped_regardless_of_weights(self):
         net = M.build_network(TINY, seed=3)
         for arr in M.parameters(net).values():
             arr[...] = arr * 40.0  # force the pre-clip output out of range
-        ctx = np.random.default_rng(1).random((8, 8)).astype(np.float32)
-        pred = M.network_forward(net, ctx)
+        ctx = np.random.default_rng(1).random((1, 8, 8)).astype(np.float32)
+        pred, _ = M.forward_batch(net, ctx, need_cache=False)
         assert pred.min() >= 0.0 and pred.max() <= 1.0
 
     def test_batch_matches_single(self):
@@ -67,9 +69,8 @@ class TestForward:
         ctxs = np.random.default_rng(2).random((3, 8, 8))
         preds, _ = M.forward_batch(net, ctxs)
         for i in range(3):
-            np.testing.assert_allclose(
-                preds[i], M.network_forward(net, ctxs[i].astype(np.float32)),
-                rtol=0, atol=1e-7)
+            one, _ = M.forward_batch(net, ctxs[i : i + 1], need_cache=False)
+            np.testing.assert_allclose(preds[i], one[0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32])
     def test_lean_forward_matches_cached(self, n, monkeypatch):
@@ -295,9 +296,9 @@ class TestSerialization:
         p1, p2 = M.parameters(net), M.parameters(loaded)
         for k in p1:
             assert p1[k].tobytes() == p2[k].tobytes(), k
-        ctx = np.random.default_rng(0).random((16, 16)).astype(np.float32)
-        np.testing.assert_array_equal(M.network_forward(net, ctx),
-                                      M.network_forward(loaded, ctx))
+        ctx = np.random.default_rng(0).random((1, 16, 16)).astype(np.float32)
+        np.testing.assert_array_equal(M.forward_batch(net, ctx, need_cache=False)[0],
+                                      M.forward_batch(loaded, ctx, need_cache=False)[0])
 
     def test_truncated_file(self, tmp_path):
         net = M.build_network(TINY, seed=0)

@@ -115,10 +115,11 @@ class TestTrain:
         with pytest.raises(UsageError):
             TR.train(net, D.sample_contexts(img, img, 8, 0), small_cfg())
 
-    def test_block_size_mismatch(self):
+    def test_sample_size_mismatch(self):
+        # N=16 contexts are 32x32; the N=8 network reads 16x16
         net = build_network(SMALL_NET, seed=2)
-        with pytest.raises(ConfigError):
-            TR.train(net, make_samples(), small_cfg(block_size=16))
+        with pytest.raises(ConfigError, match="samples sized 32"):
+            TR.train(net, make_samples(n=16, count=100), small_cfg())
 
     def test_determinism_bitwise(self):
         samples = make_samples(count=300)
@@ -184,8 +185,6 @@ class TestTrain:
 
     @pytest.mark.slow
     def test_constant_images_learn_the_constant(self):
-        from psrnn.model import network_forward
-
         images = [D.synth_texture("flat", 64, value=v) for v in (0.25, 0.5, 0.75)]
         samples = D.build_training_samples(images, 8, 1200, seed=0,
                                            availability_mode=D.THREE_BLOCK)
@@ -199,9 +198,8 @@ class TestTrain:
         means = [t.mean() for t in thirds]
         assert means[0] > means[1] > means[2]
         sset = TR.as_sample_set(samples)
-        err = max(float(np.max(np.abs(network_forward(net, sset.contexts[i])
-                                      - sset.targets[i])))
-                  for i in range(0, 160, 8))
+        preds, _ = forward_batch(net, sset.contexts[0:160:8], need_cache=False)
+        err = float(np.max(np.abs(preds - sset.targets[0:160:8])))
         assert err < 0.05
 
 
