@@ -49,6 +49,19 @@ def _strs(s: str) -> tuple[str, ...]:
     return tuple(t.strip() for t in s.split(",") if t.strip())
 
 
+def _int_from(low: int):
+    """An int converter that rejects values below low."""
+    def conv(s: str) -> int:
+        v = int(s)
+        if v < low:
+            raise ValueError(s)
+        return v
+    return conv
+
+
+_count, _nonneg = _int_from(1), _int_from(0)
+
+
 def _bool(s: str) -> bool:
     if s.lower() in ("1", "true", "yes", "on"):
         return True
@@ -71,12 +84,12 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "n": (int, 8),
         "availability": (str, "three-block"),
         "loss": (str, "satd"),
-        "iters": (int, 5000),
-        "batch": (int, 32),
+        "iters": (_nonneg, 5000),
+        "batch": (_count, 32),
         "base_lr": (float, 0.001),
         "milestones": (_ints, ()),
         "seed": (int, 0),
-        "samples": (int, 50000),
+        "samples": (_count, 50000),
         "val_fraction": (float, 0.1),
         "selection_window": (float, 0.2),
         "partition": (int, 4),
@@ -89,9 +102,9 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "fusion_kernel": (int, 3),
         "clip_grad_norm": (float, 5.0),
         "qps": (_ints, D.TRAIN_QPS),
-        "corpus_size": (int, 128),
+        "corpus_size": (_count, 128),
         "corpus_kinds": (_strs, ("directional", "sinusoid")),
-        "corpus_per_kind": (int, 12),
+        "corpus_per_kind": (_count, 12),
     },
     "eval": {
         "out": (str, "eval_out"),
@@ -104,13 +117,13 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "ref_smoothing": (_bool, False),
         "seed": (int, 0),
         "eval_size": (int, 128),
-        "eval_count": (int, 4),
+        "eval_count": (_count, 4),
     },
     "demo": {
         "out": (str, "demo_out"),
         "model": (str, None),
         "kind": (str, "directional"),
-        "cases": (int, 4),
+        "cases": (_count, 4),
         "qp": (int, 32),
         "seed": (int, 0),
     },
@@ -119,22 +132,22 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "seeds": (_ints, (1, 2, 3)),
         "n": (int, 8),
         "availability": (str, "three-block"),
-        "iters": (int, 600),
-        "batch": (int, 32),
-        "samples": (int, 6000),
+        "iters": (_nonneg, 600),
+        "batch": (_count, 32),
+        "samples": (_count, 6000),
         "seed": (int, 0),
-        "corpus_size": (int, 128),
+        "corpus_size": (_count, 128),
     },
     "ablate-units": {
         "out": (str, "ablate_out"),
         "counts": (_ints, (1, 2, 3, 4)),
         "n": (int, 8),
         "availability": (str, "three-block"),
-        "iters": (int, 400),
-        "batch": (int, 32),
-        "samples": (int, 6000),
+        "iters": (_nonneg, 400),
+        "batch": (_count, 32),
+        "samples": (_count, 6000),
         "seed": (int, 0),
-        "corpus_size": (int, 128),
+        "corpus_size": (_count, 128),
         "qp": (int, 32),
     },
 }
@@ -267,7 +280,7 @@ def _train_config(resolved: dict) -> TrainConfig:
         selection_window=resolved["selection_window"],
         satd=SatdConfig(partition=resolved["partition"], epsilon=resolved["epsilon"]),
         availability_mode=resolved["availability"],
-        clip_grad_norm=resolved["clip_grad_norm"] or None,
+        clip_grad_norm=resolved["clip_grad_norm"],
     )
 
 
@@ -292,8 +305,6 @@ def _load_samples(resolved: dict):
         pairs = [line.split("\t")[:2] for line in index.read_text().splitlines() if line]
         if not pairs:
             raise UsageError("prepared archive produced no samples")
-        if count < 1:
-            raise UsageError(f"sample count must be positive, got {count}")
         # the first count % len(pairs) pairs give one sample more, so the set
         # has exactly `count` samples
         per, extra = divmod(count, len(pairs))

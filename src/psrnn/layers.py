@@ -32,7 +32,7 @@ GATE_ACTIVATIONS = ("sigmoid", "tanh")
 def sigmoid64(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows; both tails stay accurate down to underflow
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass
@@ -148,14 +148,13 @@ def gru_sweep_forward(params: GruParams, xs: np.ndarray, h0: np.ndarray,
     return hs, cache
 
 
-def gru_sweep_backward(params: GruParams, cache: GruSweepCache,
-                       grads_h: np.ndarray, grad_h_final: np.ndarray | None = None):
+def gru_sweep_backward(params: GruParams, cache: GruSweepCache, grads_h: np.ndarray):
     """Gradients for gru_sweep_forward; grads_h is (n, b, h) upstream."""
     Wx, Uzr, U = _t64(params.Wx).T, _t64(params.Uzr).T, _t64(params.U).T
     _, act_deriv = _gate_fn(cache.gate_activation)
     n, b, h = cache.hs.shape
     d3 = np.empty((n, b, 3 * h))
-    carried = np.zeros((b, h)) if grad_h_final is None else np.asarray(grad_h_final, dtype=np.float64)
+    carried = np.zeros((b, h))
     for t in range(n - 1, -1, -1):
         gh = carried + grads_h[t]
         z, r, c, h_prev = cache.z[t], cache.r[t], cache.c[t], cache.h_prevs[t]
@@ -257,7 +256,10 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so their joint L2 norm is <= max_norm."""
+    """Scale all gradients in place so their joint L2 norm is <= max_norm.
+
+    A max_norm <= 0 leaves them unscaled. Returns the norm before scaling.
+    """
     total = 0.0
     for g in grads.values():
         total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))

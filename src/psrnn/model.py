@@ -208,31 +208,27 @@ def parameters(net: PsRnnNetwork) -> dict[str, np.ndarray]:
 
 
 def _conv_forward(layer: ConvLayer, x64: np.ndarray, need_cache: bool = True):
-    """Conv (+ PReLU); the cache holds the input, pre-activation and patch matrix.
+    """Conv (+ PReLU); the cache holds the input and the pre-activation.
 
-    need_cache=False keeps none of them and returns None for the cache; the
-    conv then never holds the whole patch matrix, only one slab of it.
+    need_cache=False keeps neither and returns None for the cache.
     """
     w, b = layer.w.astype(np.float64), layer.b.astype(np.float64)
-    if need_cache:
-        pre, cols = conv2d_forward_batch(x64, w, b, layer.spec, return_cols=True)
-    else:
-        pre = conv2d_forward_batch(x64, w, b, layer.spec)
+    pre = conv2d_forward_batch(x64, w, b, layer.spec)
     out = pre if layer.alpha is None else prelu_forward(pre, layer.alpha.astype(np.float64))
     if not need_cache:
         return out, None
-    return out, (x64, None if layer.alpha is None else pre, cols)
+    return out, (x64, None if layer.alpha is None else pre)
 
 
 def _conv_backward(layer: ConvLayer, cache, grad_out, grads: dict, prefix: str,
                    need_grad_x: bool = True):
     """Store the layer's parameter gradients; returns the input gradient (or None)."""
-    x64, pre, cols = cache
+    x64, pre = cache
     if layer.alpha is not None:
         grad_out, g_alpha = prelu_backward(pre, layer.alpha.astype(np.float64), grad_out)
         grads[f"{prefix}.alpha"] = g_alpha
     gx, gw, gb = conv2d_backward_batch(x64, layer.w.astype(np.float64), layer.spec,
-                                       grad_out, cols, need_grad_x)
+                                       grad_out, need_grad_x)
     grads[f"{prefix}.w"] = gw
     grads[f"{prefix}.b"] = gb
     return gx
@@ -307,10 +303,9 @@ def forward_batch(net: PsRnnNetwork, contexts: np.ndarray, need_cache: bool = Tr
     """Predict a (b, N, N) stack from (b, 2N, 2N) contexts; returns (pred, cache).
 
     need_cache=False is the inference pass: no layer keeps its input,
-    pre-activation, patch matrix or GRU state, each activation is freed once
-    the next layer has read it, and the cache returned is None. Each conv
-    then gathers its patch matrix one slab of samples at a time
-    (tensor.SLAB_MACS) instead of whole. The bits are the same either way.
+    pre-activation or GRU state, each activation is freed once the next
+    layer has read it, and the cache returned is None. The bits are the same
+    either way.
     """
     cs = net.config.context_size
     if contexts.ndim != 3 or contexts.shape[1:] != (cs, cs):

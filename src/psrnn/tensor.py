@@ -6,12 +6,13 @@ cout). The network keeps activations in float64 and only stores parameters
 in float32; these kernels compute in whatever dtype they are handed, which
 is float64 throughout the package. A single sample is a batch of one.
 
-One gather/scatter pair, _im2col and its adjoint _col2im, serves the
-forward and the backward pass. The training forward gathers a batch's whole
-patch matrix and hands it to the backward; the inference forward (no patch
-matrix asked for) pads, gathers and multiplies a slab of whole samples at a
-time into one preallocated output (see SLAB_MACS), so neither the whole
-padded input nor the whole patch matrix ever exists.
+One gather, _im2col, serves both passes and there is no scatter. The
+forward pads, gathers and multiplies a slab of whole samples at a time into
+one preallocated output (see SLAB_MACS), so neither the whole padded input
+nor the whole patch matrix ever exists there, and it hands no patch matrix
+to the backward. The backward regathers the batch's patch matrix once for
+the weight gradient and adds the input gradient into a padded buffer one
+kernel tap at a time.
 """
 
 from __future__ import annotations
@@ -79,28 +80,15 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> 
     return view.reshape(b * oh * ow, kh * kw * c)
 
 
-def _col2im(cols: np.ndarray, shape: tuple[int, ...], kh: int, kw: int, stride: int,
-            oh: int, ow: int) -> np.ndarray:
-    """Scatter-add patch rows back onto a zero (b, h, w, c) map: the adjoint of _im2col."""
-    b, _, _, c = shape
-    cols = cols.reshape(b, oh, ow, kh, kw, c)
-    out = np.zeros(shape, dtype=np.float64)
-    for di in range(kh):
-        for dj in range(kw):
-            out[:, di : di + (oh - 1) * stride + 1 : stride,
-                dj : dj + (ow - 1) * stride + 1 : stride, :] += cols[:, :, :, di, dj, :]
-    return out
-
-
-# Multiply-adds of one slab's GEMM in the inference forward (at 8 output
-# channels, 4 MiB of float64 patch rows). A batch whose GEMM is larger splits
-# into macs // SLAB_MACS slabs of whole samples, balanced to within one
-# sample, so each slab's GEMM does at least SLAB_MACS / 2 multiply-adds and
-# less than 2 * SLAB_MACS plus one sample's. The lower bound keeps the bits:
-# OpenBLAS (0.3.31 on AVX-512) runs GEMMs of at most 10**6 multiply-adds
-# through small-matrix kernels that round differently, and a batch only
-# splits into slabs that stay above that size, so every slab runs the
-# kernel the whole batch would.
+# Multiply-adds of one slab's GEMM in the forward (at 8 output channels,
+# 4 MiB of float64 patch rows). A batch whose GEMM is larger splits into
+# macs // SLAB_MACS slabs of whole samples, balanced to within one sample, so
+# each slab's GEMM does at least SLAB_MACS / 2 multiply-adds and less than
+# 2 * SLAB_MACS plus one sample's. The lower bound keeps the bits: OpenBLAS
+# (0.3.31 on AVX-512) runs GEMMs of at most 10**6 multiply-adds through
+# small-matrix kernels that round differently, and a batch only splits into
+# slabs that stay above that size, so every slab runs the kernel the whole
+# batch would.
 SLAB_MACS = 2**22
 
 
@@ -110,13 +98,11 @@ def _slab_bounds(b: int, sample_macs: int) -> list[int]:
     return [k * b // slabs for k in range(slabs + 1)]
 
 
-def conv2d_forward_batch(x, w, bias, spec: ConvSpec, return_cols: bool = False):
+def conv2d_forward_batch(x, w, bias, spec: ConvSpec):
     """Batched conv kernel; x is (b, h, w, cin), returns (b, oh, ow, cout).
 
-    With return_cols the whole gathered patch matrix is handed back so a
-    matching backward call can skip regathering it. Without it, the batch is
-    padded, gathered and multiplied one slab of samples at a time (see
-    SLAB_MACS), with the same bits as the whole patch matrix gives.
+    The batch is padded, gathered and multiplied one slab of samples at a
+    time (see SLAB_MACS), with the same bits as the whole patch matrix gives.
     """
     _check_conv_shapes(x, w, spec)
     if bias is not None and bias.shape != (spec.out_channels,):
@@ -125,7 +111,7 @@ def conv2d_forward_batch(x, w, bias, spec: ConvSpec, return_cols: bool = False):
     kh, kw, s, cout = spec.kernel_h, spec.kernel_w, spec.stride, spec.out_channels
     oh, ow = spec.out_extent(h, kh), spec.out_extent(ww_in, kw)
     rows = oh * ow
-    bounds = [0, b] if return_cols else _slab_bounds(b, rows * kh * kw * cin * cout)
+    bounds = _slab_bounds(b, rows * kh * kw * cin * cout)
     w2 = w.reshape(-1, cout)
     out = np.empty((b * rows, cout), dtype=np.result_type(x, w))
     for i, j in zip(bounds, bounds[1:]):
@@ -133,15 +119,15 @@ def conv2d_forward_batch(x, w, bias, spec: ConvSpec, return_cols: bool = False):
         np.matmul(cols, w2, out=out[i * rows : j * rows])
     if bias is not None:
         out += bias
-    out = out.reshape(b, oh, ow, cout)
-    return (out, cols) if return_cols else out
+    return out.reshape(b, oh, ow, cout)
 
 
-def conv2d_backward_batch(x, w, spec: ConvSpec, grad_out, cols: np.ndarray | None = None,
-                          need_grad_x: bool = True):
+def conv2d_backward_batch(x, w, spec: ConvSpec, grad_out, need_grad_x: bool = True):
     """Gradients (grad_x, grad_w, grad_bias) of conv2d_forward_batch.
 
-    need_grad_x=False skips the input gradient and returns None for it.
+    The input gradient is one (b*oh*ow, cin) product per kernel tap, added
+    into the padded input's window of that tap in (di, dj) order.
+    need_grad_x=False skips it and returns None for it.
     """
     _check_conv_shapes(x, w, spec)
     b, h, ww_in, cin = x.shape
@@ -150,15 +136,18 @@ def conv2d_backward_batch(x, w, spec: ConvSpec, grad_out, cols: np.ndarray | Non
     oh, ow = spec.out_extent(h, kh), spec.out_extent(ww_in, kw)
     if grad_out.shape != (b, oh, ow, cout):
         raise ShapeError(f"grad_out shape {grad_out.shape} != forward output {(b, oh, ow, cout)}")
-    if cols is None:
-        cols = _im2col(_pad_spatial(x, spec.padding), kh, kw, s, oh, ow)
+    cols = _im2col(_pad_spatial(x, spec.padding), kh, kw, s, oh, ow)
     g2 = grad_out.reshape(b * oh * ow, cout)
     gw = (cols.T @ g2).reshape(kh, kw, cin, cout)
+    del cols
     gb = grad_out.sum(axis=(0, 1, 2))
     if not need_grad_x:
         return None, gw, gb
     p = spec.padding
-    gxp = _col2im(g2 @ w.reshape(-1, cout).T, (b, h + 2 * p, ww_in + 2 * p, cin),
-                  kh, kw, s, oh, ow)
+    gxp = np.zeros((b, h + 2 * p, ww_in + 2 * p, cin))
+    for di in range(kh):
+        for dj in range(kw):
+            gxp[:, di : di + (oh - 1) * s + 1 : s, dj : dj + (ow - 1) * s + 1 : s, :] += (
+                g2 @ w[di, dj].T).reshape(b, oh, ow, cin)
     gx = gxp[:, p : p + h, p : p + ww_in, :] if p else gxp
     return np.ascontiguousarray(gx), gw, gb

@@ -45,7 +45,7 @@ class TrainConfig:
     selection_window: float = 0.2  # final fraction searched for the best model
     satd: SatdConfig = field(default_factory=SatdConfig)
     availability_mode: str = "three-block"
-    clip_grad_norm: float | None = 5.0
+    clip_grad_norm: float = 5.0  # <= 0: no clipping
     val_subset_cap: int = 512
     checkpoint_every: int | None = None  # None: total_iters // 100
 
@@ -193,8 +193,7 @@ def train(net: PsRnnNetwork, data, cfg: TrainConfig):
         if not math.isfinite(loss):
             raise DivergenceError(it)
         grads = backward_batch(net, caches, grad_pred)
-        if cfg.clip_grad_norm is not None:
-            clip_global_norm(grads, cfg.clip_grad_norm)
+        clip_global_norm(grads, cfg.clip_grad_norm)
         adam_step(params, grads, state, lr_at(sched, it))
         recent.append(loss)
 

@@ -63,7 +63,7 @@ def directional_check(loss_fn, arr: np.ndarray, grad: np.ndarray,
 
 
 def _conv_cache_margin(cache) -> float:
-    pre = cache[1]  # (x, pre_activation[, cols]); pre is None for linear layers
+    pre = cache[1]  # (x, pre_activation); pre is None for linear layers
     return np.inf if pre is None else float(np.min(np.abs(pre)))
 
 

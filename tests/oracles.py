@@ -1,7 +1,12 @@
 """Reference implementations the library's fast paths are checked against.
 
 - A step-by-step GRU recurrence (one Python step per plane, every product
-  spelled out) that the fused sweep in psrnn.layers must reproduce.
+  spelled out) that the fused sweep in psrnn.layers must reproduce, and
+  the two-branch sigmoid that psrnn.layers.sigmoid64 must match bit for bit.
+- The convolution pair on the whole patch matrix: one GEMM for the forward,
+  and for the backward one GEMM per gradient, the input gradient scattered
+  back tap by tap (the adjoint of the gather). psrnn.tensor's slabbed
+  forward and per-tap backward must give the same bits.
 - The eps-smoothed SATD objective, evaluated tile by tile, whose exact
   gradient psrnn.hadamard.satd_loss_grad_batch claims to be.
 - The per-block intra baseline, on references in their own plain form
@@ -38,6 +43,7 @@ from psrnn.intra import (DEFAULT_MODE_BITS, INTRA_PRED_ANGLE, INV_ANGLE, MODE_DC
 from psrnn.layers import GruParams, _gate_fn
 from psrnn.model import forward_batch
 from psrnn.rng import stream
+from psrnn.tensor import ConvSpec
 
 
 @dataclass
@@ -108,6 +114,58 @@ def gru_sequence_backward(params: GruParams, steps, grads_h_per_step=None,
         grad_xs[t] = dac @ p["W"] + dar @ p["Wr"] + daz @ p["Wz"]
         carried = gh * s.z + drh * s.r + dar @ p["Ur"] + daz @ p["Uz"]
     return grads, carried, grad_xs
+
+
+def sigmoid_two_branch(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, in float64."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _windows(spec: ConvSpec, h: int, w: int):
+    """Output extents and, per kernel tap, the padded input window it reads."""
+    oh, ow = spec.out_extent(h, spec.kernel_h), spec.out_extent(w, spec.kernel_w)
+    s = spec.stride
+    taps = [(slice(di, di + (oh - 1) * s + 1, s), slice(dj, dj + (ow - 1) * s + 1, s))
+            for di in range(spec.kernel_h) for dj in range(spec.kernel_w)]
+    return oh, ow, taps
+
+
+def conv_patch_matrix(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """The whole (b*oh*ow, kh*kw*cin) patch matrix of a (b, h, w, cin) batch."""
+    b, h, w, cin = x.shape
+    p = spec.padding
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    oh, ow, taps = _windows(spec, h, w)
+    return np.stack([xp[:, r, c, :] for r, c in taps], axis=3).reshape(b * oh * ow, -1)
+
+
+def conv_forward_whole(x, w, bias, spec: ConvSpec) -> np.ndarray:
+    """Conv forward as one GEMM over the whole patch matrix."""
+    b, h, ww, _ = x.shape
+    oh, ow, _ = _windows(spec, h, ww)
+    out = conv_patch_matrix(x, spec) @ w.reshape(-1, spec.out_channels)
+    if bias is not None:
+        out += bias
+    return out.reshape(b, oh, ow, spec.out_channels)
+
+
+def conv_backward_scatter(x, w, spec: ConvSpec, grad_out, need_grad_x: bool = True):
+    """(grad_x, grad_w, grad_bias): whole-matrix GEMMs, the input gradient's
+    patch rows scattered back onto the padded input tap by tap."""
+    b, h, ww, cin = x.shape
+    p, cout = spec.padding, spec.out_channels
+    oh, ow, taps = _windows(spec, h, ww)
+    g2 = grad_out.reshape(b * oh * ow, cout)
+    gw = (conv_patch_matrix(x, spec).T @ g2).reshape(w.shape)
+    gb = grad_out.sum(axis=(0, 1, 2))
+    if not need_grad_x:
+        return None, gw, gb
+    rows = (g2 @ w.reshape(-1, cout).T).reshape(b, oh, ow, len(taps), cin)
+    gxp = np.zeros((b, h + 2 * p, ww + 2 * p, cin))
+    for k, (r, c) in enumerate(taps):
+        gxp[:, r, c, :] += rows[:, :, :, k, :]
+    return np.ascontiguousarray(gxp[:, p : p + h, p : p + ww, :]), gw, gb
 
 
 def satd_smooth(d: np.ndarray, cfg: SatdConfig = SatdConfig()) -> float:

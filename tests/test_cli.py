@@ -57,6 +57,21 @@ class TestConfigHandling:
         assert run_cli("train", "--set", "iters=soon") == 1
         assert "iters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb, key, value", [
+        ("demo", "cases", "-2"), ("eval", "eval_count", "-1"), ("train", "samples", "0"),
+        ("train", "batch", "0"), ("train", "corpus_size", "-4"),
+        ("train", "corpus_per_kind", "0"), ("train", "iters", "-1")])
+    def test_counts_checked(self, verb, key, value, tmp_path, capsys):
+        # counts below 1 (iters below 0) stop the run before it writes anything
+        out = tmp_path / "out"
+        assert run_cli(verb, "--out", str(out), "--set", f"{key}={value}") == 1
+        err = capsys.readouterr().err
+        assert f"bad value for {key}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_zero_iters_accepted(self):
+        assert cli.resolve("train", {"iters": "0"}, {})["iters"] == 0
+
     def test_missing_required(self, capsys):
         assert run_cli("prepare") == 1
         assert "manifest" in capsys.readouterr().err
@@ -238,7 +253,7 @@ class TestTrainFromFiles:
                        "--out", str(archive)) == 0
         assert run_cli("train", "--out", str(tmp_path / "t"), "--set", f"data={archive}",
                        *self.FAST, "--set", "samples=0") == 1
-        assert "sample count" in capsys.readouterr().err
+        assert "bad value for samples" in capsys.readouterr().err
 
     def test_manifest(self, tmp_path, manifest):
         self.train_twice(tmp_path, manifest)

@@ -208,18 +208,6 @@ class TestSweepFastPath:
         assert rel_err(gh0_fast, gh0_slow) < 1e-12
         assert rel_err(gx_fast, np.stack(gx_slow)) < 1e-12
 
-    def test_final_state_gradient(self):
-        gen = np.random.default_rng(5)
-        p = random_gru(gen, 2, 3)
-        xs = gen.uniform(-1, 1, (4, 1, 3))
-        _, cache = L.gru_sweep_forward(p, xs, np.zeros((1, 2)))
-        gfin = np.ones((1, 2))
-        g1, _, _ = L.gru_sweep_backward(p, cache, np.zeros((4, 1, 2)), gfin)
-        steps = gru_sequence_forward(p, list(xs), np.zeros((1, 2)))
-        g2, _, _ = gru_sequence_backward(p, steps, None, gfin)
-        for name in g1:
-            assert rel_err(g1[name], g2[name]) < 1e-12
-
 
 class TestPrelu:
     def test_positive_identity(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,18 @@ from psrnn import model as M
 from psrnn import tensor as T
 from psrnn.errors import ConfigError, IntegrityError, ShapeError, VersionError
 from psrnn.layers import AdamState, adam_step
-from oracles import gru_sequence_forward
+from oracles import conv_backward_scatter, conv_forward_whole, gru_sequence_forward
 
 TINY = M.NetworkConfig(pu_size=4, preproc_channels=(2, 2), unit_hidden=(2, 2),
                        recon_channels=(2,))
 # the widths of the determinism-test network
 LEAN_WIDTHS = dict(preproc_channels=(4, 4), unit_hidden=(4, 2, 2), recon_channels=(4,))
+
+
+def use_whole_matrix_convs(monkeypatch):
+    """Run the network's convs as whole-patch-matrix GEMMs and scatters (oracles)."""
+    monkeypatch.setattr(M, "conv2d_forward_batch", conv_forward_whole)
+    monkeypatch.setattr(M, "conv2d_backward_batch", conv_backward_scatter)
 
 
 class TestConfig:
@@ -74,30 +82,38 @@ class TestForward:
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32])
     def test_lean_forward_matches_cached(self, n, monkeypatch):
-        # the inference pass keeps no cache and computes the same bits, also
-        # on a fixed-eval chunk (at N=8 the 225 tiles of a 128x128 image),
-        # where its convs split into several slabs; only the lean N=4
-        # network's convs stay within one slab there, and at N=32 even a
-        # batch of 3 splits
+        # the inference pass keeps no cache and computes the bits of the
+        # cached pass and of whole-patch-matrix convs, also on a fixed-eval
+        # chunk (at N=8 the 225 tiles of a 128x128 image) and on a
+        # validation chunk of 128, where its convs split into several slabs;
+        # only the lean N=4 network's convs stay within one slab there, and
+        # at N=32 even a batch of 3 splits. A validation chunk at N=32 is
+        # left out: its whole patch matrices alone would take 600 MiB.
         slabs, bounds = [], T._slab_bounds
 
         def counting(b, sample_macs):
             slabs.append(len(bounds(b, sample_macs)) - 1)
             return bounds(b, sample_macs)
 
-        monkeypatch.setattr(T, "_slab_bounds", counting)
         chunk = {4: 256, 8: 225, 16: 64, 32: 16}[n]
-        for b, widths, splits in ((3, {}, n == 32), (chunk, {}, True),
-                                  (chunk, LEAN_WIDTHS, n > 4)):
+        cases = [(3, {}, n == 32), (chunk, {}, True), (chunk, LEAN_WIDTHS, n > 4)]
+        if n < 32:
+            cases += [(128, {}, True), (128, LEAN_WIDTHS, n > 4)]
+        for b, widths, splits in cases:
             net = M.build_network(M.NetworkConfig(pu_size=n, **widths), seed=n)
             ctxs = np.random.default_rng(n).random((b, 2 * n, 2 * n)).astype(np.float32)
+            with monkeypatch.context() as m:
+                use_whole_matrix_convs(m)
+                want, _ = M.forward_batch(net, ctxs, need_cache=False)
             preds, caches = M.forward_batch(net, ctxs)
             assert caches is not None
             del caches
-            slabs.clear()
-            lean, none = M.forward_batch(net, ctxs, need_cache=False)
+            with monkeypatch.context() as m:
+                m.setattr(T, "_slab_bounds", counting)
+                slabs.clear()
+                lean, none = M.forward_batch(net, ctxs, need_cache=False)
             assert none is None
-            assert lean.tobytes() == preds.tobytes()
+            assert lean.tobytes() == preds.tobytes() == want.tobytes()
             assert (max(slabs) > 1) == splits
 
     def test_spatial_flow_guard(self):
@@ -234,30 +250,70 @@ class TestBackward:
             np.testing.assert_array_equal(g1[k], g2[k])
 
     def test_network_input_gradient_is_skipped(self, monkeypatch):
-        # the first preprocessing conv computes no input gradient (no
-        # _col2im scatter onto the one-channel context) and the parameter
-        # gradients keep their bits
+        # only the first preprocessing conv, on the one-channel context,
+        # computes no input gradient, and the parameter gradients keep
+        # their bits
         net = M.build_network(M.NetworkConfig(pu_size=8), seed=4)
         gen = np.random.default_rng(4)
         _, caches = M.forward_batch(net, gen.random((4, 16, 16)))
         grad = gen.uniform(-1, 1, (4, 8, 8))
         full = T.conv2d_backward_batch
         monkeypatch.setattr(M, "conv2d_backward_batch",
-                            lambda *args: full(*args[:5], need_grad_x=True))
+                            lambda *args: full(*args[:4], need_grad_x=True))
         want = M.backward_batch(net, caches, grad)
-        monkeypatch.undo()
-        scattered, col2im = [], T._col2im
+        requests = []
 
-        def recording(cols, shape, *args):
-            scattered.append(shape)
-            return col2im(cols, shape, *args)
+        def recording(x, w, spec, grad_out, need_grad_x=True):
+            requests.append((x.shape[-1], need_grad_x))
+            return full(x, w, spec, grad_out, need_grad_x)
 
-        monkeypatch.setattr(T, "_col2im", recording)
+        monkeypatch.setattr(M, "conv2d_backward_batch", recording)
         got = M.backward_batch(net, caches, grad)
         assert list(got) == list(want)
         assert all(got[k].tobytes() == want[k].tobytes() for k in want)
         convs = len(net.preproc) + len(net.units) + 1 + len(net.recon)
-        assert len(scattered) == convs - 1 and all(s[-1] > 1 for s in scattered)
+        assert len(requests) == convs and requests[-1] == (1, False)
+        assert all(cin > 1 and need for cin, need in requests[:-1])
+
+    @pytest.mark.parametrize("b", [16, 32])
+    @pytest.mark.parametrize("widths", [{}, LEAN_WIDTHS], ids=["default", "lean"])
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    def test_gradients_match_whole_matrix_reference(self, n, widths, b, monkeypatch):
+        # a training step at the CLI's batch (32) and the determinism run's
+        # (16): the slabbed forwards and the per-tap input gradients give
+        # the bits of whole-patch-matrix GEMMs and the tap-by-tap scatter.
+        # OpenBLAS picks its kernel by GEMM shape (see tensor.SLAB_MACS), so
+        # this runs every conv shape of these networks, not a sample.
+        net = M.build_network(M.NetworkConfig(pu_size=n, **widths), seed=n)
+        gen = np.random.default_rng(n + b)
+        ctxs = gen.random((b, 2 * n, 2 * n)).astype(np.float32)
+        grad = gen.uniform(-1, 1, (b, n, n))
+        preds, caches = M.forward_batch(net, ctxs)
+        got = M.backward_batch(net, caches, grad)
+        del caches
+        use_whole_matrix_convs(monkeypatch)
+        want_preds, caches = M.forward_batch(net, ctxs)
+        want = M.backward_batch(net, caches, grad)
+        assert preds.tobytes() == want_preds.tobytes()
+        assert list(got) == list(want)
+        assert [k for k in want if got[k].tobytes() != want[k].tobytes()] == []
+
+    def test_training_step_memory(self):
+        # N=8, batch 32: no layer cache holds a patch matrix, and the
+        # backward frees each conv's patch matrix before its input gradient
+        # (42.9 MiB when the cache kept every conv's whole patch matrix)
+        net = M.build_network(M.NetworkConfig(pu_size=8), seed=8)
+        gen = np.random.default_rng(8)
+        ctxs = gen.random((32, 16, 16)).astype(np.float32)
+        grad = gen.uniform(-1, 1, (32, 8, 8))
+        tracemalloc.start()
+        try:
+            _, caches = M.forward_batch(net, ctxs)
+            M.backward_batch(net, caches, grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_finite_difference_spot_check(self):
         # full-coverage FD checks live in the acceptance suite; this guards

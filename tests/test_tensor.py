@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import rel_err
+from oracles import conv_forward_whole, sigmoid_two_branch
 from psrnn import layers as L
 from psrnn import model as M
 from psrnn import tensor as T
@@ -60,6 +61,15 @@ class TestElementwise:
         assert L.sigmoid64(np.zeros(1))[0] == 0.5
         act, deriv = L._gate_fn("tanh")
         assert act(np.zeros(1))[0] == 0.0 and deriv(np.zeros(1))[0] == 1.0
+
+    def test_sigmoid_matches_two_branch_oracle(self):
+        # one division by 1 + exp(-|x|) keeps both tails' bits, signed zeros,
+        # subnormal-range inputs and exp underflow included
+        edges = [0.0, 1e-300, 1.0, 36.0, 745.0, 800.0, np.inf]
+        gen = np.random.default_rng(0)
+        x = np.concatenate([edges, np.negative(edges)]
+                           + [gen.standard_normal(100_000) * s for s in (0.1, 3.0, 30.0, 300.0)])
+        assert L.sigmoid64(x).tobytes() == sigmoid_two_branch(x).tobytes()
 
     def test_dispatcher(self):
         act, deriv = L._gate_fn("sigmoid")
@@ -198,16 +208,16 @@ class TestConv2d:
         (1, 229, 32, 4), (2, 115, 32, 4), (4, 58, 32, 4), (8, 29, 32, 4),
         (4, 147, 32, 4), (8, 76, 32, 4), (8, 3, 64, 16)])
     def test_slabs_match_patch_matrix_path(self, cout, b, oh, cin, stride):
-        # the inference path splits these batches into two or five uneven
-        # slabs (three of one sample in the last case) and must give the
-        # whole patch matrix's bits
+        # the forward splits these batches into two or five uneven slabs
+        # (three of one sample in the last case) and must give the bits of
+        # one product over the whole patch matrix
         assert len(T._slab_bounds(b, oh * oh * 9 * cin * cout)) > 2
         gen = np.random.default_rng(cout + 10 * stride)
         x = gen.random((b, oh * stride, oh * stride, cin))
         w = gen.uniform(-1, 1, (3, 3, cin, cout))
         bias = gen.uniform(-1, 1, cout)
         spec = _spec(3, 3, stride, 1, cin, cout)
-        want, _ = T.conv2d_forward_batch(x, w, bias, spec, return_cols=True)
+        want = conv_forward_whole(x, w, bias, spec)
         assert T.conv2d_forward_batch(x, w, bias, spec).tobytes() == want.tobytes()
 
     @given(st.integers(0, 600), st.integers(1, 3 * T.SLAB_MACS))
