@@ -12,8 +12,7 @@ from .errors import (ConfigError, DivergenceError, FormatError, IntegrityError,
                      ModeError, PartitionError, ShapeError, SizeError,
                      UsageError, VersionError)
 from .hadamard import SatdConfig, hadamard_matrix, satd, satd_batch, satd_loss_grad_batch
-from .layers import (AdamState, GruParams, LrSchedule, adam_step, gru_sweep_backward,
-                     gru_sweep_forward, lr_at)
+from .layers import AdamState, GruParams, adam_step, gru_sweep_backward, gru_sweep_forward
 from .model import (NetworkConfig, PsRnnNetwork, backward_batch, build_network,
                     forward_batch, load_model, save_model)
 from .training import EvalConfig, EvalReport, TrainConfig, evaluate, loss_and_grad, train

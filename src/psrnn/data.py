@@ -28,6 +28,7 @@ TRAIN_QPS = (22, 27, 32, 37)
 FOUR_BLOCK = "four-block"
 THREE_BLOCK = "three-block"
 MIN_CROP = 32  # smallest acceptable center-crop side for proportional scaling
+DEGRADE_BLOCK = 8  # side of the DCT blocks degrade() quantizes
 
 
 @dataclass
@@ -74,13 +75,10 @@ class ContextBlock:
 @dataclass(frozen=True)
 class DegradeConfig:
     qp: int = 32
-    block: int = 8
 
     def __post_init__(self):
         if self.qp < 0:
             raise UsageError(f"qp must be non-negative, got {self.qp}")
-        if self.block < 1:
-            raise UsageError(f"transform block must be positive, got {self.block}")
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +271,7 @@ def qstep(qp: int) -> float:
 
 def degrade(img: GrayImage, cfg: DegradeConfig) -> GrayImage:
     """Blockwise DCT quantization standing in for encoder reconstruction."""
-    b = cfg.block
+    b = DEGRADE_BLOCK
     h, w = img.pixels.shape
     pad_h = (-h) % b
     pad_w = (-w) % b
@@ -331,25 +329,18 @@ def make_context(degraded: np.ndarray, clean: np.ndarray, origin: tuple[int, int
                         availability_mode=availability_mode, origin=(y, x), n=n)
 
 
-def sample_contexts(img_clean: GrayImage, img_degraded: GrayImage, n: int,
-                    count: int, availability_mix: float = 0.25,
-                    seed: int = 0, fill: float = 0.5,
-                    availability_mode: str | None = None) -> SampleSet:
-    """Uniformly sample `count` context/target pairs from one image.
-
-    availability_mix is the fraction of four-block samples (the Fig-style
-    one-in-four geometry gives 0.25); passing availability_mode instead
-    forces every sample to that mode. Deterministic under `seed`.
-    """
+def sample_contexts(img_clean: GrayImage, img_degraded: GrayImage, n: int, count: int,
+                    availability_mode: str, seed: int = 0, fill: float = 0.5) -> SampleSet:
+    """Uniformly sample `count` context/target pairs from one image, all masked
+    per `availability_mode`. Deterministic under `seed`."""
     h, w = img_clean.pixels.shape
     if h < 2 * n or w < 2 * n:
         raise SizeError(f"image {w}x{h} too small for {2*n}x{2*n} windows")
     gen = stream(seed, f"contexts/n{n}")
     ys = gen.integers(0, h - 2 * n + 1, size=count)
     xs = gen.integers(0, w - 2 * n + 1, size=count)
-    three = (~(gen.random(count) < availability_mix) if availability_mode is None
-             else _is_three_block(availability_mode))
-    return cut_contexts(img_degraded.pixels, img_clean.pixels, ys, xs, n, three, fill)
+    return cut_contexts(img_degraded.pixels, img_clean.pixels, ys, xs, n,
+                        _is_three_block(availability_mode), fill)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +429,7 @@ def synthetic_corpus(size: int, seed: int, kinds: tuple[str, ...] = ("directiona
 
 def build_training_samples(images: list[GrayImage], n: int, count: int, seed: int,
                            qps: tuple[int, ...] = TRAIN_QPS,
-                           availability_mode: str | None = THREE_BLOCK,
-                           availability_mix: float = 0.25,
+                           availability_mode: str = THREE_BLOCK,
                            fill: float = 0.5) -> SampleSet:
     """Degrade a deck of images at mixed qps and sample contexts evenly."""
     if not images:
@@ -455,7 +445,6 @@ def build_training_samples(images: list[GrayImage], n: int, count: int, seed: in
             continue
         qp = qps[i % len(qps)]
         deg = degrade(img, DegradeConfig(qp=qp))
-        parts.append(sample_contexts(
-            img, deg, n, int(k), availability_mix=availability_mix,
-            seed=seed + 7919 * i, fill=fill, availability_mode=availability_mode))
+        parts.append(sample_contexts(img, deg, n, int(k), availability_mode,
+                                     seed=seed + 7919 * i, fill=fill))
     return SampleSet.concat(parts)

@@ -1,4 +1,4 @@
-"""Trainable layer primitives: GRU cell, PReLU, Adam, step-decay schedule.
+"""Trainable layer primitives: GRU cell, PReLU, Adam, gradient clipping.
 
 The recurrent cell follows the gated form
 
@@ -98,21 +98,24 @@ def _t64(w: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GruSweepCache:
-    xs: np.ndarray       # (n, b, in)
-    h_prevs: np.ndarray  # (n, b, h)
+    xs: np.ndarray      # (n, b, in)
+    states: np.ndarray  # (n + 1, b, h): h0, then the state after each step
     z: np.ndarray
     r: np.ndarray
     c: np.ndarray
-    hs: np.ndarray
     gate_activation: str
+
+    @property
+    def hs(self) -> np.ndarray:
+        return self.states[1:]
 
 
 def gru_sweep_forward(params: GruParams, xs: np.ndarray, h0: np.ndarray,
                       gate_activation: str = "sigmoid", need_cache: bool = True):
     """Unroll over xs of shape (n_steps, batch, input_dim); returns (hs, cache).
 
-    need_cache=False stores only hs and returns None for the cache: an
-    inference sweep keeps no inputs, previous states, gates or candidates.
+    need_cache=False returns None for the cache: an inference sweep keeps
+    no inputs, gates or candidates.
     """
     act, _ = _gate_fn(gate_activation)
     params.validate()
@@ -126,11 +129,12 @@ def gru_sweep_forward(params: GruParams, xs: np.ndarray, h0: np.ndarray,
     WxT, UzrT, UT = _t64(params.Wx), _t64(params.Uzr), _t64(params.U)
     b64 = params.b.astype(np.float64)
     xproj = (xs.reshape(n * b, -1) @ WxT).reshape(n, b, 3 * h)
-    hs = np.empty((n, b, h))
+    states = np.empty((n + 1, b, h))
+    states[0] = h0
     if need_cache:
-        h_prevs, zs, rs, cs = (np.empty((n, b, h)) for _ in range(4))
-    ht = np.asarray(h0, dtype=np.float64)
+        zs, rs, cs = (np.empty((n, b, h)) for _ in range(3))
     for t in range(n):
+        ht = states[t]
         azar = xproj[t, :, : 2 * h] + ht @ UzrT
         zr = act(azar)
         z = zr[:, :h]
@@ -138,14 +142,13 @@ def gru_sweep_forward(params: GruParams, xs: np.ndarray, h0: np.ndarray,
         ac = xproj[t, :, 2 * h :] + (r * ht) @ UT + b64
         c = np.tanh(ac)
         if need_cache:
-            h_prevs[t], zs[t], rs[t], cs[t] = ht, z, r, c
-        ht = z * ht + (1.0 - z) * c
-        hs[t] = ht
+            zs[t], rs[t], cs[t] = z, r, c
+        states[t + 1] = z * ht + (1.0 - z) * c
     if not need_cache:
-        return hs, None
-    cache = GruSweepCache(xs=xs, h_prevs=h_prevs, z=zs, r=rs, c=cs, hs=hs,
+        return states[1:], None
+    cache = GruSweepCache(xs=xs, states=states, z=zs, r=rs, c=cs,
                           gate_activation=gate_activation)
-    return hs, cache
+    return cache.hs, cache
 
 
 def gru_sweep_backward(params: GruParams, cache: GruSweepCache, grads_h: np.ndarray):
@@ -153,11 +156,12 @@ def gru_sweep_backward(params: GruParams, cache: GruSweepCache, grads_h: np.ndar
     Wx, Uzr, U = _t64(params.Wx).T, _t64(params.Uzr).T, _t64(params.U).T
     _, act_deriv = _gate_fn(cache.gate_activation)
     n, b, h = cache.hs.shape
+    prev_states = cache.states[:-1]
     d3 = np.empty((n, b, 3 * h))
     carried = np.zeros((b, h))
     for t in range(n - 1, -1, -1):
         gh = carried + grads_h[t]
-        z, r, c, h_prev = cache.z[t], cache.r[t], cache.c[t], cache.h_prevs[t]
+        z, r, c, h_prev = cache.z[t], cache.r[t], cache.c[t], prev_states[t]
         dz = gh * (h_prev - c)
         dc = gh * (1.0 - z)
         dh = gh * z
@@ -174,10 +178,10 @@ def gru_sweep_backward(params: GruParams, cache: GruSweepCache, grads_h: np.ndar
     flat_d3 = d3.reshape(n * b, 3 * h)
     flat_x = cache.xs.reshape(n * b, -1)
     g_wstack = flat_d3.T @ flat_x
-    flat_hp = cache.h_prevs.reshape(n * b, h)
+    flat_hp = prev_states.reshape(n * b, h)
     g_uzr = d3[:, :, : 2 * h].reshape(n * b, 2 * h).T @ flat_hp
     flat_dac = d3[:, :, 2 * h :].reshape(n * b, h)
-    g_u = flat_dac.T @ (cache.r * cache.h_prevs).reshape(n * b, h)
+    g_u = flat_dac.T @ (cache.r * prev_states).reshape(n * b, h)
     grads = {
         "Wz": g_wstack[:h], "Wr": g_wstack[h : 2 * h], "W": g_wstack[2 * h :],
         "Uz": g_uzr[:h], "Ur": g_uzr[h:], "U": g_u,
@@ -213,8 +217,11 @@ def prelu_backward(x: np.ndarray, alpha: np.ndarray, grad_out: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Adam with step decay
+# Adam
 # ---------------------------------------------------------------------------
+
+# decay rates of the first and second moment, and the denominator's epsilon
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -222,13 +229,6 @@ class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
-
-    def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise UsageError("beta1 and beta2 must lie in (0, 1)")
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -236,9 +236,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """Apply one bias-corrected Adam update in place; returns (params, state)."""
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    corr1 = 1.0 - b1 ** t
-    corr2 = 1.0 - b2 ** t
+    corr1 = 1.0 - ADAM_B1 ** t
+    corr2 = 1.0 - ADAM_B2 ** t
     for name, p in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != p.shape:
@@ -246,11 +245,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         if name not in state.m:
             state.m[name] = np.zeros(p.shape, dtype=np.float32)
             state.v[name] = np.zeros(p.shape, dtype=np.float32)
-        m = state.m[name].astype(np.float64) * b1 + (1.0 - b1) * g
-        v = state.v[name].astype(np.float64) * b2 + (1.0 - b2) * g * g
+        m = state.m[name].astype(np.float64) * ADAM_B1 + (1.0 - ADAM_B1) * g
+        v = state.v[name].astype(np.float64) * ADAM_B2 + (1.0 - ADAM_B2) * g * g
         state.m[name] = m.astype(np.float32)
         state.v[name] = v.astype(np.float32)
-        update = lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps_adam)
+        update = lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
         p[...] = (p.astype(np.float64) - update).astype(np.float32)
     return params, state
 
@@ -269,47 +268,6 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
         for name in grads:
             grads[name] = grads[name] * factor
     return norm
-
-
-@dataclass(frozen=True)
-class LrSchedule:
-    """Step decay: lr(i) = base_lr * decay_ratio ** (#milestones passed)."""
-
-    base_lr: float = 0.001
-    decay_ratio: float = 0.1
-    milestones: tuple[int, ...] = (50_000, 75_000, 85_000)
-    total_iters: int = 100_000
-
-    def __post_init__(self):
-        ms = self.milestones
-        if any(b <= a for a, b in zip(ms, ms[1:])):
-            raise UsageError(f"milestones must be strictly increasing: {ms}")
-        if ms and ms[-1] >= self.total_iters:
-            raise UsageError(f"milestones {ms} must stay below total {self.total_iters}")
-
-
-def scaled_schedule(total_iters: int, base_lr: float = 0.001, decay_ratio: float = 0.1) -> LrSchedule:
-    """Shrink the reference 100k-iteration schedule proportionally.
-
-    Milestones land at 50/75/85% of the run; for very short runs, collided
-    or out-of-range milestones are dropped rather than rejected.
-    """
-    ms: list[int] = []
-    for frac in (0.5, 0.75, 0.85):
-        v = int(round(total_iters * frac))
-        if 0 < v < total_iters and (not ms or v > ms[-1]):
-            ms.append(v)
-    return LrSchedule(base_lr=base_lr, decay_ratio=decay_ratio,
-                      milestones=tuple(ms), total_iters=total_iters)
-
-
-def lr_at(schedule: LrSchedule, iteration: int) -> float:
-    if not 0 <= iteration < schedule.total_iters:
-        raise UsageError(
-            f"iteration {iteration} outside [0, {schedule.total_iters})"
-        )
-    passed = sum(1 for m in schedule.milestones if m <= iteration)
-    return schedule.base_lr * schedule.decay_ratio ** passed
 
 
 # ---------------------------------------------------------------------------

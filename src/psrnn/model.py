@@ -177,16 +177,8 @@ def build_network(config: NetworkConfig, seed: int = 0) -> PsRnnNetwork:
     # mid-gray output bias keeps the fresh network inside the clip range,
     # so gradients flow from the first step even on flat inputs
     recon.append(_init_conv(gen, 3, 3, cin, 1, activation=False, bias_fill=0.5))
-    net = PsRnnNetwork(config=config, preproc=preproc, units=units,
-                       downsample=downsample, recon=recon)
-    _assert_spatial_flow(net)
-    return net
-
-
-def _assert_spatial_flow(net: PsRnnNetwork):
-    n_full = net.config.context_size
-    if net.downsample.spec.out_extent(n_full, 3) != net.config.pu_size:
-        raise ConfigError("downsampling layer does not halve the context size")
+    return PsRnnNetwork(config=config, preproc=preproc, units=units,
+                        downsample=downsample, recon=recon)
 
 
 def parameters(net: PsRnnNetwork) -> dict[str, np.ndarray]:
@@ -299,9 +291,19 @@ def unit_backward_batch(unit: PsRnnUnitParams, cache, grad_out, grads: dict,
     return g_feat
 
 
+def _flow(net: PsRnnNetwork) -> list[tuple[str, ConvLayer | PsRnnUnitParams]]:
+    """(parameter prefix, layer) pairs in data order: preprocessing, the first
+    unit, downsampling, the further units, reconstruction."""
+    units = [(f"u{i}", unit) for i, unit in enumerate(net.units)]
+    return ([(f"pre{i}", layer) for i, layer in enumerate(net.preproc)] + units[:1]
+            + [("down", net.downsample)] + units[1:]
+            + [(f"rec{i}", layer) for i, layer in enumerate(net.recon)])
+
+
 def forward_batch(net: PsRnnNetwork, contexts: np.ndarray, need_cache: bool = True):
     """Predict a (b, N, N) stack from (b, 2N, 2N) contexts; returns (pred, cache).
 
+    The cache is (one cache per _flow layer, pre-clip output).
     need_cache=False is the inference pass: no layer keeps its input,
     pre-activation or GRU state, each activation is freed once the next
     layer has read it, and the cache returned is None. The bits are the same
@@ -312,44 +314,34 @@ def forward_batch(net: PsRnnNetwork, contexts: np.ndarray, need_cache: bool = Tr
         raise ShapeError(f"contexts must be (b, {cs}, {cs}), got {contexts.shape}")
     gate = net.config.gate_activation
     x = contexts.astype(np.float64)[..., None]
-    caches = {"pre": [], "units": []}
-    for layer in net.preproc:
-        x, c = _conv_forward(layer, x, need_cache)
-        caches["pre"].append(c)
-    x, c = unit_forward_batch(net.units[0], x, gate, need_cache)
-    caches["units"].append(c)
-    x, caches["down"] = _conv_forward(net.downsample, x, need_cache)
-    for unit in net.units[1:]:
-        x, c = unit_forward_batch(unit, x, gate, need_cache)
-        caches["units"].append(c)
-    caches["rec"] = []
-    for layer in net.recon:
-        x, c = _conv_forward(layer, x, need_cache)
-        caches["rec"].append(c)
+    caches = []
+    for _, layer in _flow(net):
+        if isinstance(layer, ConvLayer):
+            x, c = _conv_forward(layer, x, need_cache)
+        else:
+            x, c = unit_forward_batch(layer, x, gate, need_cache)
+        caches.append(c)
     pred = np.clip(x[..., 0], 0.0, 1.0)
     if not need_cache:
         return pred, None
-    caches["pre_clip"] = x[..., 0]
-    return pred, caches
+    return pred, (caches, x[..., 0])
 
 
 def backward_batch(net: PsRnnNetwork, caches, grad_pred: np.ndarray) -> dict[str, np.ndarray]:
     """Float64 gradients for every parameter, given d(loss)/d(prediction)."""
-    pre_clip = caches["pre_clip"]
+    layer_caches, pre_clip = caches
     # clip01 passes gradient where the pre-clip value is inside [0, 1]
     g = grad_pred * ((pre_clip >= 0.0) & (pre_clip <= 1.0))
     g = g[..., None]
     grads: dict[str, np.ndarray] = {}
-    for i in range(len(net.recon) - 1, -1, -1):
-        g = _conv_backward(net.recon[i], caches["rec"][i], g, grads, f"rec{i}")
-    for i in range(len(net.units) - 1, 0, -1):
-        g = unit_backward_batch(net.units[i], caches["units"][i], g, grads, f"u{i}")
-    g = _conv_backward(net.downsample, caches["down"], g, grads, "down")
-    g = unit_backward_batch(net.units[0], caches["units"][0], g, grads, "u0")
-    # nothing needs the gradient with respect to the network input
-    for i in range(len(net.preproc) - 1, -1, -1):
-        g = _conv_backward(net.preproc[i], caches["pre"][i], g, grads, f"pre{i}",
-                           need_grad_x=i > 0)
+    flow = _flow(net)
+    for k in range(len(flow) - 1, -1, -1):
+        prefix, layer = flow[k]
+        if isinstance(layer, ConvLayer):
+            # k = 0 is the first conv: nothing needs the network input's gradient
+            g = _conv_backward(layer, layer_caches[k], g, grads, prefix, need_grad_x=k > 0)
+        else:
+            g = unit_backward_batch(layer, layer_caches[k], g, grads, prefix)
     return grads
 
 
@@ -431,11 +423,10 @@ class _Reader:
         return struct.unpack("<B", self.take(1))[0]
 
 
-def load_model(path, expected_config: NetworkConfig | None = None) -> PsRnnNetwork:
+def load_model(path) -> PsRnnNetwork:
     """Read a model file; verifies checksum, magic and version.
 
-    Any unreadable content raises IntegrityError. When expected_config is given, a mismatching stored config raises
-    ConfigError (for example an N=8 model loaded into an N=16 pipeline).
+    Any unreadable content raises IntegrityError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -466,10 +457,6 @@ def load_model(path, expected_config: NetworkConfig | None = None) -> PsRnnNetwo
             records[name] = np.ascontiguousarray(arr)
     except (KeyError, ValueError) as exc:
         raise IntegrityError(f"corrupt model file content: {type(exc).__name__}: {exc}") from None
-    if expected_config is not None and config != expected_config:
-        raise ConfigError(
-            f"model config {config} does not match expected {expected_config}"
-        )
     net = build_network(config, seed=0)
     params = parameters(net)
     if set(params) != set(records):

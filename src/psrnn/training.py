@@ -1,10 +1,11 @@
 """Training loop, loss plumbing, and the RDO-lite evaluation harness.
 
-Training follows the reference recipe at desk scale: Adam, step-decayed
-learning rate (milestones at 50/75/85% of the run), minibatches of context
-windows, and checkpoint selection by the lowest validation loss inside the
-final 20% of iterations. The loss is either the tiled SATD of the residue
-or plain MSE; both are checked against finite differences in the tests.
+Training follows the reference recipe at desk scale: Adam, a learning rate
+that TrainConfig divides by ten at each milestone (by default at 50/75/85%
+of the run), minibatches of context windows, and checkpoint selection by the
+lowest validation loss inside the final 20% of iterations. The loss is
+either the tiled SATD of the residue or plain MSE; both are checked against
+finite differences in the tests.
 
 Evaluation tiles held-out images into blocks, runs the 35-mode angular
 search and the network on every block, charges the network one flag bit and
@@ -25,7 +26,7 @@ from .errors import ConfigError, DivergenceError, UsageError
 from .hadamard import SatdConfig, satd_batch, satd_loss_grad_batch
 from .intra import (DEFAULT_MODE_BITS, NETWORK, SPLIT_FLAG_BITS, ModeCost, best_modes,
                     hm_lambda, network_mode_cost, reference_lines, smooth_lines)
-from .layers import AdamState, adam_step, clip_global_norm, lr_at, scaled_schedule
+from .layers import AdamState, adam_step, clip_global_norm
 from .model import (NetworkConfig, PsRnnNetwork, backward_batch, build_network,
                     forward_batch, parameters)
 from .rng import stream
@@ -58,12 +59,29 @@ class TrainConfig:
             raise ConfigError("validation_fraction must lie in (0, 1)")
         if not 0.0 < self.selection_window <= 1.0:
             raise ConfigError("selection_window must lie in (0, 1]")
+        ms = self.lr_milestones()
+        if any(b <= a for a, b in zip(ms, ms[1:])):
+            raise ConfigError(f"milestones must be strictly increasing: {ms}")
+        if ms and ms[-1] >= self.total_iters:
+            raise ConfigError(f"milestones {ms} must stay below total_iters {self.total_iters}")
 
-    def schedule(self):
-        sched = scaled_schedule(max(self.total_iters, 1), base_lr=self.base_lr)
+    def lr_milestones(self) -> tuple[int, ...]:
+        """The given milestones, or the reference 100k-iteration schedule's
+        50/75/85% scaled to the run; a short run drops the scaled milestones
+        that collide or fall outside it."""
         if self.milestones is not None:
-            sched = replace(sched, milestones=self.milestones)
-        return sched
+            return self.milestones
+        ms: list[int] = []
+        for frac in (0.5, 0.75, 0.85):
+            v = int(round(self.total_iters * frac))
+            if 0 < v < self.total_iters and (not ms or v > ms[-1]):
+                ms.append(v)
+        return tuple(ms)
+
+    def lr(self, iteration: int) -> float:
+        """Step decay: base_lr, divided by ten at every milestone passed."""
+        passed = sum(1 for m in self.lr_milestones() if m <= iteration)
+        return self.base_lr * 0.1 ** passed
 
     def cadence(self) -> int:
         if self.checkpoint_every is not None:
@@ -170,11 +188,10 @@ def train(net: PsRnnNetwork, data, cfg: TrainConfig):
 
     params = parameters(net)
     state = AdamState()
-    sched = cfg.schedule()
     cadence = cfg.cadence()
     window_start = cfg.total_iters - int(round(cfg.total_iters * cfg.selection_window))
 
-    rows = [LogRow(0, lr_at(sched, 0) if cfg.total_iters else cfg.base_lr,
+    rows = [LogRow(0, cfg.lr(0) if cfg.total_iters else cfg.base_lr,
                    float("nan"),
                    validation_metric(net, val_ctx, val_tgt, cfg.loss, cfg.satd))]
     if cfg.total_iters == 0:
@@ -194,13 +211,13 @@ def train(net: PsRnnNetwork, data, cfg: TrainConfig):
             raise DivergenceError(it)
         grads = backward_batch(net, caches, grad_pred)
         clip_global_norm(grads, cfg.clip_grad_norm)
-        adam_step(params, grads, state, lr_at(sched, it))
+        adam_step(params, grads, state, cfg.lr(it))
         recent.append(loss)
 
         done = it + 1
         if done % cadence == 0 or done == cfg.total_iters:
             val = validation_metric(net, val_ctx, val_tgt, cfg.loss, cfg.satd)
-            rows.append(LogRow(done, lr_at(sched, it), float(np.mean(recent)), val))
+            rows.append(LogRow(done, cfg.lr(it), float(np.mean(recent)), val))
             recent = []
             if done > window_start and val < best_val:
                 best_val = val

@@ -74,15 +74,11 @@ def min_kink_margin(caches) -> float:
     pre-activation sits within the perturbation's reach of a kink; tests
     measure this margin and size the FD step well below it.
     """
+    layer_caches, pre_clip = caches
     margin = np.inf
-    for c in caches["pre"]:
-        margin = min(margin, _conv_cache_margin(c))
-    for unit_cache in caches["units"]:
-        margin = min(margin, _conv_cache_margin(unit_cache[3]))
-    margin = min(margin, _conv_cache_margin(caches["down"]))
-    for c in caches["rec"]:
-        margin = min(margin, _conv_cache_margin(c))
-    pre_clip = caches["pre_clip"]
+    for c in layer_caches:
+        # a unit's cache is (channels, h sweep, v sweep, fusion conv cache)
+        margin = min(margin, _conv_cache_margin(c[3] if len(c) == 4 else c))
     margin = min(margin, float(np.min(np.abs(pre_clip))),
                  float(np.min(np.abs(pre_clip - 1.0))))
     return margin

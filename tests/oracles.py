@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from psrnn import training as TR
-from psrnn.data import (FOUR_BLOCK, THREE_BLOCK, TRAIN_QPS, ContextBlock, DegradeConfig,
+from psrnn.data import (THREE_BLOCK, TRAIN_QPS, ContextBlock, DegradeConfig,
                         GrayImage, degrade)
 from psrnn.hadamard import SatdConfig, hadamard_matrix, satd
 from psrnn.intra import (DEFAULT_MODE_BITS, INTRA_PRED_ANGLE, INV_ANGLE, MODE_DC,
@@ -431,26 +431,21 @@ def context_loop(degraded: np.ndarray, clean: np.ndarray, origin: tuple[int, int
 
 
 def sample_contexts_loop(img_clean: GrayImage, img_degraded: GrayImage, n: int, count: int,
-                         availability_mix: float = 0.25, seed: int = 0, fill: float = 0.5,
-                         availability_mode: str | None = None) -> list[ContextBlock]:
+                         availability_mode: str, seed: int = 0,
+                         fill: float = 0.5) -> list[ContextBlock]:
     """sample_contexts with the same draws, cut one sample at a time."""
     h, w = img_clean.pixels.shape
     gen = stream(seed, f"contexts/n{n}")
     ys = gen.integers(0, h - 2 * n + 1, size=count)
     xs = gen.integers(0, w - 2 * n + 1, size=count)
-    if availability_mode is None:
-        four = gen.random(count) < availability_mix
-        modes = [FOUR_BLOCK if f else THREE_BLOCK for f in four]
-    else:
-        modes = [availability_mode] * count
-    return [context_loop(img_degraded.pixels, img_clean.pixels, (int(y), int(x)), n, mode, fill)
-            for y, x, mode in zip(ys, xs, modes)]
+    return [context_loop(img_degraded.pixels, img_clean.pixels, (int(y), int(x)), n,
+                         availability_mode, fill)
+            for y, x in zip(ys, xs)]
 
 
 def build_training_samples_loop(images: list[GrayImage], n: int, count: int, seed: int,
                                 qps: tuple[int, ...] = TRAIN_QPS,
-                                availability_mode: str | None = THREE_BLOCK,
-                                availability_mix: float = 0.25,
+                                availability_mode: str = THREE_BLOCK,
                                 fill: float = 0.5) -> list[ContextBlock]:
     """build_training_samples with the same draws, as a list of samples."""
     gen = stream(seed, "assign")
@@ -459,9 +454,8 @@ def build_training_samples_loop(images: list[GrayImage], n: int, count: int, see
     for i, (img, k) in enumerate(zip(images, per_image)):
         if k:
             deg = degrade(img, DegradeConfig(qp=qps[i % len(qps)]))
-            samples.extend(sample_contexts_loop(
-                img, deg, n, int(k), availability_mix=availability_mix,
-                seed=seed + 7919 * i, fill=fill, availability_mode=availability_mode))
+            samples.extend(sample_contexts_loop(img, deg, n, int(k), availability_mode,
+                                                seed=seed + 7919 * i, fill=fill))
     return samples
 
 

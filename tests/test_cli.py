@@ -69,6 +69,18 @@ class TestConfigHandling:
         assert f"bad value for {key}" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("milestones", ["10,10", "12,20", "30"],
+                             ids=["repeated", "at-iters", "past-iters"])
+    def test_bad_milestones(self, milestones, tmp_path, capsys, monkeypatch):
+        # the schedule is checked as the config is built, before any sample is cut
+        def no_samples(*args, **kwargs):
+            raise AssertionError("samples built before the milestones were checked")
+        monkeypatch.setattr(cli.D, "build_training_samples", no_samples)
+        assert run_cli("train", "--out", str(tmp_path / "t"), "--set", "iters=20",
+                       "--set", "samples=200", "--set", f"milestones={milestones}") == 1
+        err = capsys.readouterr().err
+        assert "milestones" in err and "Traceback" not in err
+
     def test_zero_iters_accepted(self):
         assert cli.resolve("train", {"iters": "0"}, {})["iters"] == 0
 

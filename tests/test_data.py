@@ -178,34 +178,37 @@ class TestContexts:
 
     def test_count_zero(self):
         img, deg = self._pair()
-        assert len(D.sample_contexts(img, deg, 8, 0)) == 0
-        assert sample_contexts_loop(img, deg, 8, 0) == []
+        assert len(D.sample_contexts(img, deg, 8, 0, D.THREE_BLOCK)) == 0
+        assert sample_contexts_loop(img, deg, 8, 0, D.THREE_BLOCK) == []
 
     def test_same_seed_identical(self):
         img, deg = self._pair()
-        a = D.sample_contexts(img, deg, 8, 20, seed=9)
-        b = D.sample_contexts(img, deg, 8, 20, seed=9)
+        a = D.sample_contexts(img, deg, 8, 20, D.FOUR_BLOCK, seed=9)
+        b = D.sample_contexts(img, deg, 8, 20, D.FOUR_BLOCK, seed=9)
         np.testing.assert_array_equal(a.contexts, b.contexts)
         np.testing.assert_array_equal(a.targets, b.targets)
-        a = sample_contexts_loop(img, deg, 8, 20, seed=9)
-        b = sample_contexts_loop(img, deg, 8, 20, seed=9)
+        a = sample_contexts_loop(img, deg, 8, 20, D.FOUR_BLOCK, seed=9)
+        b = sample_contexts_loop(img, deg, 8, 20, D.FOUR_BLOCK, seed=9)
         for s, t in zip(a, b):
             assert s.origin == t.origin and s.availability_mode == t.availability_mode
 
     def test_masking_audit(self):
         img, deg = self._pair()
-        samples = D.sample_contexts(img, deg, 8, 200, seed=4, fill=0.5)
-        blocks = sample_contexts_loop(img, deg, 8, 200, seed=4, fill=0.5)
-        for block, context in zip(blocks, samples.contexts):
-            assert np.all(context[8:, 8:] == 0.5)
-            if block.availability_mode == D.THREE_BLOCK:
-                assert np.all(context[8:, :8] == 0.5)
+        for mode in (D.FOUR_BLOCK, D.THREE_BLOCK):
+            samples = D.sample_contexts(img, deg, 8, 200, mode, seed=4, fill=0.5)
+            blocks = sample_contexts_loop(img, deg, 8, 200, mode, seed=4, fill=0.5)
+            for block, context in zip(blocks, samples.contexts):
+                assert np.all(context[8:, 8:] == 0.5)
+                if block.availability_mode == D.THREE_BLOCK:
+                    assert np.all(context[8:, :8] == 0.5)
+                else:
+                    assert not np.all(context[8:, :8] == 0.5)
 
     def test_alignment_audit(self):
         # degraded == clean: re-pasting the target must rebuild the window
         img, _ = self._pair(seed=5)
-        samples = D.sample_contexts(img, img, 8, 50, seed=6)
-        blocks = sample_contexts_loop(img, img, 8, 50, seed=6)
+        samples = D.sample_contexts(img, img, 8, 50, D.THREE_BLOCK, seed=6)
+        blocks = sample_contexts_loop(img, img, 8, 50, D.THREE_BLOCK, seed=6)
         for block, context, target in zip(blocks, samples.contexts, samples.targets):
             y, x = block.origin
             window = img.pixels[y : y + 16, x : x + 16].copy()
@@ -215,56 +218,47 @@ class TestContexts:
 
     def test_forced_mode(self):
         img, deg = self._pair()
-        blocks = sample_contexts_loop(img, deg, 8, 30, seed=1,
-                                      availability_mode=D.FOUR_BLOCK)
+        blocks = sample_contexts_loop(img, deg, 8, 30, D.FOUR_BLOCK, seed=1)
         assert all(b.availability_mode == D.FOUR_BLOCK for b in blocks)
-
-    def test_mix_fraction(self):
-        img, deg = self._pair(size=96)
-        blocks = sample_contexts_loop(img, deg, 8, 3000, seed=2, availability_mix=0.25)
-        four = sum(b.availability_mode == D.FOUR_BLOCK for b in blocks)
-        assert 0.18 < four / len(blocks) < 0.32
 
     def test_disjoint_seeds_disjoint_origins(self):
         img, deg = self._pair(size=128)
-        a = {b.origin for b in sample_contexts_loop(img, deg, 8, 300, seed=100)}
-        b = {b.origin for b in sample_contexts_loop(img, deg, 8, 300, seed=200)}
+        a = {b.origin for b in sample_contexts_loop(img, deg, 8, 300, D.THREE_BLOCK, seed=100)}
+        b = {b.origin for b in sample_contexts_loop(img, deg, 8, 300, D.THREE_BLOCK, seed=200)}
         overlap = len(a & b) / 300
         assert overlap <= 0.05
 
     def test_too_small_image(self):
         img = D.GrayImage(np.zeros((12, 12), dtype=np.float32))
         with pytest.raises(SizeError):
-            D.sample_contexts(img, img, 8, 1)
+            D.sample_contexts(img, img, 8, 1, D.THREE_BLOCK)
 
     def test_mismatched_pair(self):
         a = D.GrayImage(np.zeros((32, 32), dtype=np.float32))
         b = D.GrayImage(np.zeros((64, 64), dtype=np.float32))
         with pytest.raises(ShapeError):
-            D.sample_contexts(a, b, 8, 1)
+            D.sample_contexts(a, b, 8, 1, D.THREE_BLOCK)
 
     def test_range_invariant(self):
         img, deg = self._pair()
-        samples = D.sample_contexts(img, deg, 8, 50, seed=3)
+        samples = D.sample_contexts(img, deg, 8, 50, D.THREE_BLOCK, seed=3)
         for arr in (samples.contexts, samples.targets):
             assert arr.min() >= 0.0 and arr.max() <= 1.0
 
     @given(n=st.sampled_from([4, 8, 16, 32]), extra_h=st.integers(0, 40),
            extra_w=st.integers(0, 40), count=st.integers(0, 57),
-           mode=st.sampled_from([None, D.FOUR_BLOCK, D.THREE_BLOCK]),
-           mix=st.sampled_from([0.0, 0.25, 0.7, 1.0]), fill=st.sampled_from([0.0, 0.5, 0.8]),
-           seed=st.integers(0, 2**16))
-    @example(n=8, extra_h=0, extra_w=0, count=0, mode=None, mix=0.25, fill=0.5, seed=0)
-    @example(n=32, extra_h=0, extra_w=3, count=57, mode=None, mix=0.25, fill=0.8, seed=1)
-    def test_gather_matches_per_sample_oracle(self, n, extra_h, extra_w, count, mode, mix,
-                                              fill, seed):
+           mode=st.sampled_from([D.FOUR_BLOCK, D.THREE_BLOCK]),
+           fill=st.sampled_from([0.0, 0.5, 0.8]), seed=st.integers(0, 2**16))
+    @example(n=8, extra_h=0, extra_w=0, count=0, mode=D.THREE_BLOCK, fill=0.5, seed=0)
+    @example(n=32, extra_h=0, extra_w=3, count=57, mode=D.FOUR_BLOCK, fill=0.8, seed=1)
+    def test_gather_matches_per_sample_oracle(self, n, extra_h, extra_w, count, mode, fill,
+                                              seed):
         gen = np.random.default_rng(seed)
         shape = (2 * n + extra_h, 2 * n + extra_w)
         img = D.GrayImage(gen.random(shape).astype(np.float32))
         deg = D.GrayImage(gen.random(shape).astype(np.float32))
-        kw = dict(availability_mix=mix, seed=seed, fill=fill, availability_mode=mode)
-        got = D.sample_contexts(img, deg, n, count, **kw)
-        want = stack_blocks(sample_contexts_loop(img, deg, n, count, **kw), n)
+        got = D.sample_contexts(img, deg, n, count, mode, seed=seed, fill=fill)
+        want = stack_blocks(sample_contexts_loop(img, deg, n, count, mode, seed=seed, fill=fill), n)
         for arr, ref in zip((got.contexts, got.targets), want):
             assert arr.dtype == ref.dtype and arr.shape == ref.shape
             assert arr.tobytes() == ref.tobytes()

@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 from conftest import rel_err
 from oracles import gru_sequence_backward, gru_sequence_forward
 from psrnn import layers as L
-from psrnn.errors import ShapeError, UsageError
+from psrnn.errors import ConfigError, ShapeError, UsageError
+from psrnn.training import TrainConfig
 
 
 def random_gru(gen, hidden, input_dim, scale=0.5):
@@ -67,6 +68,10 @@ class TestGruForward:
         lean, none = L.gru_sweep_forward(p, xs, h0, gate, need_cache=False)
         assert none is None
         assert lean.tobytes() == hs.tobytes() == cache.hs.tobytes()
+        # one buffer holds h0 and the n step states; hs is a view of its tail
+        assert cache.states.shape == (8, 3, 6)
+        assert cache.states[0].tobytes() == h0.tobytes()
+        assert np.shares_memory(cache.hs, cache.states)
 
     @given(seed=st.integers(0, 10_000))
     def test_gates_strictly_boxed(self, seed):
@@ -273,10 +278,6 @@ class TestAdam:
             L.adam_step({"w": np.zeros(2, np.float32)}, {"w": np.zeros(3)},
                         L.AdamState(), 0.1)
 
-    def test_bad_betas(self):
-        with pytest.raises(UsageError):
-            L.AdamState(beta1=1.0)
-
     def test_clip_global_norm(self):
         grads = {"a": np.full(4, 3.0), "b": np.full(9, 4.0)}
         norm = L.clip_global_norm(grads, 5.0)
@@ -286,51 +287,49 @@ class TestAdam:
 
 
 class TestSchedule:
+    # the step-decay schedule lives on TrainConfig; the 100k-iteration run
+    # is the reference recipe, milestones at 50/75/85%
+    REF = TrainConfig(total_iters=100_000)
+
     def test_initial_rate(self):
-        assert L.lr_at(L.LrSchedule(), 0) == 0.001
+        assert self.REF.lr(0) == 0.001
 
     def test_after_first_milestone(self):
-        assert L.lr_at(L.LrSchedule(), 60_000) == pytest.approx(0.0001)
+        assert self.REF.lr(60_000) == pytest.approx(0.0001)
 
     def test_after_all_milestones(self):
-        assert L.lr_at(L.LrSchedule(), 90_000) == pytest.approx(1e-6)
+        assert self.REF.lr(90_000) == pytest.approx(1e-6)
 
     def test_milestone_boundary_counts(self):
-        assert L.lr_at(L.LrSchedule(), 50_000) == pytest.approx(0.0001)
-        assert L.lr_at(L.LrSchedule(), 49_999) == 0.001
-
-    def test_out_of_range(self):
-        with pytest.raises(UsageError):
-            L.lr_at(L.LrSchedule(), 100_000)
-        with pytest.raises(UsageError):
-            L.lr_at(L.LrSchedule(), -1)
+        assert self.REF.lr_milestones() == (50_000, 75_000, 85_000)
+        assert self.REF.lr(50_000) == pytest.approx(0.0001)
+        assert self.REF.lr(49_999) == 0.001
 
     def test_validation(self):
-        with pytest.raises(UsageError):
-            L.LrSchedule(milestones=(10, 10), total_iters=100)
-        with pytest.raises(UsageError):
-            L.LrSchedule(milestones=(10, 120), total_iters=100)
+        with pytest.raises(ConfigError):
+            TrainConfig(milestones=(10, 10), total_iters=100)
+        with pytest.raises(ConfigError):
+            TrainConfig(milestones=(10, 120), total_iters=100)
+        with pytest.raises(ConfigError):
+            TrainConfig(milestones=(10, 100), total_iters=100)
 
     def test_scaled_schedule_desk_defaults(self):
-        s = L.scaled_schedule(5000)
-        assert s.milestones == (2500, 3750, 4250)
-        assert s.total_iters == 5000
+        assert TrainConfig(total_iters=5000).lr_milestones() == (2500, 3750, 4250)
 
     def test_scaled_schedule_tiny_runs(self):
-        assert L.scaled_schedule(1).milestones == ()
-        assert L.scaled_schedule(4).milestones == (2, 3)
+        assert TrainConfig(total_iters=1).lr_milestones() == ()
+        assert TrainConfig(total_iters=4).lr_milestones() == (2, 3)
 
     @given(it=st.integers(0, 99_999))
     def test_non_increasing(self, it):
-        s = L.LrSchedule()
-        if it + 1 < s.total_iters:
-            assert L.lr_at(s, it + 1) <= L.lr_at(s, it)
+        if it + 1 < self.REF.total_iters:
+            assert self.REF.lr(it + 1) <= self.REF.lr(it)
 
     def test_piecewise_constant_between_milestones(self):
-        s = L.LrSchedule(milestones=(10, 20), total_iters=30)
-        assert len({L.lr_at(s, i) for i in range(10)}) == 1
-        assert len({L.lr_at(s, i) for i in range(10, 20)}) == 1
-        assert len({L.lr_at(s, i) for i in range(20, 30)}) == 1
+        cfg = TrainConfig(milestones=(10, 20), total_iters=30)
+        assert len({cfg.lr(i) for i in range(10)}) == 1
+        assert len({cfg.lr(i) for i in range(10, 20)}) == 1
+        assert len({cfg.lr(i) for i in range(20, 30)}) == 1
 
 
 class TestInit:

@@ -116,12 +116,6 @@ class TestForward:
             assert lean.tobytes() == preds.tobytes() == want.tobytes()
             assert (max(slabs) > 1) == splits
 
-    def test_spatial_flow_guard(self):
-        net = M.build_network(TINY, seed=0)
-        net.downsample.stride = 1
-        with pytest.raises(ConfigError):
-            M._assert_spatial_flow(net)
-
 
 class TestUnit:
     def test_zero_weights_give_fusion_bias_map(self):
@@ -415,13 +409,6 @@ class TestSerialization:
         rewrite_config_text(path, *edit)
         with pytest.raises(IntegrityError):
             M.load_model(path)
-
-    def test_config_mismatch_rejected(self, tmp_path):
-        net = M.build_network(M.NetworkConfig(pu_size=8), seed=0)
-        path = tmp_path / "m.psrnn"
-        M.save_model(net, path)
-        with pytest.raises(ConfigError):
-            M.load_model(path, expected_config=M.NetworkConfig(pu_size=16))
 
     def test_clone_is_independent(self):
         net = M.build_network(TINY, seed=6)

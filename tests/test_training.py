@@ -113,7 +113,7 @@ class TestTrain:
             TR.train(net, [], small_cfg())
         img = D.synth_texture("flat", 32)
         with pytest.raises(UsageError):
-            TR.train(net, D.sample_contexts(img, img, 8, 0), small_cfg())
+            TR.train(net, D.sample_contexts(img, img, 8, 0, D.THREE_BLOCK), small_cfg())
 
     def test_sample_size_mismatch(self):
         # N=16 contexts are 32x32; the N=8 network reads 16x16
