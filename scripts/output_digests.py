@@ -14,10 +14,14 @@ Prints one `<name> <sha256>` line for each of:
   greedy 16/8, greedy 32/16/8, fixed N=8 with [1 2 1] reference
   smoothing, and fixed N=16 and N=32 (whose inference convs gather their
   patch matrices in several slabs);
-- the output directories of three CLI verbs, files and written `.config`
+- the output directories of five CLI verbs, files and written `.config`
   included: `psrnn demo` of an untrained N=8 network built from the seed
-  (kind=directional, cases=2), and the tiny `compare-losses` and
-  `ablate-units` runs of tests/test_cli.py (config seed 0).
+  (kind=directional, cases=2); the tiny `compare-losses` and
+  `ablate-units` runs of tests/test_cli.py (config seed 0); a tiny
+  `psrnn train` (lean widths, 6 iterations, 300 samples, the seed) and a
+  `psrnn eval` of its model on three 64x64 synthetic images. Every verb
+  writes to a relative `--out`, so the `.config` text, defaults included,
+  is pinned byte for byte.
 
 Run it on two checkouts and diff the output to check that a change keeps
 model files, training logs and eval reports byte for byte:
@@ -106,11 +110,13 @@ def eval_digest(seed: int, sizes: tuple[int, ...], policy: str,
 
 
 def verb_digest(workdir: Path, verb: str, *args: str) -> str:
-    """Run a CLI verb with --out out/ inside workdir; digest every file it wrote.
+    """Run a CLI verb with --out out/ inside workdir (made if missing); digest
+    every file it wrote.
 
     Paths in the written config are relative to workdir, so the digest does
     not depend on where the temporary directory lies.
     """
+    workdir.mkdir(exist_ok=True)
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
@@ -131,6 +137,19 @@ def demo_digest(seed: int, workdir: Path) -> str:
                  workdir / "model.psrnn")
     return verb_digest(workdir, "demo", "--seed", str(seed), "--set", "model=model.psrnn",
                        "--set", "kind=directional", "--set", "cases=2")
+
+
+def train_eval_digests(seed: int, workdir: Path) -> tuple[str, str]:
+    """`psrnn train` of a lean N=8 network, then `psrnn eval` of the model it saved."""
+    train = verb_digest(workdir / "train", "train", "--seed", str(seed),
+                        "--set", "iters=6", "--set", "samples=300", "--set", "batch=8",
+                        "--set", "corpus_size=32", "--set", "corpus_per_kind=2",
+                        "--set", "preproc_channels=2,2", "--set", "unit_hidden=2,2,2",
+                        "--set", "recon_channels=2")
+    evaluation = verb_digest(workdir / "eval", "eval", "--seed", str(seed),
+                             "--set", "models=../train/out/model.psrnn",
+                             "--set", "eval_size=64", "--set", "eval_count=3")
+    return train, evaluation
 
 
 def main():
@@ -165,6 +184,10 @@ def main():
         print("ablate-units.out " + verb_digest(
             Path(tmp), "ablate-units", "--set", "counts=1,2", "--set", "iters=10",
             "--set", "samples=400", "--set", "batch=8", "--set", "corpus_size=64"))
+    with tempfile.TemporaryDirectory() as tmp:
+        train, evaluation = train_eval_digests(args.seed, Path(tmp))
+        print(f"train.out {train}")
+        print(f"eval.out {evaluation}")
 
 
 if __name__ == "__main__":

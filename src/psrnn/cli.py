@@ -81,26 +81,26 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
     "train": {
         "out": (str, "train_out"),
         "data": (str, "synthetic"),
-        "n": (int, 8),
-        "availability": (str, "three-block"),
-        "loss": (str, "satd"),
-        "iters": (_nonneg, 5000),
-        "batch": (_count, 32),
-        "base_lr": (float, 0.001),
-        "milestones": (_ints, ()),
+        "n": (int, NetworkConfig.pu_size),
+        "availability": (str, NetworkConfig.availability_mode),
+        "loss": (str, TrainConfig.loss),
+        "iters": (_nonneg, TrainConfig.total_iters),
+        "batch": (_count, TrainConfig.batch_size),
+        "base_lr": (float, TrainConfig.base_lr),
+        "milestones": (_ints, ()),  # (): scaled to the run, TrainConfig's None
         "seed": (int, 0),
         "samples": (_count, 50000),
-        "val_fraction": (float, 0.1),
-        "selection_window": (float, 0.2),
-        "partition": (int, 4),
-        "epsilon": (float, 1e-8),
-        "fill": (float, 0.5),
-        "gate_activation": (str, "sigmoid"),
-        "preproc_channels": (_ints, (8, 8)),
-        "unit_hidden": (_ints, (8, 4, 4)),
-        "recon_channels": (_ints, (8,)),
-        "fusion_kernel": (int, 3),
-        "clip_grad_norm": (float, 5.0),
+        "val_fraction": (float, TrainConfig.validation_fraction),
+        "selection_window": (float, TrainConfig.selection_window),
+        "partition": (int, SatdConfig.partition),
+        "epsilon": (float, SatdConfig.epsilon),
+        "fill": (float, NetworkConfig.fill_value),
+        "gate_activation": (str, NetworkConfig.gate_activation),
+        "preproc_channels": (_ints, NetworkConfig.preproc_channels),
+        "unit_hidden": (_ints, NetworkConfig.unit_hidden),
+        "recon_channels": (_ints, NetworkConfig.recon_channels),
+        "fusion_kernel": (int, NetworkConfig.fusion_kernel),
+        "clip_grad_norm": (float, TrainConfig.clip_grad_norm),
         "qps": (_ints, D.TRAIN_QPS),
         "corpus_size": (_count, 128),
         "corpus_kinds": (_strs, ("directional", "sinusoid")),
@@ -111,10 +111,10 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "models": (_strs, ()),
         "images": (str, "synthetic"),
         "qp": (int, 32),
-        "block_policy": (str, "fixed"),
-        "sizes": (_ints, (8,)),
-        "oracle": (_bool, False),
-        "ref_smoothing": (_bool, False),
+        "block_policy": (str, EvalConfig.policy),
+        "sizes": (_ints, EvalConfig.block_sizes),
+        "oracle": (_bool, EvalConfig.oracle),
+        "ref_smoothing": (_bool, EvalConfig.ref_smoothing),
         "seed": (int, 0),
         "eval_size": (int, 128),
         "eval_count": (_count, 4),
@@ -130,10 +130,10 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
     "compare-losses": {
         "out": (str, "compare_out"),
         "seeds": (_ints, (1, 2, 3)),
-        "n": (int, 8),
-        "availability": (str, "three-block"),
+        "n": (int, NetworkConfig.pu_size),
+        "availability": (str, NetworkConfig.availability_mode),
         "iters": (_nonneg, 600),
-        "batch": (_count, 32),
+        "batch": (_count, TrainConfig.batch_size),
         "samples": (_count, 6000),
         "seed": (int, 0),
         "corpus_size": (_count, 128),
@@ -141,10 +141,10 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
     "ablate-units": {
         "out": (str, "ablate_out"),
         "counts": (_ints, (1, 2, 3, 4)),
-        "n": (int, 8),
-        "availability": (str, "three-block"),
+        "n": (int, NetworkConfig.pu_size),
+        "availability": (str, NetworkConfig.availability_mode),
         "iters": (_nonneg, 400),
-        "batch": (_count, 32),
+        "batch": (_count, TrainConfig.batch_size),
         "samples": (_count, 6000),
         "seed": (int, 0),
         "corpus_size": (_count, 128),
@@ -154,8 +154,12 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
 
 
 def parse_config_file(path) -> dict[str, str]:
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not a text file: {exc}") from None
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -330,8 +334,10 @@ def cmd_train(resolved: dict) -> int:
     save_model(net, model_path)
     write_training_log(rows, out / "train_log.csv")
     write_resolved("train", resolved, out)
+    # the saved network: the window's best checkpoint, else the last row's
+    window = [r.val_loss for r in rows if r.iteration > cfg.selection_start()]
     print(f"trained {cfg.total_iters} iterations; best val loss "
-          f"{min(r.val_loss for r in rows)!r}; model -> {model_path}")
+          f"{min(window, default=rows[-1].val_loss)!r}; model -> {model_path}")
     return 0
 
 
@@ -351,9 +357,13 @@ def _eval_images(resolved: dict) -> list[D.GrayImage]:
     return [D.load_image(p) for p in paths]
 
 
+def _eval_config(resolved: dict) -> EvalConfig:
+    return EvalConfig(block_sizes=resolved["sizes"], policy=resolved["block_policy"],
+                      oracle=resolved["oracle"], ref_smoothing=resolved["ref_smoothing"])
+
+
 def cmd_eval(resolved: dict) -> int:
     out = _out_dir(resolved)
-    sizes = tuple(resolved["sizes"])
     nets = None
     if resolved["models"]:
         nets = {}
@@ -364,8 +374,7 @@ def cmd_eval(resolved: dict) -> int:
             nets[net.config.pu_size] = net
     elif not resolved["oracle"]:
         print("no models given: baseline-only evaluation", file=sys.stderr)
-    cfg = EvalConfig(block_sizes=sizes, policy=resolved["block_policy"],
-                     oracle=resolved["oracle"], ref_smoothing=resolved["ref_smoothing"])
+    cfg = _eval_config(resolved)
     report = evaluate(nets, _eval_images(resolved), resolved["qp"], cfg)
     with open(out / "eval_blocks.csv", "w") as fh:
         for row in report.csv_rows():

@@ -27,6 +27,8 @@ PAPER_SCALES = ((1792, 1024), (1344, 768), (896, 512))
 TRAIN_QPS = (22, 27, 32, 37)
 FOUR_BLOCK = "four-block"
 THREE_BLOCK = "three-block"
+AVAILABILITY_MODES = (FOUR_BLOCK, THREE_BLOCK)
+CONTEXT_FILL = 0.5  # what a masked context pixel reads, unless a model sets its own
 MIN_CROP = 32  # smallest acceptable center-crop side for proportional scaling
 DEGRADE_BLOCK = 8  # side of the DCT blocks degrade() quantizes
 
@@ -39,14 +41,6 @@ class GrayImage:
         if self.pixels.ndim != 2:
             raise ShapeError(f"expected a 2-D pixel array, got {self.pixels.shape}")
         self.pixels = self.pixels.astype(np.float32)
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
 
 
 @dataclass
@@ -151,8 +145,8 @@ def _load_pnm(data: bytes, magic: bytes) -> GrayImage:
         except FormatError:
             raise FormatError("truncated pixel payload") from None
         values = np.array(tokens, dtype=np.float32)
-        if values.size and (values.max() > maxval or values.min() < 0):
-            raise FormatError("sample value outside [0, maxval]")
+    if values.max() > maxval or values.min() < 0:
+        raise FormatError("sample value outside [0, maxval]")
     values /= float(maxval)
     if color:
         rgb = values.reshape(height, width, 3)
@@ -293,7 +287,7 @@ def degrade(img: GrayImage, cfg: DegradeConfig) -> GrayImage:
 
 
 def cut_contexts(degraded: np.ndarray, clean: np.ndarray, ys, xs, n: int,
-                 three_block, fill: float = 0.5) -> SampleSet:
+                 three_block, fill: float) -> SampleSet:
     """Context/target pairs of the 2n x 2n windows at (ys[i], xs[i]), cut in one gather.
 
     Every target quadrant is set to `fill`, and so is every bottom-left
@@ -314,23 +308,25 @@ def cut_contexts(degraded: np.ndarray, clean: np.ndarray, ys, xs, n: int,
     return SampleSet(contexts, targets)
 
 
-def _is_three_block(availability_mode: str) -> bool:
-    if availability_mode not in (FOUR_BLOCK, THREE_BLOCK):
+def is_three_block(availability_mode: str) -> bool:
+    """cut_contexts' `three_block` flag for an AVAILABILITY_MODES name."""
+    if availability_mode not in AVAILABILITY_MODES:
         raise UsageError(f"unknown availability mode {availability_mode!r}")
     return availability_mode == THREE_BLOCK
 
 
 def make_context(degraded: np.ndarray, clean: np.ndarray, origin: tuple[int, int],
-                 n: int, availability_mode: str, fill: float = 0.5) -> ContextBlock:
+                 n: int, availability_mode: str, fill: float) -> ContextBlock:
     """Cut one context/target pair at a window origin (top-left of 2n x 2n)."""
     y, x = origin
-    pair = cut_contexts(degraded, clean, [y], [x], n, _is_three_block(availability_mode), fill)
+    pair = cut_contexts(degraded, clean, [y], [x], n, is_three_block(availability_mode), fill)
     return ContextBlock(context=pair.contexts[0], target=pair.targets[0],
                         availability_mode=availability_mode, origin=(y, x), n=n)
 
 
 def sample_contexts(img_clean: GrayImage, img_degraded: GrayImage, n: int, count: int,
-                    availability_mode: str, seed: int = 0, fill: float = 0.5) -> SampleSet:
+                    availability_mode: str, seed: int = 0,
+                    fill: float = CONTEXT_FILL) -> SampleSet:
     """Uniformly sample `count` context/target pairs from one image, all masked
     per `availability_mode`. Deterministic under `seed`."""
     h, w = img_clean.pixels.shape
@@ -340,7 +336,7 @@ def sample_contexts(img_clean: GrayImage, img_degraded: GrayImage, n: int, count
     ys = gen.integers(0, h - 2 * n + 1, size=count)
     xs = gen.integers(0, w - 2 * n + 1, size=count)
     return cut_contexts(img_degraded.pixels, img_clean.pixels, ys, xs, n,
-                        _is_three_block(availability_mode), fill)
+                        is_three_block(availability_mode), fill)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +426,7 @@ def synthetic_corpus(size: int, seed: int, kinds: tuple[str, ...] = ("directiona
 def build_training_samples(images: list[GrayImage], n: int, count: int, seed: int,
                            qps: tuple[int, ...] = TRAIN_QPS,
                            availability_mode: str = THREE_BLOCK,
-                           fill: float = 0.5) -> SampleSet:
+                           fill: float = CONTEXT_FILL) -> SampleSet:
     """Degrade a deck of images at mixed qps and sample contexts evenly."""
     if not images:
         raise UsageError("no source images")

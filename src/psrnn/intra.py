@@ -20,7 +20,7 @@ maximum of the last available index; smooth_lines filters them; best_modes
 predicts all 35 modes of every block, scores the (k, 35, N, N) residues
 with one batched SATD and takes the argmin per block. For one block,
 build_reference_samples is reference_lines of one origin, and predict_mode
-reads a line through the same predictor code.
+reads one mode of the 35-mode stack best_modes builds.
 
 The 33 angular modes are table-driven: per block size, cached gather
 indices and 1/32-sample weights map the reference line concat(top, left)
@@ -211,13 +211,7 @@ def predict_mode(line: np.ndarray, mode: int, n: int) -> np.ndarray:
         raise ModeError(f"mode index must be 0..34, got {mode}")
     if line.shape != (4 * n + 1,):
         raise ShapeError(f"need a ({4 * n + 1},) reference line for n={n}, got {line.shape}")
-    src = line[_line_layout(n)[3]]
-    if mode == MODE_PLANAR:
-        return _predict_planar(src[None], n)[0]
-    if mode == MODE_DC:
-        return np.full((n, n), _predict_dc(src[None], n)[0])
-    i1, i2, w1, w2 = (t[mode - 2] for t in _angular_tables(n))
-    return w1 * src[i1] + w2 * src[i2]
+    return _predict_all(line[None, _line_layout(n)[3]], n)[0, mode]
 
 
 @dataclass(frozen=True)

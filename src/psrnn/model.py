@@ -33,6 +33,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .data import AVAILABILITY_MODES, CONTEXT_FILL, THREE_BLOCK
 from .errors import ConfigError, IntegrityError, ShapeError, VersionError
 from .layers import (GATE_ACTIVATIONS, GruParams, glorot_uniform,
                      gru_sweep_backward, gru_sweep_forward, init_gru,
@@ -41,7 +42,6 @@ from .rng import stream
 from .tensor import ConvSpec, conv2d_backward_batch, conv2d_forward_batch
 
 PU_SIZES = (4, 8, 16, 32)
-AVAILABILITY_MODES = ("four-block", "three-block")
 
 MODEL_MAGIC = b"PSRNNMDL"
 MODEL_VERSION = 1
@@ -55,8 +55,8 @@ class NetworkConfig:
     recon_channels: tuple[int, ...] = (8,)
     fusion_kernel: int = 3
     gate_activation: str = "sigmoid"
-    availability_mode: str = "three-block"
-    fill_value: float = 0.5
+    availability_mode: str = THREE_BLOCK
+    fill_value: float = CONTEXT_FILL
 
     def __post_init__(self):
         if self.pu_size not in PU_SIZES:
@@ -77,10 +77,6 @@ class NetworkConfig:
     @property
     def context_size(self) -> int:
         return 2 * self.pu_size
-
-    @property
-    def num_units(self) -> int:
-        return len(self.unit_hidden)
 
 
 @dataclass
@@ -365,22 +361,19 @@ def _config_text(config: NetworkConfig) -> bytes:
 
 
 def _config_from_text(text: str) -> NetworkConfig:
+    """Invert _config_text, converting each field by the type of its default."""
     kw = {}
     for line in text.strip().splitlines():
         key, _, val = line.partition("=")
         kw[key] = val
-    def ints(s):
-        return tuple(int(x) for x in s.split(",") if x)
-    return NetworkConfig(
-        pu_size=int(kw["pu_size"]),
-        preproc_channels=ints(kw["preproc_channels"]),
-        unit_hidden=ints(kw["unit_hidden"]),
-        recon_channels=ints(kw["recon_channels"]),
-        fusion_kernel=int(kw["fusion_kernel"]),
-        gate_activation=kw["gate_activation"],
-        availability_mode=kw["availability_mode"],
-        fill_value=float(kw["fill_value"]),
-    )
+    values = {}
+    for f in fields(NetworkConfig):
+        val = kw[f.name]
+        if isinstance(f.default, tuple):
+            values[f.name] = tuple(int(x) for x in val.split(",") if x)
+        else:
+            values[f.name] = type(f.default)(val)
+    return NetworkConfig(**values)
 
 
 def save_model(net: PsRnnNetwork, path) -> None:

@@ -21,13 +21,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import THREE_BLOCK, DegradeConfig, GrayImage, SampleSet, cut_contexts, degrade
+from .data import (THREE_BLOCK, DegradeConfig, GrayImage, SampleSet, cut_contexts, degrade,
+                   is_three_block)
 from .errors import ConfigError, DivergenceError, UsageError
 from .hadamard import SatdConfig, satd_batch, satd_loss_grad_batch
 from .intra import (DEFAULT_MODE_BITS, NETWORK, SPLIT_FLAG_BITS, ModeCost, best_modes,
                     hm_lambda, network_mode_cost, reference_lines, smooth_lines)
 from .layers import AdamState, adam_step, clip_global_norm
-from .model import (NetworkConfig, PsRnnNetwork, backward_batch, build_network,
+from .model import (PU_SIZES, NetworkConfig, PsRnnNetwork, backward_batch, build_network,
                     forward_batch, parameters)
 from .rng import stream
 
@@ -45,7 +46,7 @@ class TrainConfig:
     validation_fraction: float = 0.1
     selection_window: float = 0.2  # final fraction searched for the best model
     satd: SatdConfig = field(default_factory=SatdConfig)
-    availability_mode: str = "three-block"
+    availability_mode: str = THREE_BLOCK
     clip_grad_norm: float = 5.0  # <= 0: no clipping
     val_subset_cap: int = 512
     checkpoint_every: int | None = None  # None: total_iters // 100
@@ -60,6 +61,8 @@ class TrainConfig:
         if not 0.0 < self.selection_window <= 1.0:
             raise ConfigError("selection_window must lie in (0, 1]")
         ms = self.lr_milestones()
+        if ms and ms[0] < 1:
+            raise ConfigError(f"milestones {ms} must start at 1 or later")
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise ConfigError(f"milestones must be strictly increasing: {ms}")
         if ms and ms[-1] >= self.total_iters:
@@ -82,6 +85,10 @@ class TrainConfig:
         """Step decay: base_lr, divided by ten at every milestone passed."""
         passed = sum(1 for m in self.lr_milestones() if m <= iteration)
         return self.base_lr * 0.1 ** passed
+
+    def selection_start(self) -> int:
+        """Checkpoints logged after this iteration make up the selection window."""
+        return self.total_iters - int(round(self.total_iters * self.selection_window))
 
     def cadence(self) -> int:
         if self.checkpoint_every is not None:
@@ -189,10 +196,9 @@ def train(net: PsRnnNetwork, data, cfg: TrainConfig):
     params = parameters(net)
     state = AdamState()
     cadence = cfg.cadence()
-    window_start = cfg.total_iters - int(round(cfg.total_iters * cfg.selection_window))
+    window_start = cfg.selection_start()
 
-    rows = [LogRow(0, cfg.lr(0) if cfg.total_iters else cfg.base_lr,
-                   float("nan"),
+    rows = [LogRow(0, cfg.lr(0), float("nan"),
                    validation_metric(net, val_ctx, val_tgt, cfg.loss, cfg.satd))]
     if cfg.total_iters == 0:
         return net, rows
@@ -245,8 +251,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.policy not in ("fixed", "greedy"):
             raise ConfigError(f"policy must be fixed or greedy, got {self.policy!r}")
-        if not self.block_sizes or any(s not in (4, 8, 16, 32) for s in self.block_sizes):
-            raise ConfigError(f"block sizes must be one or more of 4/8/16/32: {self.block_sizes}")
+        if not self.block_sizes or any(s not in PU_SIZES for s in self.block_sizes):
+            raise ConfigError(f"block sizes must be one or more of {PU_SIZES}: {self.block_sizes}")
         if len(set(self.block_sizes)) != len(self.block_sizes):
             raise ConfigError(f"block sizes must not repeat: {self.block_sizes}")
         if self.policy == "greedy":
@@ -327,7 +333,7 @@ def _contexts(net: PsRnnNetwork, image: GrayImage, recon: GrayImage, origins) ->
     c = net.config
     ys, xs = (np.array(origins, dtype=np.intp).reshape(-1, 2) - c.pu_size).T
     return cut_contexts(recon.pixels, image.pixels, ys, xs, c.pu_size,
-                        c.availability_mode == THREE_BLOCK, c.fill_value).contexts
+                        is_three_block(c.availability_mode), c.fill_value).contexts
 
 
 def _tile_origins(shape: tuple[int, int], n: int) -> np.ndarray:
@@ -479,7 +485,7 @@ def _network_for(samples: SampleSet, cfg: TrainConfig, seed: int, unit_hidden=No
     if net_config is None:
         net_config = NetworkConfig(pu_size=samples.contexts.shape[1] // 2,
                                    availability_mode=cfg.availability_mode,
-                                   unit_hidden=unit_hidden or (8, 4, 4))
+                                   unit_hidden=unit_hidden or NetworkConfig.unit_hidden)
     return build_network(net_config, seed=seed)
 
 

@@ -9,7 +9,8 @@ from conftest import rewrite_config_text
 from oracles import sample_contexts_loop, stack_blocks
 from psrnn import cli
 from psrnn import data as D
-from psrnn.model import load_model
+from psrnn import training as TR
+from psrnn.model import NetworkConfig, load_model
 
 
 def write_pgm(path, seed=0, size=64):
@@ -69,8 +70,8 @@ class TestConfigHandling:
         assert f"bad value for {key}" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("milestones", ["10,10", "12,20", "30"],
-                             ids=["repeated", "at-iters", "past-iters"])
+    @pytest.mark.parametrize("milestones", ["10,10", "12,20", "30", "-5,0", "0"],
+                             ids=["repeated", "at-iters", "past-iters", "-5,0", "0"])
     def test_bad_milestones(self, milestones, tmp_path, capsys, monkeypatch):
         # the schedule is checked as the config is built, before any sample is cut
         def no_samples(*args, **kwargs):
@@ -80,6 +81,12 @@ class TestConfigHandling:
                        "--set", "samples=200", "--set", f"milestones={milestones}") == 1
         err = capsys.readouterr().err
         assert "milestones" in err and "Traceback" not in err
+
+    def test_defaults_are_the_config_dataclasses(self):
+        train = cli.resolve("train", {}, {})
+        assert cli._network_config(train) == NetworkConfig()
+        assert cli._train_config(train) == TR.TrainConfig()
+        assert cli._eval_config(cli.resolve("eval", {}, {})) == TR.EvalConfig()
 
     def test_zero_iters_accepted(self):
         assert cli.resolve("train", {"iters": "0"}, {})["iters"] == 0
@@ -193,6 +200,23 @@ class TestTrain:
             hashes.append((hashlib.sha256((out / "model.psrnn").read_bytes()).hexdigest(),
                            hashlib.sha256((out / "train_log.csv").read_bytes()).hexdigest()))
         assert hashes[0] == hashes[1]
+
+    def test_printed_val_loss_is_the_saved_models(self, tmp_path, capsys):
+        # row 0, the untrained network, has the lowest loss of the log here,
+        # but the saved model is the best checkpoint of the selection window
+        keys = {"iters": "10", "samples": "300", "corpus_size": "32", "corpus_per_kind": "2",
+                "base_lr": "0.05", "preproc_channels": "2,2", "unit_hidden": "2,2,2",
+                "recon_channels": "2"}
+        out = tmp_path / "t"
+        assert run_cli("train", "--seed", "0", "--out", str(out),
+                       *[a for k, v in keys.items() for a in ("--set", f"{k}={v}")]) == 0
+        printed = float(capsys.readouterr().out.split("best val loss ")[1].split(";")[0])
+        resolved = cli.resolve("train", keys, {"seed": 0})
+        samples, cfg = cli._load_samples(resolved), cli._train_config(resolved)
+        val_idx, _ = TR._validation_split(len(samples), cfg)
+        saved = TR.validation_metric(load_model(out / "model.psrnn"), samples.contexts[val_idx],
+                                     samples.targets[val_idx], cfg.loss, cfg.satd)
+        assert printed == saved
 
     def test_resolved_config_reproduces_run(self, tmp_path):
         out1 = tmp_path / "first"

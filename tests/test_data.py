@@ -42,6 +42,15 @@ class TestPgm:
         with pytest.raises(FormatError):
             D.load_image(p)
 
+    @pytest.mark.parametrize("magic, payload", [(b"P5", [0, 200]), (b"P6", [0, 0, 0, 9, 200, 9])],
+                             ids=["P5", "P6"])
+    def test_binary_sample_above_maxval(self, tmp_path, magic, payload):
+        # the same samples in a P2/P3 file are rejected as well
+        p = tmp_path / "a.pnm"
+        p.write_bytes(magic + b"\n2 1\n100\n" + bytes(payload))
+        with pytest.raises(FormatError, match="outside"):
+            D.load_image(p)
+
     def test_ppm_bt601_luma(self, tmp_path):
         p = tmp_path / "a.ppm"
         p.write_bytes(b"P6\n1 1\n255\n" + bytes([255, 0, 0]))
@@ -95,7 +104,7 @@ class TestMultiScale:
     def test_reference_scales(self):
         ramp = np.linspace(0, 1, 1792 * 1024, dtype=np.float32).reshape(1024, 1792)
         scales = D.multi_scale(D.GrayImage(ramp))
-        assert [(s.width, s.height) for s in scales] == list(D.PAPER_SCALES)
+        assert [s.pixels.shape[::-1] for s in scales] == list(D.PAPER_SCALES)
 
     def test_constant_image_stays_constant(self):
         img = D.GrayImage(np.full((256, 448), 0.37, dtype=np.float32))
@@ -111,8 +120,9 @@ class TestMultiScale:
     def test_proportional_ratios(self):
         img = D.GrayImage(np.zeros((200, 360), dtype=np.float32))
         s1, s2, s3 = D.multi_scale(img)
-        assert (s2.width, s2.height) == (s1.width * 3 // 4, s1.height * 3 // 4)
-        assert (s3.width, s3.height) == (s1.width // 2, s1.height // 2)
+        h, w = s1.pixels.shape
+        assert s2.pixels.shape == (h * 3 // 4, w * 3 // 4)
+        assert s3.pixels.shape == (h // 2, w // 2)
 
     def test_too_small(self):
         with pytest.raises(SizeError):
@@ -269,13 +279,15 @@ class TestContexts:
         # negative origins included: a gather would wrap them around silently
         pixels = np.zeros((40, 50), dtype=np.float32)
         with pytest.raises(SizeError):
-            D.make_context(pixels, pixels, origin, 8, D.FOUR_BLOCK)
+            D.make_context(pixels, pixels, origin, 8, D.FOUR_BLOCK, D.CONTEXT_FILL)
         with pytest.raises(SizeError):
-            D.cut_contexts(pixels, pixels, [0, origin[0]], [0, origin[1]], 8, True)
+            D.cut_contexts(pixels, pixels, [0, origin[0]], [0, origin[1]], 8, True,
+                           D.CONTEXT_FILL)
 
     def test_edge_windows_accepted(self):
         pixels = np.random.default_rng(1).random((40, 50)).astype(np.float32)
-        got = D.cut_contexts(pixels, pixels, [0, 24, 0, 24], [0, 0, 34, 34], 8, False)
+        got = D.cut_contexts(pixels, pixels, [0, 24, 0, 24], [0, 0, 34, 34], 8, False,
+                             D.CONTEXT_FILL)
         want = stack_blocks([context_loop(pixels, pixels, (y, x), 8, D.FOUR_BLOCK)
                              for y, x in ((0, 0), (24, 0), (0, 34), (24, 34))], 8)
         assert got.contexts.tobytes() == want[0].tobytes()
@@ -286,7 +298,7 @@ class TestContexts:
         with pytest.raises(UsageError):
             D.sample_contexts(img, deg, 8, 3, availability_mode="two-block")
         with pytest.raises(UsageError):
-            D.make_context(deg.pixels, img.pixels, (0, 0), 8, "two-block")
+            D.make_context(deg.pixels, img.pixels, (0, 0), 8, "two-block", D.CONTEXT_FILL)
 
 
 class TestSynthTextures:

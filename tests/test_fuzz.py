@@ -1,0 +1,140 @@
+"""Fuzzed parsers: whatever bytes they are given, the model loader, the image
+reader and the key=value config parser either succeed or raise a
+psrnn.errors type, which the CLI maps to exit code 1 or 2.
+
+The model's config-text widths are never mutated: load_model builds the
+network its config describes before it matches the records, so a width
+grown from 4 to 4000 would allocate gigabytes. The config fuzz stops at
+`resolve`, since a verb would run as long as a fuzzed `iters` asks.
+"""
+
+import struct
+import zlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from psrnn import cli, errors
+from psrnn import data as D
+from psrnn import model as M
+
+PSRNN_ERRORS = tuple(v for v in vars(errors).values()
+                     if isinstance(v, type) and v.__module__ == errors.__name__)
+WIDTH_KEYS = (b"preproc_channels=", b"unit_hidden=", b"recon_channels=")
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def lean_model(workdir) -> bytes:
+    lean = M.NetworkConfig(pu_size=8, preproc_channels=(4, 4), unit_hidden=(4, 2, 2),
+                           recon_channels=(4,))
+    M.save_model(M.build_network(lean, seed=0), workdir / "lean.psrnn")
+    return (workdir / "lean.psrnn").read_bytes()
+
+
+def width_positions(blob: bytes) -> set[int]:
+    """The byte offsets of the width values in a model file's config text."""
+    size = struct.unpack("<I", blob[12:16])[0]
+    text = blob[16 : 16 + size]
+    fixed = set()
+    for key in WIDTH_KEYS:
+        start = text.index(key) + len(key)
+        fixed.update(range(16 + start, 16 + text.index(b"\n", start)))
+    return fixed
+
+
+def seal(blob: bytes) -> bytes:
+    return blob[:-4] + struct.pack("<I", zlib.crc32(blob[:-4]) & 0xFFFFFFFF)
+
+
+@settings(max_examples=400)
+@given(data=st.data(), reseal=st.booleans())
+def test_load_model_mutations(workdir, lean_model, data, reseal):
+    blob = bytearray(lean_model)
+    fixed = width_positions(lean_model)
+    # mutations in the header and config text (the first 200 bytes) half the time
+    position = (st.integers(0, 199) | st.integers(0, len(blob) - 1)).filter(
+        lambda i: i not in fixed)
+    for i, value in data.draw(st.lists(st.tuples(position, st.integers(0, 255)),
+                                       min_size=1, max_size=4)):
+        blob[i] = value
+    blob = bytes(blob[: data.draw(st.none() | st.integers(0, len(blob)))])
+    path = workdir / "model.psrnn"
+    path.write_bytes(seal(blob) if reseal and len(blob) >= 4 else blob)
+    try:
+        M.load_model(path)
+    except PSRNN_ERRORS:
+        pass
+
+
+TOKEN = st.one_of(st.integers(-3, 300), st.integers(-2**40, 2**40)).map(lambda v: b"%d" % v)
+SEP = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"\n# comment 7\n", b""])
+
+
+@st.composite
+def pnm_files(draw) -> bytes:
+    magic = draw(st.sampled_from([b"P2", b"P3", b"P5", b"P6"]))
+    blob = magic
+    for _ in range(3):  # width, height, maxval
+        blob += draw(SEP) + draw(TOKEN)
+    blob += draw(SEP)
+    ascii_payload = st.lists(TOKEN, max_size=60).map(b" ".join)
+    return blob + draw(st.binary(max_size=200) | ascii_payload)
+
+
+@settings(max_examples=300)
+@given(blob=pnm_files() | st.tuples(st.sampled_from([b"P2", b"P3", b"P5", b"P6"]),
+                                    st.binary(max_size=100)).map(b"".join))
+def test_load_image_pnm(workdir, blob):
+    path = workdir / "image.pnm"
+    path.write_bytes(blob)
+    try:
+        D.load_image(path)
+    except PSRNN_ERRORS:
+        pass
+
+
+@settings(max_examples=200)
+@given(payload=st.binary(max_size=120),
+       sidecar=st.binary(max_size=20) | st.tuples(TOKEN, SEP, TOKEN).map(b"".join))
+def test_load_image_raw_plane(workdir, payload, sidecar):
+    path = workdir / "plane.y"
+    path.write_bytes(payload)
+    (workdir / "plane.y.txt").write_bytes(sidecar)
+    try:
+        D.load_image(path)
+    except PSRNN_ERRORS:
+        pass
+
+
+@st.composite
+def config_files(draw) -> tuple[str, bytes]:
+    verb = draw(st.sampled_from(sorted(cli.SCHEMAS)))
+    key = st.sampled_from(sorted(cli.SCHEMAS[verb])) | st.text(max_size=6)
+    line = st.tuples(key, st.text(max_size=12)).map("=".join) | st.text(max_size=16)
+    text = st.lists(line, max_size=8).map(lambda lines: "\n".join(lines).encode())
+    return verb, draw(text | st.binary(max_size=120))
+
+
+@settings(max_examples=400)
+@given(config=config_files())
+def test_config_parse_and_resolve(workdir, config):
+    verb, blob = config
+    path = workdir / "run.config"
+    path.write_bytes(blob)
+    try:
+        cli.resolve(verb, cli.parse_config_file(path), {})
+    except PSRNN_ERRORS:
+        pass
+
+
+def test_non_utf8_config_is_a_usage_error(workdir):
+    path = workdir / "latin1.config"
+    path.write_bytes("out=r\xe9sultats\n".encode("latin-1"))
+    with pytest.raises(errors.UsageError):
+        cli.parse_config_file(path)

@@ -26,7 +26,7 @@ class TestConfig:
     def test_defaults(self):
         c = M.NetworkConfig()
         assert c.context_size == 16
-        assert c.num_units == 3
+        assert len(c.unit_hidden) == 3
 
     def test_bad_pu_size(self):
         with pytest.raises(ConfigError):
