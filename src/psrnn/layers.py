@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError, UsageError
+from .tensor import _slab_bounds
 
 GATE_ACTIVATIONS = ("sigmoid", "tanh")
 
@@ -84,10 +85,13 @@ def _gate_fn(gate_activation: str):
 # ---------------------------------------------------------------------------
 # Sweep over a plane sequence
 #
-# The input-side projections of all steps share no recurrence, so they are
-# hoisted into one matrix product per sweep; only the hidden-side products
-# stay inside the step loop. Weight gradients are likewise accumulated with
-# single stacked products after the backward loop.
+# The input-side projections share no recurrence, so they are hoisted out of
+# the step loop into one matrix product per slab of whole steps (see
+# tensor.SLAB_MACS and SLAB_BYTES): a projection under 2 MiB is one product,
+# a larger one is computed, used and freed a slab at a time, with the bits of
+# the whole product. Only the hidden-side products stay inside the step
+# loop. Weight gradients are accumulated with single stacked products after
+# the backward loop.
 # ---------------------------------------------------------------------------
 
 
@@ -128,22 +132,25 @@ def gru_sweep_forward(params: GruParams, xs: np.ndarray, h0: np.ndarray,
     h = params.hidden
     WxT, UzrT, UT = _t64(params.Wx), _t64(params.Uzr), _t64(params.U)
     b64 = params.b.astype(np.float64)
-    xproj = (xs.reshape(n * b, -1) @ WxT).reshape(n, b, 3 * h)
     states = np.empty((n + 1, b, h))
     states[0] = h0
     if need_cache:
         zs, rs, cs = (np.empty((n, b, h)) for _ in range(3))
-    for t in range(n):
-        ht = states[t]
-        azar = xproj[t, :, : 2 * h] + ht @ UzrT
-        zr = act(azar)
-        z = zr[:, :h]
-        r = zr[:, h:]
-        ac = xproj[t, :, 2 * h :] + (r * ht) @ UT + b64
-        c = np.tanh(ac)
-        if need_cache:
-            zs[t], rs[t], cs[t] = z, r, c
-        states[t + 1] = z * ht + (1.0 - z) * c
+    bounds = _slab_bounds(n, b * d * 3 * h, b * 3 * h * 8)
+    for i, j in zip(bounds, bounds[1:]):
+        xproj = (xs[i:j].reshape((j - i) * b, d) @ WxT).reshape(j - i, b, 3 * h)
+        for t in range(i, j):
+            ht = states[t]
+            azar = xproj[t - i, :, : 2 * h] + ht @ UzrT
+            zr = act(azar)
+            z = zr[:, :h]
+            r = zr[:, h:]
+            ac = xproj[t - i, :, 2 * h :] + (r * ht) @ UT + b64
+            c = np.tanh(ac)
+            if need_cache:
+                zs[t], rs[t], cs[t] = z, r, c
+            states[t + 1] = z * ht + (1.0 - z) * c
+        del xproj  # before the next slab's projection
     if not need_cache:
         return states[1:], None
     cache = GruSweepCache(xs=xs, states=states, z=zs, r=rs, c=cs,
@@ -196,11 +203,17 @@ def gru_sweep_backward(params: GruParams, cache: GruSweepCache, grads_h: np.ndar
 # ---------------------------------------------------------------------------
 
 
-def prelu_forward(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """x if x >= 0 else alpha * x, with one slope per trailing channel."""
+def prelu_forward(x: np.ndarray, alpha: np.ndarray, inplace: bool = False) -> np.ndarray:
+    """x if x >= 0 else alpha * x, with one slope per trailing channel.
+
+    inplace=True writes the result over x and returns it. Each element is
+    x * 1.0 or x * alpha, so the bits are those of selecting x or alpha * x.
+    A per-element factor keeps small maps as fast as that selection; a
+    masked multiply (where=x < 0) is up to twice as slow on them.
+    """
     if alpha.shape != (x.shape[-1],):
         raise ShapeError(f"alpha {alpha.shape} must match channels {x.shape[-1]}")
-    return np.where(x >= 0, x, alpha * x)
+    return np.multiply(x, np.where(x < 0, alpha, 1.0), out=x if inplace else None)
 
 
 def prelu_backward(x: np.ndarray, alpha: np.ndarray, grad_out: np.ndarray):

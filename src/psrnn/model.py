@@ -177,6 +177,30 @@ def build_network(config: NetworkConfig, seed: int = 0) -> PsRnnNetwork:
                         downsample=downsample, recon=recon)
 
 
+def parameter_count(config: NetworkConfig) -> int:
+    """The floats build_network(config) allocates, counted without building it."""
+    def conv(k: int, cin: int, cout: int, activation: bool = True) -> int:
+        return k * k * cin * cout + cout + (cout if activation else 0)
+
+    def unit(n: int, cin: int, k: int) -> int:
+        h, d = n * k, n * cin
+        return 2 * (3 * h * d + 3 * h * h + h) + conv(config.fusion_kernel, 2 * k, k)
+
+    widths = (1,) + config.preproc_channels
+    total = sum(conv(3, a, b) for a, b in zip(widths, widths[1:]))
+    cin = widths[-1]
+    total += unit(config.context_size, cin, config.unit_hidden[0])
+    cin = config.unit_hidden[0]
+    total += conv(3, cin, cin)
+    for k in config.unit_hidden[1:]:
+        total += unit(config.pu_size, cin, k)
+        cin = k
+    for cout in config.recon_channels:
+        total += conv(3, cin, cout)
+        cin = cout
+    return total + conv(3, cin, 1, activation=False)
+
+
 def parameters(net: PsRnnNetwork) -> dict[str, np.ndarray]:
     """Name -> live float32 array, in a fixed deterministic order."""
     out: dict[str, np.ndarray] = {}
@@ -198,11 +222,13 @@ def parameters(net: PsRnnNetwork) -> dict[str, np.ndarray]:
 def _conv_forward(layer: ConvLayer, x64: np.ndarray, need_cache: bool = True):
     """Conv (+ PReLU); the cache holds the input and the pre-activation.
 
-    need_cache=False keeps neither and returns None for the cache.
+    need_cache=False keeps neither, applies PReLU in place and returns None
+    for the cache.
     """
     w, b = layer.w.astype(np.float64), layer.b.astype(np.float64)
     pre = conv2d_forward_batch(x64, w, b, layer.spec)
-    out = pre if layer.alpha is None else prelu_forward(pre, layer.alpha.astype(np.float64))
+    out = pre if layer.alpha is None else prelu_forward(
+        pre, layer.alpha.astype(np.float64), inplace=not need_cache)
     if not need_cache:
         return out, None
     return out, (x64, None if layer.alpha is None else pre)
@@ -450,6 +476,10 @@ def load_model(path) -> PsRnnNetwork:
             records[name] = np.ascontiguousarray(arr)
     except (KeyError, ValueError) as exc:
         raise IntegrityError(f"corrupt model file content: {type(exc).__name__}: {exc}") from None
+    # the records must hold every parameter, so a small file cannot make the
+    # network it describes allocate more than the file's floats
+    if parameter_count(config) > sum(v.size for v in records.values()):
+        raise IntegrityError("parameter records are smaller than the stored config")
     net = build_network(config, seed=0)
     params = parameters(net)
     if set(params) != set(records):

@@ -8,11 +8,15 @@ is float64 throughout the package. A single sample is a batch of one.
 
 One gather, _im2col, serves both passes and there is no scatter. The
 forward pads, gathers and multiplies a slab of whole samples at a time into
-one preallocated output (see SLAB_MACS), so neither the whole padded input
-nor the whole patch matrix ever exists there, and it hands no patch matrix
-to the backward. The backward regathers the batch's patch matrix once for
-the weight gradient and adds the input gradient into a padded buffer one
-kernel tap at a time.
+one preallocated output (see SLAB_MACS), dropping each slab's patch matrix
+before it gathers the next, so neither the whole padded input nor the whole
+patch matrix ever exists there, and it hands no patch matrix to the
+backward. The backward regathers the batch's patch matrix once for the
+weight gradient and adds the input gradient into a padded buffer one kernel
+tap at a time.
+
+The slab rule, _slab_bounds, is shared with the GRU sweep in psrnn.layers,
+which projects its inputs one slab of whole steps at a time.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> 
     return view.reshape(b * oh * ow, kh * kw * c)
 
 
-# Multiply-adds of one slab's GEMM in the forward (at 8 output channels,
+# Multiply-adds of one slab's GEMM (in a conv forward at 8 output channels,
 # 4 MiB of float64 patch rows). A batch whose GEMM is larger splits into
 # macs // SLAB_MACS slabs of whole samples, balanced to within one sample, so
 # each slab's GEMM does at least SLAB_MACS / 2 multiply-adds and less than
@@ -91,10 +95,20 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> 
 # batch would.
 SLAB_MACS = 2**22
 
+# Bytes of output per slab where a caller also bounds that (a GRU sweep's
+# input projection): such a batch splits into at most bytes // SLAB_BYTES
+# slabs, so an output under 2 * SLAB_BYTES stays whole. Slicing small GEMMs
+# costs more in calls than it saves in memory.
+SLAB_BYTES = 2**20
 
-def _slab_bounds(b: int, sample_macs: int) -> list[int]:
-    """Sample offsets that split a batch of b into balanced slabs (see SLAB_MACS)."""
-    slabs = max(1, min(b, b * sample_macs // SLAB_MACS))
+
+def _slab_bounds(b: int, sample_macs: int, sample_bytes: int | None = None) -> list[int]:
+    """Sample offsets that split a batch of b into balanced slabs (see
+    SLAB_MACS and, given sample_bytes, SLAB_BYTES)."""
+    slabs = b * sample_macs // SLAB_MACS
+    if sample_bytes is not None:
+        slabs = min(slabs, b * sample_bytes // SLAB_BYTES)
+    slabs = max(1, min(b, slabs))
     return [k * b // slabs for k in range(slabs + 1)]
 
 
@@ -102,7 +116,8 @@ def conv2d_forward_batch(x, w, bias, spec: ConvSpec):
     """Batched conv kernel; x is (b, h, w, cin), returns (b, oh, ow, cout).
 
     The batch is padded, gathered and multiplied one slab of samples at a
-    time (see SLAB_MACS), with the same bits as the whole patch matrix gives.
+    time (see SLAB_MACS), with the same bits as the whole patch matrix gives;
+    one slab's patch matrix is alive at a time.
     """
     _check_conv_shapes(x, w, spec)
     if bias is not None and bias.shape != (spec.out_channels,):
@@ -117,6 +132,7 @@ def conv2d_forward_batch(x, w, bias, spec: ConvSpec):
     for i, j in zip(bounds, bounds[1:]):
         cols = _im2col(_pad_spatial(x[i:j], spec.padding), kh, kw, s, oh, ow)
         np.matmul(cols, w2, out=out[i * rows : j * rows])
+        del cols  # before the next slab's gather
     if bias is not None:
         out += bias
     return out.reshape(b, oh, ow, cout)

@@ -4,6 +4,8 @@ import zlib
 import numpy as np
 from hypothesis import settings
 
+from psrnn import layers as L
+
 settings.register_profile("suite", deadline=None, max_examples=40)
 settings.load_profile("suite")
 
@@ -104,3 +106,17 @@ def rewrite_config_text(path, old: bytes, new: bytes) -> None:
     data[12 : 16 + size] = struct.pack("<I", len(text)) + text
     data += struct.pack("<I", zlib.crc32(bytes(data)) & 0xFFFFFFFF)
     path.write_bytes(bytes(data))
+
+
+def record_sweep_slabs(monkeypatch) -> list[int]:
+    """Make gru_sweep_forward append to the returned list the number of slabs
+    of steps each sweep projects its inputs in."""
+    counts, bounds = [], L._slab_bounds
+
+    def counting(*args):
+        out = bounds(*args)
+        counts.append(len(out) - 1)
+        return out
+
+    monkeypatch.setattr(L, "_slab_bounds", counting)
+    return counts

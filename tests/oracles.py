@@ -1,8 +1,10 @@
 """Reference implementations the library's fast paths are checked against.
 
 - A step-by-step GRU recurrence (one Python step per plane, every product
-  spelled out) that the fused sweep in psrnn.layers must reproduce, and
-  the two-branch sigmoid that psrnn.layers.sigmoid64 must match bit for bit.
+  spelled out) that the fused sweep in psrnn.layers must reproduce, the
+  sweep with one input projection for all steps, whose bits the sliced
+  projection of psrnn.layers.gru_sweep_forward must give, and the
+  two-branch sigmoid that psrnn.layers.sigmoid64 must match bit for bit.
 - The convolution pair on the whole patch matrix: one GEMM for the forward,
   and for the backward one GEMM per gradient, the input gradient scattered
   back tap by tap (the adjoint of the gather). psrnn.tensor's slabbed
@@ -40,7 +42,7 @@ from psrnn.hadamard import SatdConfig, hadamard_matrix, satd
 from psrnn.intra import (DEFAULT_MODE_BITS, INTRA_PRED_ANGLE, INV_ANGLE, MODE_DC,
                          MODE_PLANAR, N_MODES, NETWORK, PIXEL_SCALE, SPLIT_FLAG_BITS,
                          ModeCost, hm_lambda, network_mode_cost)
-from psrnn.layers import GruParams, _gate_fn
+from psrnn.layers import GruParams, GruSweepCache, _gate_fn, _t64
 from psrnn.model import forward_batch
 from psrnn.rng import stream
 from psrnn.tensor import ConvSpec
@@ -114,6 +116,31 @@ def gru_sequence_backward(params: GruParams, steps, grads_h_per_step=None,
         grad_xs[t] = dac @ p["W"] + dar @ p["Wr"] + daz @ p["Wz"]
         carried = gh * s.z + drh * s.r + dar @ p["Ur"] + daz @ p["Uz"]
     return grads, carried, grad_xs
+
+
+def gru_sweep_whole(params: GruParams, xs: np.ndarray, h0: np.ndarray,
+                    gate_activation: str = "sigmoid"):
+    """The fused sweep with the input projection of all n steps as one GEMM;
+    returns (hs, cache) as psrnn.layers.gru_sweep_forward does."""
+    act, _ = _gate_fn(gate_activation)
+    n, b, _ = xs.shape
+    h = params.hidden
+    WxT, UzrT, UT = _t64(params.Wx), _t64(params.Uzr), _t64(params.U)
+    b64 = params.b.astype(np.float64)
+    xproj = (xs.reshape(n * b, -1) @ WxT).reshape(n, b, 3 * h)
+    states = np.empty((n + 1, b, h))
+    states[0] = h0
+    zs, rs, cs = (np.empty((n, b, h)) for _ in range(3))
+    for t in range(n):
+        ht = states[t]
+        zr = act(xproj[t, :, : 2 * h] + ht @ UzrT)
+        z, r = zr[:, :h], zr[:, h:]
+        c = np.tanh(xproj[t, :, 2 * h :] + (r * ht) @ UT + b64)
+        zs[t], rs[t], cs[t] = z, r, c
+        states[t + 1] = z * ht + (1.0 - z) * c
+    cache = GruSweepCache(xs=xs, states=states, z=zs, r=rs, c=cs,
+                          gate_activation=gate_activation)
+    return cache.hs, cache
 
 
 def sigmoid_two_branch(x: np.ndarray) -> np.ndarray:

@@ -1,13 +1,17 @@
 """Fuzzed parsers: whatever bytes they are given, the model loader, the image
 reader and the key=value config parser either succeed or raise a
-psrnn.errors type, which the CLI maps to exit code 1 or 2.
+psrnn.errors type, which the CLI maps to exit code 1 or 2, and `psrnn eval`
+of fuzzed model files and images exits 0, 1 or 2 without a traceback.
 
-The model's config-text widths are never mutated: load_model builds the
-network its config describes before it matches the records, so a width
-grown from 4 to 4000 would allocate gigabytes. The config fuzz stops at
-`resolve`, since a verb would run as long as a fuzzed `iters` asks.
+Mutations reach the model's config-text widths too: load_model refuses a
+config with more parameters than the file's records hold before it builds
+the network, so a width grown from 4 to 4000 cannot allocate gigabytes. The
+config fuzz stops at `resolve`, since a verb would run as long as a fuzzed
+`iters` asks.
 """
 
+import contextlib
+import io
 import struct
 import zlib
 
@@ -21,7 +25,6 @@ from psrnn import model as M
 
 PSRNN_ERRORS = tuple(v for v in vars(errors).values()
                      if isinstance(v, type) and v.__module__ == errors.__name__)
-WIDTH_KEYS = (b"preproc_channels=", b"unit_hidden=", b"recon_channels=")
 
 
 @pytest.fixture(scope="module")
@@ -37,35 +40,27 @@ def lean_model(workdir) -> bytes:
     return (workdir / "lean.psrnn").read_bytes()
 
 
-def width_positions(blob: bytes) -> set[int]:
-    """The byte offsets of the width values in a model file's config text."""
-    size = struct.unpack("<I", blob[12:16])[0]
-    text = blob[16 : 16 + size]
-    fixed = set()
-    for key in WIDTH_KEYS:
-        start = text.index(key) + len(key)
-        fixed.update(range(16 + start, 16 + text.index(b"\n", start)))
-    return fixed
-
-
 def seal(blob: bytes) -> bytes:
     return blob[:-4] + struct.pack("<I", zlib.crc32(blob[:-4]) & 0xFFFFFFFF)
 
 
-@settings(max_examples=400)
-@given(data=st.data(), reseal=st.booleans())
-def test_load_model_mutations(workdir, lean_model, data, reseal):
-    blob = bytearray(lean_model)
-    fixed = width_positions(lean_model)
-    # mutations in the header and config text (the first 200 bytes) half the time
-    position = (st.integers(0, 199) | st.integers(0, len(blob) - 1)).filter(
-        lambda i: i not in fixed)
+def mutated_model(data, blob: bytes) -> bytes:
+    """A model file with byte edits, maybe truncated, its CRC maybe resealed."""
+    blob = bytearray(blob)
+    # edits in the header and config text (the first 200 bytes) half the time
+    position = st.integers(0, 199) | st.integers(0, len(blob) - 1)
     for i, value in data.draw(st.lists(st.tuples(position, st.integers(0, 255)),
                                        min_size=1, max_size=4)):
         blob[i] = value
     blob = bytes(blob[: data.draw(st.none() | st.integers(0, len(blob)))])
+    return seal(blob) if data.draw(st.booleans()) and len(blob) >= 4 else blob
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_load_model_mutations(workdir, lean_model, data):
     path = workdir / "model.psrnn"
-    path.write_bytes(seal(blob) if reseal and len(blob) >= 4 else blob)
+    path.write_bytes(mutated_model(data, lean_model))
     try:
         M.load_model(path)
     except PSRNN_ERRORS:
@@ -97,6 +92,30 @@ def test_load_image_pnm(workdir, blob):
         D.load_image(path)
     except PSRNN_ERRORS:
         pass
+
+
+@st.composite
+def small_p5_images(draw) -> bytes:
+    """A well-formed binary PGM of up to 40x40, large enough for some 8x8 blocks."""
+    w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    return b"P5 %d %d 255\n" % (w, h) + draw(st.binary(min_size=w * h, max_size=w * h))
+
+
+@settings(max_examples=150)
+@given(data=st.data(), image=small_p5_images() | pnm_files())
+def test_cli_eval_exit_codes(workdir, lean_model, data, image):
+    model = workdir / "cli_model.psrnn"
+    # an intact model half the time, so that the image reader and eval run
+    model.write_bytes(lean_model if data.draw(st.booleans()) else mutated_model(data, lean_model))
+    (workdir / "cli_image.pgm").write_bytes(image)
+    manifest = workdir / "cli_images.txt"
+    manifest.write_text(f"{workdir / 'cli_image.pgm'}\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["eval", "--out", str(workdir / "cli_out"), "--set", f"models={model}",
+                         "--set", f"images={manifest}", "--set", "sizes=8"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 @settings(max_examples=200)

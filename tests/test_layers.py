@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import rel_err
-from oracles import gru_sequence_backward, gru_sequence_forward
+from conftest import record_sweep_slabs, rel_err
+from oracles import gru_sequence_backward, gru_sequence_forward, gru_sweep_whole
 from psrnn import layers as L
 from psrnn.errors import ConfigError, ShapeError, UsageError
 from psrnn.training import TrainConfig
@@ -214,6 +214,41 @@ class TestSweepFastPath:
         assert rel_err(gx_fast, np.stack(gx_slow)) < 1e-12
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestSweepSlabs:
+    # first-unit sweeps at default widths: n planes of n positions, each with
+    # 8 input channels and 8 hidden channels
+    @pytest.mark.parametrize("n, b, gate", [
+        (16, 225, "sigmoid"), (16, 225, "tanh"), (32, 64, "sigmoid"), (32, 64, "tanh"),
+        (64, 16, "sigmoid"), (64, 16, "tanh"), (64, 128, "sigmoid")],
+        ids=["n8-b225-sigmoid", "n8-b225-tanh", "n16-b64-sigmoid", "n16-b64-tanh",
+             "n32-b16-sigmoid", "n32-b16-tanh", "n32-b128-sigmoid"])
+    def test_sliced_projection_matches_whole(self, n, b, gate, monkeypatch):
+        # N=8 fixed eval's 225 tiles, the N=16 and N=32 eval chunks and the
+        # N=32 validation chunk: each projects its inputs in several slabs of
+        # steps, and every state, gate and candidate has the bits of one
+        # projection GEMM over all steps (the gate does not touch the
+        # projection, so the largest shape runs one gate)
+        d = hidden = 8 * n
+        gen = np.random.default_rng(n + b)
+        p = random_gru(gen, hidden, d, scale=0.1)
+        xs = gen.uniform(-1, 1, (n, b, d))
+        h0 = np.zeros((b, hidden))
+        want, want_cache = gru_sweep_whole(p, xs, h0, gate)
+        slabs = record_sweep_slabs(monkeypatch)
+        _, cache = L.gru_sweep_forward(p, xs, h0, gate)
+        assert slabs[0] > 1
+        for name in ("states", "z", "r", "c"):
+            assert same_bits(getattr(cache, name), getattr(want_cache, name)), name
+        del cache, want_cache
+        lean, _ = L.gru_sweep_forward(p, xs, h0, gate, need_cache=False)
+        assert same_bits(lean, want)
+
+
+
 class TestPrelu:
     def test_positive_identity(self):
         x = np.array([[0.0, 2.5]])
@@ -244,6 +279,17 @@ class TestPrelu:
         assert rel_err(ga, fd_a) < 1e-6
         fd_x = np.where(x < 0, alpha, 1.0) * probe  # exact away from the kink
         assert rel_err(gx, fd_x) < 1e-12
+
+    def test_inplace_has_the_bits_of_the_selection(self):
+        # x * 1.0 and x * alpha give the bits of np.where(x >= 0, x, alpha * x),
+        # signed zeros and subnormals included, with or without inplace
+        x = np.random.default_rng(5).standard_normal((3, 4, 4, 5))
+        x[0, 0, 0] = [0.0, -0.0, 5e-324, -5e-324, -1e300]
+        alpha = np.array([0.0, 0.25, -0.5, 1e-300, 2.0])
+        want = np.where(x >= 0, x, alpha * x)
+        assert L.prelu_forward(x, alpha).tobytes() == want.tobytes()
+        assert L.prelu_forward(x, alpha, inplace=True) is x
+        assert x.tobytes() == want.tobytes()
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import directional_check, min_kink_margin, rewrite_config_text
+from conftest import (directional_check, min_kink_margin, record_sweep_slabs,
+                      rewrite_config_text)
 from psrnn import model as M
 from psrnn import tensor as T
 from psrnn.errors import ConfigError, IntegrityError, ShapeError, VersionError
@@ -115,6 +116,20 @@ class TestForward:
             assert none is None
             assert lean.tobytes() == preds.tobytes() == want.tobytes()
             assert (max(slabs) > 1) == splits
+
+    def test_sweep_projection_slabs(self, monkeypatch):
+        # greedy chunks (1024 // N**2 contexts) and the batch-32 training
+        # step project under 2 MiB per sweep (see tensor.SLAB_BYTES), so each
+        # sweep's input projection stays one GEMM; the first unit's sweeps of
+        # fixed N=8 eval's 225 tiles (10.5 MiB) project in 10 slabs of steps
+        slabs = record_sweep_slabs(monkeypatch)
+        for n, b, need_cache, first_unit in [(16, 4, False, 1), (8, 16, False, 1),
+                                             (8, 32, True, 1), (8, 225, False, 10)]:
+            net = M.build_network(M.NetworkConfig(pu_size=n), seed=n)
+            ctxs = np.random.default_rng(n).random((b, 2 * n, 2 * n))
+            slabs.clear()
+            M.forward_batch(net, ctxs, need_cache)
+            assert slabs == [first_unit] * 2 + [1] * 4
 
 
 class TestUnit:
@@ -409,6 +424,32 @@ class TestSerialization:
         rewrite_config_text(path, *edit)
         with pytest.raises(IntegrityError):
             M.load_model(path)
+
+    def test_wide_config_rejected_before_building(self, tmp_path):
+        # a lean model file whose config text asks for a 999-wide first unit:
+        # its network would hold about 5.8 GiB of float32, more floats than the
+        # records carry, so load_model refuses before it builds anything
+        path = tmp_path / "m.psrnn"
+        M.save_model(M.build_network(M.NetworkConfig(pu_size=8, **LEAN_WIDTHS), seed=0),
+                     path)
+        rewrite_config_text(path, b"unit_hidden=4,2,2", b"unit_hidden=999,2,2")
+        tracemalloc.start()
+        try:
+            with pytest.raises(IntegrityError, match="smaller than the stored config"):
+                M.load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    @pytest.mark.parametrize("widths", [{}, LEAN_WIDTHS, dict(
+        preproc_channels=(3,), unit_hidden=(2, 5, 1, 3), recon_channels=(), fusion_kernel=5)],
+        ids=["default", "lean", "odd"])
+    def test_parameter_count_matches_built_network(self, n, widths):
+        config = M.NetworkConfig(pu_size=n, **widths)
+        built = M.parameters(M.build_network(config))
+        assert M.parameter_count(config) == sum(v.size for v in built.values())
 
     def test_clone_is_independent(self):
         net = M.build_network(TINY, seed=6)

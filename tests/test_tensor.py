@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -220,16 +222,42 @@ class TestConv2d:
         want = conv_forward_whole(x, w, bias, spec)
         assert T.conv2d_forward_batch(x, w, bias, spec).tobytes() == want.tobytes()
 
-    @given(st.integers(0, 600), st.integers(1, 3 * T.SLAB_MACS))
-    def test_slab_bounds_are_balanced_and_bounded(self, b, sample_macs):
-        bounds = T._slab_bounds(b, sample_macs)
+    @given(st.integers(0, 600), st.integers(1, 3 * T.SLAB_MACS),
+           st.none() | st.integers(1, 3 * T.SLAB_BYTES))
+    def test_slab_bounds_are_balanced_and_bounded(self, b, sample_macs, sample_bytes):
+        bounds = T._slab_bounds(b, sample_macs, sample_bytes)
         sizes = np.diff(bounds)
         assert bounds[0] == 0 and bounds[-1] == b
         assert sizes.max() - sizes.min() <= 1
-        assert sizes.max() * sample_macs < 2 * T.SLAB_MACS + sample_macs
+        below_macs = sizes.max() * sample_macs < 2 * T.SLAB_MACS + sample_macs
+        if sample_bytes is None:
+            assert below_macs
+        else:
+            # fewer, larger slabs: an output under 2 * SLAB_BYTES stays whole
+            assert len(sizes) <= max(1, b * sample_bytes // T.SLAB_BYTES)
+            assert below_macs or sizes.max() * sample_bytes < 2 * T.SLAB_BYTES + sample_bytes
         if len(sizes) > 1:
             # above the 10**6 multiply-adds of OpenBLAS's small-matrix kernels
             assert sizes.min() >= 1 and sizes.min() * sample_macs >= T.SLAB_MACS // 2 > 10**6
+
+    def test_forward_holds_one_slab(self):
+        # a preprocessing conv of a fixed N=8 eval chunk: 225 samples of
+        # 16x16x8 -> 8 in seven slabs of 4.5 MiB of patch rows, beside the
+        # 3.5 MiB output; the forward drops each slab's patch matrix before
+        # it gathers the next (13.3 MiB peak while two were alive at once)
+        gen = np.random.default_rng(225)
+        x = gen.random((225, 16, 16, 8))
+        w = gen.uniform(-1, 1, (3, 3, 8, 8))
+        bias = gen.uniform(-1, 1, 8)
+        spec = _spec(3, 3, 1, 1, 8, 8)
+        assert len(T._slab_bounds(225, 16 * 16 * 9 * 8 * 8)) - 1 == 7
+        tracemalloc.start()
+        try:
+            T.conv2d_forward_batch(x, w, bias, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_shape_errors(self):
         spec = _spec(3, 3, 1, 1, 2, 3)
