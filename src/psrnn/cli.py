@@ -45,6 +45,14 @@ def _ints(s: str) -> tuple[int, ...]:
     return tuple(int(t) for t in s.split(",") if t.strip())
 
 
+def _some_ints(s: str) -> tuple[int, ...]:
+    """_ints that rejects an empty list."""
+    v = _ints(s)
+    if not v:
+        raise ValueError(s)
+    return v
+
+
 def _strs(s: str) -> tuple[str, ...]:
     return tuple(t.strip() for t in s.split(",") if t.strip())
 
@@ -75,7 +83,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "manifest": (str, None),
         "out": (str, "prepare_out"),
         "scales": (_bool, True),
-        "qps": (_ints, D.TRAIN_QPS),
+        "qps": (_some_ints, D.TRAIN_QPS),
         "seed": (int, 0),
     },
     "train": {
@@ -101,7 +109,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "recon_channels": (_ints, NetworkConfig.recon_channels),
         "fusion_kernel": (int, NetworkConfig.fusion_kernel),
         "clip_grad_norm": (float, TrainConfig.clip_grad_norm),
-        "qps": (_ints, D.TRAIN_QPS),
+        "qps": (_some_ints, D.TRAIN_QPS),
         "corpus_size": (_count, 128),
         "corpus_kinds": (_strs, ("directional", "sinusoid")),
         "corpus_per_kind": (_count, 12),
@@ -140,7 +148,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
     },
     "ablate-units": {
         "out": (str, "ablate_out"),
-        "counts": (_ints, (1, 2, 3, 4)),
+        "counts": (_some_ints, (1, 2, 3, 4)),
         "n": (int, NetworkConfig.pu_size),
         "availability": (str, NetworkConfig.availability_mode),
         "iters": (_nonneg, 400),
@@ -376,6 +384,12 @@ def cmd_eval(resolved: dict) -> int:
         print("no models given: baseline-only evaluation", file=sys.stderr)
     cfg = _eval_config(resolved)
     report = evaluate(nets, _eval_images(resolved), resolved["qp"], cfg)
+    if not report.records:
+        # the size that needs the smallest image: the greedy quad-tree's root,
+        # or fixed tiling's smallest size
+        n = max(cfg.block_sizes) if cfg.policy == "greedy" else min(cfg.block_sizes)
+        raise UsageError(f"no block scored: block size {n} needs an image of at least "
+                         f"{2 * n}x{2 * n} pixels")
     with open(out / "eval_blocks.csv", "w") as fh:
         for row in report.csv_rows():
             fh.write(row + "\n")

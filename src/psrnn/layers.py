@@ -30,10 +30,18 @@ from .tensor import _slab_bounds
 GATE_ACTIVATIONS = ("sigmoid", "tanh")
 
 
-def sigmoid64(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; both tails stay accurate down to underflow
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def sigmoid64(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)) in float64, written into out if given (out may be x)."""
+    # exp(-|x|) never overflows; both tails stay accurate down to underflow.
+    # The numerator is 1 for x >= 0 and e below: as e <= 1, the maximum of e
+    # and the mask gives it bit for bit (a NaN e stays NaN) without np.where,
+    # whose select on a data-dependent mask costs several times the division.
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.maximum(e, x >= 0, out=out)
+    e += 1.0
+    return np.divide(num, e, out=num)
 
 
 @dataclass
@@ -92,6 +100,13 @@ def _gate_fn(gate_activation: str):
 # the whole product. Only the hidden-side products stay inside the step
 # loop. Weight gradients are accumulated with single stacked products after
 # the backward loop.
+#
+# The forward step loop allocates nothing: its products, gates and candidate
+# go into buffers made once per sweep (a cached candidate straight into the
+# cache), each new state into `states`. At eval's batch sizes fresh
+# temporaries cost more than the arithmetic. Each value comes from the
+# operations of the plain expressions in tests/oracles.py, in their order (a
+# sum's operands may swap), so the bits do not change.
 # ---------------------------------------------------------------------------
 
 
@@ -136,21 +151,31 @@ def gru_sweep_forward(params: GruParams, xs: np.ndarray, h0: np.ndarray,
     states[0] = h0
     if need_cache:
         zs, rs, cs = (np.empty((n, b, h)) for _ in range(3))
+    # the step's buffers: both gates, r * h_{t-1} (later (1 - z) * c) and,
+    # without a cache, the candidate
+    zr, rh, c = np.empty((b, 2 * h)), np.empty((b, h)), np.empty((b, h))
+    z, r = zr[:, :h], zr[:, h:]
     bounds = _slab_bounds(n, b * d * 3 * h, b * 3 * h * 8)
     for i, j in zip(bounds, bounds[1:]):
         xproj = (xs[i:j].reshape((j - i) * b, d) @ WxT).reshape(j - i, b, 3 * h)
+        xzr, xc = xproj[:, :, : 2 * h], xproj[:, :, 2 * h :]
         for t in range(i, j):
-            ht = states[t]
-            azar = xproj[t - i, :, : 2 * h] + ht @ UzrT
-            zr = act(azar)
-            z = zr[:, :h]
-            r = zr[:, h:]
-            ac = xproj[t - i, :, 2 * h :] + (r * ht) @ UT + b64
-            c = np.tanh(ac)
+            ht, nxt = states[t], states[t + 1]
+            np.matmul(ht, UzrT, out=zr)
+            zr += xzr[t - i]
+            act(zr, out=zr)
+            np.multiply(r, ht, out=rh)
             if need_cache:
-                zs[t], rs[t], cs[t] = z, r, c
-            states[t + 1] = z * ht + (1.0 - z) * c
-        del xproj  # before the next slab's projection
+                zs[t], rs[t], c = z, r, cs[t]
+            np.matmul(rh, UT, out=c)
+            c += xc[t - i]
+            c += b64
+            np.tanh(c, out=c)
+            np.multiply(z, ht, out=nxt)
+            np.subtract(1.0, z, out=rh)
+            rh *= c
+            nxt += rh
+        del xproj, xzr, xc  # before the next slab's projection
     if not need_cache:
         return states[1:], None
     cache = GruSweepCache(xs=xs, states=states, z=zs, r=rs, c=cs,

@@ -12,8 +12,8 @@ one preallocated output (see SLAB_MACS), dropping each slab's patch matrix
 before it gathers the next, so neither the whole padded input nor the whole
 patch matrix ever exists there, and it hands no patch matrix to the
 backward. The backward regathers the batch's patch matrix once for the
-weight gradient and adds the input gradient into a padded buffer one kernel
-tap at a time.
+weight gradient and adds the input gradient one kernel tap at a time,
+straight into the unpadded input's positions that the tap reads.
 
 The slab rule, _slab_bounds, is shared with the GRU sweep in psrnn.layers,
 which projects its inputs one slab of whole steps at a time.
@@ -138,12 +138,22 @@ def conv2d_forward_batch(x, w, bias, spec: ConvSpec):
     return out.reshape(b, oh, ow, cout)
 
 
+def _tap_slices(d: int, p: int, s: int, o: int, extent: int) -> tuple[slice, slice]:
+    """For the kernel tap at offset d along one axis: the outputs k in range(o)
+    whose input index d + k*s - p lies in range(extent), and those indices."""
+    lo = max(0, -((d - p) // s))
+    hi = max(lo, min(o, (extent - 1 + p - d) // s + 1))
+    start = d + lo * s - p
+    return slice(lo, hi), slice(start, start + (hi - lo) * s, s)
+
+
 def conv2d_backward_batch(x, w, spec: ConvSpec, grad_out, need_grad_x: bool = True):
     """Gradients (grad_x, grad_w, grad_bias) of conv2d_forward_batch.
 
     The input gradient is one (b*oh*ow, cin) product per kernel tap, added
-    into the padded input's window of that tap in (di, dj) order.
-    need_grad_x=False skips it and returns None for it.
+    in (di, dj) order into the input positions that tap reads; the rows that
+    read padding are dropped. need_grad_x=False skips it and returns None
+    for it.
     """
     _check_conv_shapes(x, w, spec)
     b, h, ww_in, cin = x.shape
@@ -160,10 +170,10 @@ def conv2d_backward_batch(x, w, spec: ConvSpec, grad_out, need_grad_x: bool = Tr
     if not need_grad_x:
         return None, gw, gb
     p = spec.padding
-    gxp = np.zeros((b, h + 2 * p, ww_in + 2 * p, cin))
+    gx = np.zeros((b, h, ww_in, cin))
     for di in range(kh):
+        oy, iy = _tap_slices(di, p, s, oh, h)
         for dj in range(kw):
-            gxp[:, di : di + (oh - 1) * s + 1 : s, dj : dj + (ow - 1) * s + 1 : s, :] += (
-                g2 @ w[di, dj].T).reshape(b, oh, ow, cin)
-    gx = gxp[:, p : p + h, p : p + ww_in, :] if p else gxp
-    return np.ascontiguousarray(gx), gw, gb
+            ox, ix = _tap_slices(dj, p, s, ow, ww_in)
+            gx[:, iy, ix, :] += (g2 @ w[di, dj].T).reshape(b, oh, ow, cin)[:, oy, ox, :]
+    return gx, gw, gb

@@ -61,9 +61,13 @@ class TestConfigHandling:
     @pytest.mark.parametrize("verb, key, value", [
         ("demo", "cases", "-2"), ("eval", "eval_count", "-1"), ("train", "samples", "0"),
         ("train", "batch", "0"), ("train", "corpus_size", "-4"),
-        ("train", "corpus_per_kind", "0"), ("train", "iters", "-1")])
+        ("train", "corpus_per_kind", "0"), ("train", "iters", "-1"),
+        ("train", "qps", ""), ("prepare", "qps", ""), ("ablate-units", "counts", "")])
     def test_counts_checked(self, verb, key, value, tmp_path, capsys):
-        # counts below 1 (iters below 0) stop the run before it writes anything
+        # counts below 1 (iters below 0) and empty qps and unit-count lists
+        # stop the run before it writes anything; an empty list used to make
+        # train divide by zero, prepare write an empty index and ablate-units
+        # a header-only table
         out = tmp_path / "out"
         assert run_cli(verb, "--out", str(out), "--set", f"{key}={value}") == 1
         err = capsys.readouterr().err
@@ -357,6 +361,16 @@ class TestEval:
                        "--set", "sizes=") == 1
         assert "block sizes" in capsys.readouterr().err
         assert not (tmp_path / "none" / "eval_summary.json").exists()
+
+    @pytest.mark.parametrize("policy, sizes, side, named", [
+        ("fixed", "8", 8, 8), ("fixed", "16,8", 15, 8), ("greedy", "16,8", 24, 16)])
+    def test_no_block_scored(self, tmp_path, capsys, policy, sizes, side, named):
+        # images too small for any block used to give a 0-block report and exit 0
+        assert run_cli("eval", "--out", str(tmp_path / "ev"), "--set", f"block_policy={policy}",
+                       "--set", f"sizes={sizes}", "--set", f"eval_size={side}",
+                       "--set", "eval_count=1") == 1
+        assert f"block size {named} needs" in capsys.readouterr().err
+        assert not (tmp_path / "ev" / "eval_summary.json").exists()
 
     def test_empty_manifest(self, tmp_path, capsys):
         # used to write a 0-block report and exit 0, unlike prepare and train

@@ -1,13 +1,16 @@
 """Fuzzed parsers: whatever bytes they are given, the model loader, the image
 reader and the key=value config parser either succeed or raise a
-psrnn.errors type, which the CLI maps to exit code 1 or 2, and `psrnn eval`
-of fuzzed model files and images exits 0, 1 or 2 without a traceback.
+psrnn.errors type, which the CLI maps to exit code 1 or 2. `psrnn eval` of
+fuzzed model files and images, and `psrnn train` and `psrnn demo` of fuzzed
+config files, exit 0, 1 or 2 without a traceback.
 
 Mutations reach the model's config-text widths too: load_model refuses a
 config with more parameters than the file's records hold before it builds
 the network, so a width grown from 4 to 4000 cannot allocate gigabytes. The
-config fuzz stops at `resolve`, since a verb would run as long as a fuzzed
-`iters` asks.
+parse-and-resolve config fuzz stops at `resolve`, since a verb would run as
+long as a fuzzed `iters` asks. The train and demo fuzz draws each value
+from a short list of accepted values and edge cases for its key, over a lean
+base config, and the command line caps `iters` at 2 and `samples` at 64.
 """
 
 import contextlib
@@ -101,6 +104,15 @@ def small_p5_images(draw) -> bytes:
     return b"P5 %d %d 255\n" % (w, h) + draw(st.binary(min_size=w * h, max_size=w * h))
 
 
+def assert_clean_exit(argv: list[str]) -> None:
+    """cli.main(argv) exits 0, 1 or 2 and prints no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
 @settings(max_examples=150)
 @given(data=st.data(), image=small_p5_images() | pnm_files())
 def test_cli_eval_exit_codes(workdir, lean_model, data, image):
@@ -110,12 +122,8 @@ def test_cli_eval_exit_codes(workdir, lean_model, data, image):
     (workdir / "cli_image.pgm").write_bytes(image)
     manifest = workdir / "cli_images.txt"
     manifest.write_text(f"{workdir / 'cli_image.pgm'}\n")
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(["eval", "--out", str(workdir / "cli_out"), "--set", f"models={model}",
-                         "--set", f"images={manifest}", "--set", "sizes=8"])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert_clean_exit(["eval", "--out", str(workdir / "cli_out"), "--set", f"models={model}",
+                       "--set", f"images={manifest}", "--set", "sizes=8"])
 
 
 @settings(max_examples=200)
@@ -157,3 +165,77 @@ def test_non_utf8_config_is_a_usage_error(workdir):
     path.write_bytes("out=r\xe9sultats\n".encode("latin-1"))
     with pytest.raises(errors.UsageError):
         cli.parse_config_file(path)
+
+
+def _ints_text(low: int, high: int):
+    return st.integers(low, high).map(str)
+
+
+WIDTHS = st.lists(st.integers(0, 5), max_size=3).map(lambda v: ",".join(map(str, v)))
+FLOATS = st.sampled_from(["0", "1e-3", "0.5", "1", "2", "-1", "nan", "inf", "1e308"])
+TRAIN_VALUES = {
+    "data": st.sampled_from(["synthetic", "no/such/dir", "", "."]),
+    "n": st.sampled_from(["4", "8", "16", "0", "5", "-8"]),
+    "availability": st.sampled_from(["three-block", "four-block", "none"]),
+    "loss": st.sampled_from(["satd", "mse", "l1"]),
+    "batch": _ints_text(-1, 70),
+    "base_lr": FLOATS,
+    "milestones": st.sampled_from(["", "1", "0", "1,1", "2", "5", "-1"]),
+    "val_fraction": FLOATS,
+    "selection_window": FLOATS,
+    "partition": st.sampled_from(["0", "1", "2", "3", "4", "8", "16", "-4"]),
+    "epsilon": FLOATS,
+    "fill": FLOATS,
+    "gate_activation": st.sampled_from(["sigmoid", "tanh", "relu"]),
+    "preproc_channels": WIDTHS,
+    "unit_hidden": WIDTHS,
+    "recon_channels": WIDTHS,
+    "fusion_kernel": _ints_text(-1, 5),
+    "clip_grad_norm": FLOATS,
+    "qps": st.sampled_from(["22", "32,37", "0", "51", "99", "-5", ""]),
+    "corpus_size": _ints_text(-1, 40),
+    "corpus_kinds": st.lists(st.sampled_from(["directional", "sinusoid", "rings", "flat",
+                                              "bogus"]), max_size=3).map(",".join),
+    "corpus_per_kind": _ints_text(-1, 3),
+    "seed": _ints_text(-2, 2**64),
+}
+# lean widths and a small corpus, which fuzzed lines override
+TRAIN_BASE = ["preproc_channels=4,4", "unit_hidden=4,2,2", "recon_channels=4",
+              "corpus_size=32", "corpus_per_kind=2"]
+
+
+def verb_configs(values: dict, base: list[str]):
+    """Config files: base, then up to four keys with values drawn for them.
+    Lines `resolve` rejects are test_config_parse_and_resolve's business."""
+    keyed = st.sampled_from(sorted(values)).flatmap(lambda k: values[k].map(f"{k}={{}}".format))
+    return st.lists(keyed, max_size=4).map(lambda lines: "\n".join(base + lines).encode())
+
+
+def run_verb(workdir, verb: str, config: bytes, *argv: str) -> None:
+    path = workdir / f"{verb}.config"
+    path.write_bytes(config)
+    assert_clean_exit([verb, "--config", str(path), "--out", str(workdir / f"{verb}_out"),
+                       *argv])
+
+
+@settings(max_examples=30)
+@given(config=verb_configs(TRAIN_VALUES, TRAIN_BASE), iters=st.integers(0, 2),
+       samples=st.integers(1, 64))
+def test_cli_train_exit_codes(workdir, config, iters, samples):
+    run_verb(workdir, "train", config, "--set", f"iters={iters}",
+             "--set", f"samples={samples}")
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_cli_demo_exit_codes(workdir, lean_model, data):
+    model = workdir / "lean.psrnn"  # the lean_model fixture's file
+    values = {
+        "model": st.sampled_from([str(model), str(workdir / "none"), str(workdir)]),
+        "kind": st.sampled_from(["directional", "sinusoid", "rings", "flat", "bogus"]),
+        "cases": _ints_text(-1, 3),
+        "qp": _ints_text(-60, 80),
+        "seed": _ints_text(-2, 2**64),
+    }
+    config = data.draw(verb_configs(values, [f"model={model}"]))
+    run_verb(workdir, "demo", config)

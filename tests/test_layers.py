@@ -232,21 +232,34 @@ class TestSweepSlabs:
         # steps, and every state, gate and candidate has the bits of one
         # projection GEMM over all steps (the gate does not touch the
         # projection, so the largest shape runs one gate)
+        slabs = record_sweep_slabs(monkeypatch)
+        self.check_against_whole(n, b, gate, np.random.default_rng(n + b))
+        assert slabs[0] > 1
+
+    @pytest.mark.parametrize("gate", ["sigmoid", "tanh"])
+    @pytest.mark.parametrize("b", [4, 1], ids=["b4", "b1"])
+    def test_greedy_shapes_match_whole(self, b, gate):
+        # N=16 first-unit sweeps at greedy eval's chunk of 4 blocks and its
+        # one-block tail, whose step products take numpy's vector-matrix
+        # path: one slab each
+        self.check_against_whole(32, b, gate, np.random.default_rng(b))
+
+    @staticmethod
+    def check_against_whole(n, b, gate, gen):
+        """Cached and lean sweeps of n planes of n positions (8 input and 8
+        hidden channels each) from a random state have the bits of
+        gru_sweep_whole."""
         d = hidden = 8 * n
-        gen = np.random.default_rng(n + b)
         p = random_gru(gen, hidden, d, scale=0.1)
         xs = gen.uniform(-1, 1, (n, b, d))
-        h0 = np.zeros((b, hidden))
+        h0 = gen.uniform(-1, 1, (b, hidden))
         want, want_cache = gru_sweep_whole(p, xs, h0, gate)
-        slabs = record_sweep_slabs(monkeypatch)
         _, cache = L.gru_sweep_forward(p, xs, h0, gate)
-        assert slabs[0] > 1
         for name in ("states", "z", "r", "c"):
             assert same_bits(getattr(cache, name), getattr(want_cache, name)), name
         del cache, want_cache
         lean, _ = L.gru_sweep_forward(p, xs, h0, gate, need_cache=False)
         assert same_bits(lean, want)
-
 
 
 class TestPrelu:

@@ -65,13 +65,23 @@ class TestElementwise:
         assert act(np.zeros(1))[0] == 0.0 and deriv(np.zeros(1))[0] == 1.0
 
     def test_sigmoid_matches_two_branch_oracle(self):
-        # one division by 1 + exp(-|x|) keeps both tails' bits, signed zeros,
-        # subnormal-range inputs and exp underflow included
-        edges = [0.0, 1e-300, 1.0, 36.0, 745.0, 800.0, np.inf]
+        # one division by 1 + exp(-|x|), its numerator selected by a maximum,
+        # keeps both tails' bits: signed zeros, subnormals, exp underflow and
+        # NaN included
+        edges = [0.0, 5e-324, 1e-300, 1.0, 36.0, 745.0, 800.0, np.inf, np.nan]
         gen = np.random.default_rng(0)
         x = np.concatenate([edges, np.negative(edges)]
                            + [gen.standard_normal(100_000) * s for s in (0.1, 3.0, 30.0, 300.0)])
         assert L.sigmoid64(x).tobytes() == sigmoid_two_branch(x).tobytes()
+
+    def test_sigmoid_in_place(self):
+        # the GRU sweep writes its gates over their pre-activations
+        gen = np.random.default_rng(1)
+        x = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan],
+                            gen.standard_normal(9_996) * 30.0]).reshape(-1, 7)
+        want = L.sigmoid64(x.copy())
+        assert L.sigmoid64(x, out=x) is x
+        assert x.tobytes() == want.tobytes()
 
     def test_dispatcher(self):
         act, deriv = L._gate_fn("sigmoid")
