@@ -214,6 +214,8 @@ def write_resolved(command: str, resolved: dict, out_dir: Path) -> None:
 
 
 def _out_dir(resolved: dict) -> Path:
+    """The --out directory, made once the run has checked its inputs, so a
+    run that exits 1 leaves none behind."""
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -228,9 +230,8 @@ def cmd_prepare(resolved: dict) -> int:
     paths = D.read_manifest(resolved["manifest"])
     if not paths:
         raise UsageError("no inputs in manifest")
-    out = _out_dir(resolved)
+    out = Path(resolved["out"])
     img_dir = out / "images"
-    img_dir.mkdir(exist_ok=True)
     index_lines = []
     counts: dict[tuple[int, int], int] = {}
     failures = 0
@@ -243,6 +244,7 @@ def cmd_prepare(resolved: dict) -> int:
             failures += 1
             continue
         stem = Path(path).stem
+        img_dir.mkdir(parents=True, exist_ok=True)  # once an input has loaded
         for si, scaled in enumerate(scales):
             clean_name = f"{stem}_s{si}_clean.pgm"
             D.save_pgm(scaled, img_dir / clean_name)
@@ -333,11 +335,11 @@ def _load_samples(resolved: dict):
 
 
 def cmd_train(resolved: dict) -> int:
-    out = _out_dir(resolved)
     cfg = _train_config(resolved)
     net = build_network(_network_config(resolved), seed=resolved["seed"])
     samples = _load_samples(resolved)
     net, rows = train(net, samples, cfg)
+    out = _out_dir(resolved)
     model_path = out / "model.psrnn"
     save_model(net, model_path)
     write_training_log(rows, out / "train_log.csv")
@@ -371,7 +373,6 @@ def _eval_config(resolved: dict) -> EvalConfig:
 
 
 def cmd_eval(resolved: dict) -> int:
-    out = _out_dir(resolved)
     nets = None
     if resolved["models"]:
         nets = {}
@@ -390,6 +391,7 @@ def cmd_eval(resolved: dict) -> int:
         n = max(cfg.block_sizes) if cfg.policy == "greedy" else min(cfg.block_sizes)
         raise UsageError(f"no block scored: block size {n} needs an image of at least "
                          f"{2 * n}x{2 * n} pixels")
+    out = _out_dir(resolved)
     with open(out / "eval_blocks.csv", "w") as fh:
         for row in report.csv_rows():
             fh.write(row + "\n")
@@ -404,8 +406,8 @@ def cmd_eval(resolved: dict) -> int:
 
 
 def cmd_demo(resolved: dict) -> int:
-    out = _out_dir(resolved)
     net = load_model(resolved["model"])
+    out = _out_dir(resolved)
     n = net.config.pu_size
     qp = resolved["qp"]
     lam = hm_lambda(qp)
@@ -441,9 +443,9 @@ def cmd_demo(resolved: dict) -> int:
 
 
 def cmd_compare_losses(resolved: dict) -> int:
-    out = _out_dir(resolved)
     base = _train_defaults(resolved)
     result = compare_losses(_load_samples(base), _train_config(base), resolved["seeds"])
+    out = _out_dir(resolved)
     with open(out / "compare_losses.csv", "w") as fh:
         fh.write("seed,satd_val_satd,satd_val_mse,mse_val_satd,mse_val_mse,satd_gap\n")
         for row in result["rows"]:
@@ -458,13 +460,13 @@ def cmd_compare_losses(resolved: dict) -> int:
 
 
 def cmd_ablate_units(resolved: dict) -> int:
-    out = _out_dir(resolved)
     base = _train_defaults(resolved)
     samples = _load_samples(base)
     cfg = _train_config(base)
     images = _eval_images({**resolved, "images": "synthetic",
                            "eval_size": resolved["corpus_size"], "eval_count": 3})
     rows = ablate_units(samples, resolved["counts"], cfg, images, qp=resolved["qp"])
+    out = _out_dir(resolved)
     with open(out / "ablate_units.csv", "w") as fh:
         fh.write("units,final_val_loss,selection_rate_pct,cost_reduction_pct\n")
         for row in rows:

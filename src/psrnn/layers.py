@@ -95,9 +95,9 @@ def _gate_fn(gate_activation: str):
 #
 # The input-side projections share no recurrence, so they are hoisted out of
 # the step loop into one matrix product per slab of whole steps (see
-# tensor.SLAB_MACS and SLAB_BYTES): a projection under 2 MiB is one product,
-# a larger one is computed, used and freed a slab at a time, with the bits of
-# the whole product. Only the hidden-side products stay inside the step
+# tensor.SLAB_BYTES): a projection under the cap is one product, a larger
+# one is computed, used and freed a slab at a time, with the bits of the
+# whole product. Only the hidden-side products stay inside the step
 # loop. Weight gradients are accumulated with single stacked products after
 # the backward loop.
 #
@@ -155,7 +155,7 @@ def gru_sweep_forward(params: GruParams, xs: np.ndarray, h0: np.ndarray,
     # without a cache, the candidate
     zr, rh, c = np.empty((b, 2 * h)), np.empty((b, h)), np.empty((b, h))
     z, r = zr[:, :h], zr[:, h:]
-    bounds = _slab_bounds(n, b * d * 3 * h, b * 3 * h * 8)
+    bounds = _slab_bounds(n, b * 3 * h * 8)
     for i, j in zip(bounds, bounds[1:]):
         xproj = (xs[i:j].reshape((j - i) * b, d) @ WxT).reshape(j - i, b, 3 * h)
         xzr, xc = xproj[:, :, : 2 * h], xproj[:, :, 2 * h :]

@@ -322,6 +322,12 @@ def _flow(net: PsRnnNetwork) -> list[tuple[str, ConvLayer | PsRnnUnitParams]]:
             + [(f"rec{i}", layer) for i, layer in enumerate(net.recon)])
 
 
+# OpenBLAS multiplies a GEMM with fewer rows than this (a GRU step's product
+# at batch 1 takes the vector-matrix path) with results that differ from
+# those of a taller one, so a smaller batch runs padded to this many samples.
+MIN_BATCH = 4
+
+
 def forward_batch(net: PsRnnNetwork, contexts: np.ndarray, need_cache: bool = True):
     """Predict a (b, N, N) stack from (b, 2N, 2N) contexts; returns (pred, cache).
 
@@ -329,12 +335,17 @@ def forward_batch(net: PsRnnNetwork, contexts: np.ndarray, need_cache: bool = Tr
     need_cache=False is the inference pass: no layer keeps its input,
     pre-activation or GRU state, each activation is freed once the next
     layer has read it, and the cache returned is None. The bits are the same
-    either way.
+    either way, and a context's prediction has the same bits in any batch:
+    a batch under MIN_BATCH runs with its first context repeated to that
+    size, and the cache keeps the padded rows.
     """
     cs = net.config.context_size
     if contexts.ndim != 3 or contexts.shape[1:] != (cs, cs):
         raise ShapeError(f"contexts must be (b, {cs}, {cs}), got {contexts.shape}")
     gate = net.config.gate_activation
+    b = len(contexts)
+    if 0 < b < MIN_BATCH:
+        contexts = np.concatenate([contexts, np.repeat(contexts[:1], MIN_BATCH - b, axis=0)])
     x = contexts.astype(np.float64)[..., None]
     caches = []
     for _, layer in _flow(net):
@@ -343,18 +354,22 @@ def forward_batch(net: PsRnnNetwork, contexts: np.ndarray, need_cache: bool = Tr
         else:
             x, c = unit_forward_batch(layer, x, gate, need_cache)
         caches.append(c)
-    pred = np.clip(x[..., 0], 0.0, 1.0)
+    pred = np.clip(x[:b, :, :, 0], 0.0, 1.0)
     if not need_cache:
         return pred, None
     return pred, (caches, x[..., 0])
 
 
 def backward_batch(net: PsRnnNetwork, caches, grad_pred: np.ndarray) -> dict[str, np.ndarray]:
-    """Float64 gradients for every parameter, given d(loss)/d(prediction)."""
+    """Float64 gradients for every parameter, given d(loss)/d(prediction).
+
+    The rows forward_batch padded its batch with get zero gradient.
+    """
     layer_caches, pre_clip = caches
+    g = np.zeros(pre_clip.shape + (1,))
+    g[: len(grad_pred), :, :, 0] = grad_pred
     # clip01 passes gradient where the pre-clip value is inside [0, 1]
-    g = grad_pred * ((pre_clip >= 0.0) & (pre_clip <= 1.0))
-    g = g[..., None]
+    g[..., 0] *= (pre_clip >= 0.0) & (pre_clip <= 1.0)
     grads: dict[str, np.ndarray] = {}
     flow = _flow(net)
     for k in range(len(flow) - 1, -1, -1):

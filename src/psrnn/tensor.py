@@ -8,15 +8,18 @@ is float64 throughout the package. A single sample is a batch of one.
 
 One gather, _im2col, serves both passes and there is no scatter. The
 forward pads, gathers and multiplies a slab of whole samples at a time into
-one preallocated output (see SLAB_MACS), dropping each slab's patch matrix
+one preallocated output (see SLAB_BYTES), dropping each slab's patch matrix
 before it gathers the next, so neither the whole padded input nor the whole
 patch matrix ever exists there, and it hands no patch matrix to the
 backward. The backward regathers the batch's patch matrix once for the
 weight gradient and adds the input gradient one kernel tap at a time,
 straight into the unpadded input's positions that the tap reads.
 
-The slab rule, _slab_bounds, is shared with the GRU sweep in psrnn.layers,
-which projects its inputs one slab of whole steps at a time.
+The forward gives each output row the same bits whatever the number of rows
+its GEMM has (see MIN_GEMM_COLS), so a sample's result does not depend on
+the batch or the slab it runs in. The slab rule, _slab_bounds, is shared
+with the GRU sweep in psrnn.layers, which projects its inputs one slab of
+whole steps at a time.
 """
 
 from __future__ import annotations
@@ -84,40 +87,41 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> 
     return view.reshape(b * oh * ow, kh * kw * c)
 
 
-# Multiply-adds of one slab's GEMM (in a conv forward at 8 output channels,
-# 4 MiB of float64 patch rows). A batch whose GEMM is larger splits into
-# macs // SLAB_MACS slabs of whole samples, balanced to within one sample, so
-# each slab's GEMM does at least SLAB_MACS / 2 multiply-adds and less than
-# 2 * SLAB_MACS plus one sample's. The lower bound keeps the bits: OpenBLAS
-# (0.3.31 on AVX-512) runs GEMMs of at most 10**6 multiply-adds through
-# small-matrix kernels that round differently, and a batch only splits into
-# slabs that stay above that size, so every slab runs the kernel the whole
-# batch would.
-SLAB_MACS = 2**22
-
-# Bytes of output per slab where a caller also bounds that (a GRU sweep's
-# input projection): such a batch splits into at most bytes // SLAB_BYTES
-# slabs, so an output under 2 * SLAB_BYTES stays whole. Slicing small GEMMs
-# costs more in calls than it saves in memory.
-SLAB_BYTES = 2**20
+# Bytes of one slab's largest temporary: a conv forward's patch rows, or a
+# GRU sweep's input projection. A batch whose temporary is larger splits
+# into the fewest slabs of whole samples that keep each one under the cap,
+# balanced to within one sample (a single sample over the cap is one slab).
+# The cap bounds memory only: slabs do not change the bits (see
+# MIN_GEMM_COLS).
+SLAB_BYTES = 2**21
 
 
-def _slab_bounds(b: int, sample_macs: int, sample_bytes: int | None = None) -> list[int]:
-    """Sample offsets that split a batch of b into balanced slabs (see
-    SLAB_MACS and, given sample_bytes, SLAB_BYTES)."""
-    slabs = b * sample_macs // SLAB_MACS
-    if sample_bytes is not None:
-        slabs = min(slabs, b * sample_bytes // SLAB_BYTES)
-    slabs = max(1, min(b, slabs))
-    return [k * b // slabs for k in range(slabs + 1)]
+def split_bounds(count: int, per_part: int) -> list[int]:
+    """Offsets that split count items into the fewest parts of at most
+    max(1, per_part) items, balanced to within one item."""
+    parts = max(1, -(-count // max(1, per_part)))
+    return [k * count // parts for k in range(parts + 1)]
+
+
+def _slab_bounds(b: int, sample_bytes: int) -> list[int]:
+    """Sample offsets that split a batch of b into slabs (see SLAB_BYTES)."""
+    return split_bounds(b, SLAB_BYTES // max(1, sample_bytes))
+
+
+# OpenBLAS (0.3.31 on AVX-512) gives a GEMM with fewer output columns than
+# this a result per row that depends on how many rows the GEMM has. A conv
+# with fewer output channels multiplies by its weight padded with zero
+# columns and returns a view of the real ones.
+MIN_GEMM_COLS = 8
 
 
 def conv2d_forward_batch(x, w, bias, spec: ConvSpec):
     """Batched conv kernel; x is (b, h, w, cin), returns (b, oh, ow, cout).
 
     The batch is padded, gathered and multiplied one slab of samples at a
-    time (see SLAB_MACS), with the same bits as the whole patch matrix gives;
-    one slab's patch matrix is alive at a time.
+    time (see SLAB_BYTES), with the same bits as the whole patch matrix
+    gives; one slab's patch matrix is alive at a time. Under MIN_GEMM_COLS
+    output channels the result is a strided view into a wider buffer.
     """
     _check_conv_shapes(x, w, spec)
     if bias is not None and bias.shape != (spec.out_channels,):
@@ -126,13 +130,16 @@ def conv2d_forward_batch(x, w, bias, spec: ConvSpec):
     kh, kw, s, cout = spec.kernel_h, spec.kernel_w, spec.stride, spec.out_channels
     oh, ow = spec.out_extent(h, kh), spec.out_extent(ww_in, kw)
     rows = oh * ow
-    bounds = _slab_bounds(b, rows * kh * kw * cin * cout)
-    w2 = w.reshape(-1, cout)
-    out = np.empty((b * rows, cout), dtype=np.result_type(x, w))
+    dtype = np.result_type(x, w)
+    bounds = _slab_bounds(b, rows * kh * kw * cin * dtype.itemsize)
+    w2 = np.zeros((kh * kw * cin, max(cout, MIN_GEMM_COLS)), dtype=w.dtype)
+    w2[:, :cout] = w.reshape(-1, cout)
+    out = np.empty((b * rows, w2.shape[1]), dtype=dtype)
     for i, j in zip(bounds, bounds[1:]):
         cols = _im2col(_pad_spatial(x[i:j], spec.padding), kh, kw, s, oh, ow)
         np.matmul(cols, w2, out=out[i * rows : j * rows])
         del cols  # before the next slab's gather
+    out = out[:, :cout]
     if bias is not None:
         out += bias
     return out.reshape(b, oh, ow, cout)

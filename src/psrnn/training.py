@@ -31,6 +31,7 @@ from .layers import AdamState, adam_step, clip_global_norm
 from .model import (PU_SIZES, NetworkConfig, PsRnnNetwork, backward_batch, build_network,
                     forward_batch, parameters)
 from .rng import stream
+from .tensor import split_bounds
 
 LOG_HEADER = "iteration,lr,train_loss,val_loss"
 
@@ -153,17 +154,28 @@ def write_training_log(rows: list[LogRow], path) -> None:
             fh.write(row.csv() + "\n")
 
 
-def _forward_chunked(net: PsRnnNetwork, contexts: np.ndarray, chunk: int = 128) -> np.ndarray:
-    preds = []
-    for i in range(0, contexts.shape[0], chunk):
-        p, _ = forward_batch(net, contexts[i : i + chunk], need_cache=False)
-        preds.append(p)
-    return np.concatenate(preds, axis=0)
+# Pixels of the blocks one network forward covers: a stack of k contexts of
+# size n runs in the fewest near-equal chunks of at most
+# max(16, EVAL_CHUNK_PIXELS // n**2) contexts (64 at N=8, 16 at N=16 and
+# N=32), so the memory a pass needs does not grow with the stack, and no
+# chunk is a short tail. A context's prediction does not depend on its chunk
+# (see model.forward_batch), so this sets speed and memory only. The floor of
+# 16 keeps N=32 passes from running slower per context on smaller chunks; an
+# N=32 inference pass holds about 14 MiB for one context and 1.8 MiB for
+# each further one.
+EVAL_CHUNK_PIXELS = 4096
+
+
+def _chunks(n: int, k: int) -> list[tuple[int, int]]:
+    """(start, stop) of the chunks a stack of k contexts of size n runs in."""
+    bounds = split_bounds(k, max(16, EVAL_CHUNK_PIXELS // (n * n)))
+    return list(zip(bounds, bounds[1:]))
 
 
 def validation_metric(net: PsRnnNetwork, contexts, targets, loss_kind: str,
                       satd_cfg: SatdConfig) -> float:
-    preds = _forward_chunked(net, contexts)
+    preds = np.concatenate([forward_batch(net, contexts[i:j], need_cache=False)[0]
+                            for i, j in _chunks(net.config.pu_size, len(contexts))])
     return loss_and_grad(preds, targets, loss_kind, satd_cfg, need_grad=False)[0]
 
 
@@ -310,7 +322,8 @@ def evaluate(nets: dict[int, PsRnnNetwork] | None, images: list[GrayImage], qp: 
     oracle). Contexts are built with the availability mode and fill value
     the corresponding model was trained with. Each image is scored one
     block size (fixed) or one quad-tree level (greedy) at a time, in
-    fixed-size chunks of blocks, so peak memory does not grow with the image.
+    bounded chunks of blocks (see EVAL_CHUNK_PIXELS), so peak memory does
+    not grow with the image.
     """
     if nets is not None and not cfg.oracle:
         for n in cfg.block_sizes:
@@ -323,7 +336,8 @@ def evaluate(nets: dict[int, PsRnnNetwork] | None, images: list[GrayImage], qp: 
         recon = degrade(image, DegradeConfig(qp=qp))
         if cfg.policy == "fixed":
             for n in cfg.block_sizes:
-                records.extend(_eval_fixed(live.get(n), image, recon, n, lam, cfg))
+                records.extend(_level_records(live.get(n), image, recon,
+                                              _tile_origins(image.pixels.shape, n), n, lam, cfg))
         else:
             records.extend(_eval_greedy(live, image, recon, lam, cfg))
     return _make_report(records, qp, lam)
@@ -343,81 +357,56 @@ def _tile_origins(shape: tuple[int, int], n: int) -> np.ndarray:
     return np.stack([ys.ravel(), xs.ravel()], axis=1)
 
 
-# Blocks scored together: a network forward of the greedy policy or one
-# baseline search covers max(1, EVAL_CHUNK_PIXELS // n**2) blocks of size n,
-# so the memory a level needs does not grow with the image. At 2048 the
-# greedy 16/8 eval ran faster but its peak RSS grew by about 15%.
-EVAL_CHUNK_PIXELS = 1024
-
-
-def _chunk(n: int) -> int:
-    return max(1, EVAL_CHUNK_PIXELS // (n * n))
-
-
 def _mse(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return ((preds - targets) ** 2).reshape(len(preds), -1).mean(axis=1)
 
 
 def _level_records(net: PsRnnNetwork | None, image: GrayImage, recon: GrayImage,
-                   origins: np.ndarray, n: int, lam: float, cfg: EvalConfig,
-                   net_chunk: int) -> list[BlockRecord]:
-    """Race the baseline against the network on every n x n block at `origins`.
-
-    The network runs on all blocks in chunks of `net_chunk` contexts, the
-    baseline search in chunks of _chunk(n) blocks.
-    """
+                   origins: np.ndarray, n: int, lam: float,
+                   cfg: EvalConfig) -> list[BlockRecord]:
+    """Race the baseline against the network on every n x n block at `origins`,
+    one chunk of blocks (see EVAL_CHUNK_PIXELS) at a time."""
     if not len(origins):
         return []
-    preds = None
-    if net is not None:
-        preds = _forward_chunked(net, _contexts(net, image, recon, origins), net_chunk)
     blocks = sliding_window_view(image.pixels, (n, n))
     records: list[BlockRecord] = []
-    step = _chunk(n)
-    for i in range(0, len(origins), step):
-        part = origins[i : i + step]
+    for i, j in _chunks(n, len(origins)):
+        part = origins[i:j]
         targets = blocks[part[:, 0], part[:, 1]].astype(np.float64)
         lines, _ = reference_lines(recon.pixels, part, n)
         if cfg.ref_smoothing:
             lines = smooth_lines(lines)
         modes, satds, base_preds = best_modes(lines, targets, n, lam, cfg.satd)
         base_mse = _mse(base_preds, targets)
-        net_preds = targets if cfg.oracle else None if preds is None else preds[i : i + step]
+        net_preds = targets if cfg.oracle else None
+        if net is not None:
+            net_preds, _ = forward_batch(net, _contexts(net, image, recon, part),
+                                         need_cache=False)
         if net_preds is not None:
             net_satds = satd_batch(net_preds - targets, cfg.satd)
             net_mse = _mse(net_preds, targets)
-        for j, origin in enumerate(map(tuple, part.tolist())):
-            base = ModeCost(mode=int(modes[j]), satd=float(satds[j]),
+        for k, origin in enumerate(map(tuple, part.tolist())):
+            base = ModeCost(mode=int(modes[k]), satd=float(satds[k]),
                             bits_proxy=DEFAULT_MODE_BITS, lam=lam)
-            net = None if net_preds is None else network_mode_cost(float(net_satds[j]), lam)
+            net_cost = None if net_preds is None else network_mode_cost(float(net_satds[k]),
+                                                                        lam)
             records.append(BlockRecord(
-                origin=origin, n=n, base=base, net=net,
-                winner=NETWORK if net is not None and net.total < base.total else "baseline",
-                base_mse=float(base_mse[j]), net_mse=None if net is None else float(net_mse[j])))
+                origin=origin, n=n, base=base, net=net_cost,
+                winner=NETWORK if net_cost is not None and net_cost.total < base.total
+                else "baseline",
+                base_mse=float(base_mse[k]),
+                net_mse=None if net_cost is None else float(net_mse[k])))
     return records
-
-
-def _eval_fixed(net: PsRnnNetwork | None, image: GrayImage, recon: GrayImage, n: int,
-                lam: float, cfg: EvalConfig) -> list[BlockRecord]:
-    # 256 contexts per network chunk up to N=8 (smaller chunks change the last
-    # bits of N=4 reports), 16384 pixels above that: an N=32 inference pass
-    # holds about 14 MiB for one context and 1.8 MiB for each further one
-    return _level_records(net, image, recon, _tile_origins(image.pixels.shape, n), n, lam,
-                          cfg, min(256, 16384 // (n * n)))
 
 
 def _eval_greedy(nets: dict[int, PsRnnNetwork], image: GrayImage, recon: GrayImage,
                  lam: float, cfg: EvalConfig) -> list[BlockRecord]:
-    """Score every quad-tree level of the whole image, then split top-down.
-
-    A level's blocks are listed root by root, so at sizes 32/16/8 each
-    network chunk holds exactly one root's blocks of that level.
-    """
+    """Score every quad-tree level of the whole image, then split top-down."""
     sizes = cfg.greedy_sizes()
     roots = level = _tile_origins(image.pixels.shape, sizes[0])
     table: dict[tuple[tuple[int, int], int], BlockRecord] = {}
     for n in sizes:
-        records = _level_records(nets.get(n), image, recon, level, n, lam, cfg, _chunk(n))
+        records = _level_records(nets.get(n), image, recon, level, n, lam, cfg)
         table.update(((r.origin, n), r) for r in records)
         half = n // 2
         level = (level[:, None] + np.array([(0, 0), (0, half), (half, 0), (half, half)])
@@ -503,6 +492,10 @@ def compare_losses(data, cfg_base: TrainConfig, seeds,
     seeds = list(seeds)
     if len(seeds) < 3:
         raise UsageError("loss comparison needs at least 3 seeds")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise UsageError(f"loss comparison seeds must differ; repeated: "
+                         f"{', '.join(map(str, repeated))}")
     samples = as_sample_set(data)
     rows = []
     for seed in seeds:
@@ -538,7 +531,6 @@ def ablate_units(data, unit_counts, cfg: TrainConfig, eval_images: list[GrayImag
         report = evaluate({n: net}, eval_images, qp, EvalConfig(block_sizes=(n,), satd=cfg.satd))
         rows.append({
             "units": count,
-            "val_satd": log[-1].val_loss if cfg.loss == "satd" else float("nan"),
             "final_val_loss": log[-1].val_loss,
             "selection_rate_pct": report.summary["selection_rate_pct"],
             "cost_reduction_pct": report.summary["mean_cost_reduction_pct"],

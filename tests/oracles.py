@@ -5,7 +5,8 @@
   sweep with one input projection for all steps, whose bits the sliced
   projection of psrnn.layers.gru_sweep_forward must give, and the
   two-branch sigmoid that psrnn.layers.sigmoid64 must match bit for bit.
-- The convolution pair on the whole patch matrix: one GEMM for the forward,
+- The convolution pair on the whole patch matrix: one GEMM for the forward
+  (by the weight padded to MIN_GEMM_COLS columns, as the library pads it),
   and for the backward one GEMM per gradient, the input gradient scattered
   back tap by tap (the adjoint of the gather). psrnn.tensor's slabbed
   forward and per-tap backward must give the same bits.
@@ -45,7 +46,7 @@ from psrnn.intra import (DEFAULT_MODE_BITS, INTRA_PRED_ANGLE, INV_ANGLE, MODE_DC
 from psrnn.layers import GruParams, GruSweepCache, _gate_fn, _t64
 from psrnn.model import forward_batch
 from psrnn.rng import stream
-from psrnn.tensor import ConvSpec
+from psrnn.tensor import MIN_GEMM_COLS, ConvSpec
 
 
 @dataclass
@@ -168,13 +169,17 @@ def conv_patch_matrix(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
 
 
 def conv_forward_whole(x, w, bias, spec: ConvSpec) -> np.ndarray:
-    """Conv forward as one GEMM over the whole patch matrix."""
+    """Conv forward as one GEMM over the whole patch matrix, by the weight
+    padded with zero columns to at least MIN_GEMM_COLS outputs."""
     b, h, ww, _ = x.shape
+    cout = spec.out_channels
     oh, ow, _ = _windows(spec, h, ww)
-    out = conv_patch_matrix(x, spec) @ w.reshape(-1, spec.out_channels)
+    w2 = w.reshape(-1, cout)
+    w2 = np.pad(w2, ((0, 0), (0, max(0, MIN_GEMM_COLS - cout))))
+    out = (conv_patch_matrix(x, spec) @ w2)[:, :cout]
     if bias is not None:
         out += bias
-    return out.reshape(b, oh, ow, spec.out_channels)
+    return out.reshape(b, oh, ow, cout)
 
 
 def conv_backward_scatter(x, w, spec: ConvSpec, grad_out, need_grad_x: bool = True):

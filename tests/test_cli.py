@@ -10,7 +10,7 @@ from oracles import sample_contexts_loop, stack_blocks
 from psrnn import cli
 from psrnn import data as D
 from psrnn import training as TR
-from psrnn.model import NetworkConfig, load_model
+from psrnn.model import NetworkConfig, build_network, forward_batch, load_model, save_model
 
 
 def write_pgm(path, seed=0, size=64):
@@ -72,6 +72,18 @@ class TestConfigHandling:
         assert run_cli(verb, "--out", str(out), "--set", f"{key}={value}") == 1
         err = capsys.readouterr().err
         assert f"bad value for {key}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (("eval", "--set", "eval_size=8"), "block size 8"),
+        (("train", *TRAIN_FAST, "--set", "samples=1"), "validation set")],
+        ids=["eval-no-block", "train-no-validation"])
+    def test_failed_run_makes_no_out_dir(self, argv, named, tmp_path, capsys):
+        # inputs that fail only once the run has started used to leave an
+        # empty --out directory behind
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("milestones", ["10,10", "12,20", "30", "-5,0", "0"],
@@ -177,6 +189,7 @@ class TestPrepare:
         m.write_text(f"{tmp_path/'a.pgm'}\n{tmp_path/'b.pgm'}\n")
         assert run_cli("prepare", "--set", f"manifest={m}",
                        "--out", str(tmp_path / "out")) == 2
+        assert not (tmp_path / "out").exists()  # it used to keep an empty images/
 
 
 class TestTrain:
@@ -425,6 +438,35 @@ class TestDemo:
         assert run_cli("demo", "--out", str(tmp_path / "x"),
                        "--set", "model=/nonexistent.psrnn") in (1, 2)
 
+    def test_prediction_matches_chunked_eval(self, tmp_path, monkeypatch):
+        # demo predicts its block as a batch of one; eval of the same image
+        # predicts it inside a chunk (the 49 N=16 tiles of a 128x128 image
+        # run in four), with the same bits
+        model = tmp_path / "n16.psrnn"
+        save_model(build_network(NetworkConfig(pu_size=16, preproc_channels=(4, 4),
+                                               unit_hidden=(4, 2, 2), recon_channels=(4,)),
+                                 seed=3), model)
+        calls = []
+
+        def recording(net, contexts, need_cache=True):
+            pred, cache = forward_batch(net, contexts, need_cache)
+            calls.append((contexts, pred))
+            return pred, cache
+
+        monkeypatch.setattr(cli, "forward_batch", recording)
+        monkeypatch.setattr(TR, "forward_batch", recording)
+        assert run_cli("demo", "--out", str(tmp_path / "demo"), "--seed", "7",
+                       "--set", "kind=directional", "--set", "cases=1",
+                       "--set", f"model={model}") == 0
+        [(demo_ctx, demo_pred)] = calls
+        image = D.synth_texture("directional", 128, seed=7, angle=0.0, noise=0.02)
+        TR.evaluate({16: load_model(model)}, [image], 32, TR.EvalConfig(block_sizes=(16,)))
+        assert [len(c) for c, _ in calls[1:]] == [12, 12, 12, 13]
+        # demo's block at (32, 32) is the ninth of the 7 x 7 tiles
+        ctx, pred = calls[1][0][8], calls[1][1][8]
+        assert np.array_equal(ctx, demo_ctx[0])
+        assert pred.tobytes() == demo_pred[0].tobytes()
+
 
 class TestExperimentverbs:
     def test_compare_losses_verb(self, tmp_path, capsys):
@@ -436,6 +478,15 @@ class TestExperimentverbs:
         rows = (out / "compare_losses.csv").read_text().strip().splitlines()
         assert len(rows) == 4
         assert "median" in capsys.readouterr().out
+
+    def test_compare_losses_repeated_seed(self, tmp_path, capsys):
+        # seeds=1,1,1 used to exit 0 with medians taken over one seed's run
+        out = tmp_path / "cmp"
+        assert run_cli("compare-losses", "--out", str(out), "--set", "iters=1",
+                       "--set", "samples=64", "--set", "corpus_size=32",
+                       "--set", "seeds=2,1,3,1") == 1
+        assert "repeated: 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ablate_units_verb(self, tmp_path, capsys):
         out = tmp_path / "abl"

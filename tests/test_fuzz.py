@@ -1,16 +1,17 @@
 """Fuzzed parsers: whatever bytes they are given, the model loader, the image
 reader and the key=value config parser either succeed or raise a
 psrnn.errors type, which the CLI maps to exit code 1 or 2. `psrnn eval` of
-fuzzed model files and images, and `psrnn train` and `psrnn demo` of fuzzed
-config files, exit 0, 1 or 2 without a traceback.
+fuzzed model files and images, and `psrnn train`, `psrnn demo`,
+`psrnn compare-losses` and `psrnn ablate-units` of fuzzed config files, exit
+0, 1 or 2 without a traceback.
 
 Mutations reach the model's config-text widths too: load_model refuses a
 config with more parameters than the file's records hold before it builds
 the network, so a width grown from 4 to 4000 cannot allocate gigabytes. The
 parse-and-resolve config fuzz stops at `resolve`, since a verb would run as
-long as a fuzzed `iters` asks. The train and demo fuzz draws each value
-from a short list of accepted values and edge cases for its key, over a lean
-base config, and the command line caps `iters` at 2 and `samples` at 64.
+long as a fuzzed `iters` asks. The verb fuzz draws each value from a short
+list of accepted values and edge cases for its key, over a small base
+config, and the command line caps `iters` at 2 and `samples` at 64.
 """
 
 import contextlib
@@ -239,3 +240,37 @@ def test_cli_demo_exit_codes(workdir, lean_model, data):
     }
     config = data.draw(verb_configs(values, [f"model={model}"]))
     run_verb(workdir, "demo", config)
+
+
+# the experiment verbs train default-width networks, so the fuzz keeps their
+# sizes, batches and corpora small
+EXPERIMENT_VALUES = {
+    "n": st.sampled_from(["4", "8", "0", "5", "-8"]),
+    "availability": st.sampled_from(["three-block", "four-block", "none"]),
+    "batch": _ints_text(-1, 8),
+    "seed": _ints_text(-2, 2**64),
+    "corpus_size": _ints_text(-1, 40),
+}
+
+
+@settings(max_examples=15)
+@given(data=st.data(), iters=st.integers(0, 2), samples=st.integers(1, 64))
+def test_cli_compare_losses_exit_codes(workdir, data, iters, samples):
+    seeds = st.lists(st.integers(-2, 4), max_size=5).map(lambda v: ",".join(map(str, v)))
+    config = data.draw(verb_configs({**EXPERIMENT_VALUES, "seeds": seeds},
+                                    ["corpus_size=32"]))
+    run_verb(workdir, "compare-losses", config, "--set", f"iters={iters}",
+             "--set", f"samples={samples}")
+
+
+@settings(max_examples=15)
+@given(data=st.data(), iters=st.integers(0, 2), samples=st.integers(1, 64))
+def test_cli_ablate_units_exit_codes(workdir, data, iters, samples):
+    values = {**EXPERIMENT_VALUES,
+              "counts": st.lists(st.integers(-1, 3), max_size=3).map(
+                  lambda v: ",".join(map(str, v))),
+              "qp": _ints_text(-60, 80)}
+    config = data.draw(verb_configs(values, ["corpus_size=32", "counts=1"]))
+    run_verb(workdir, "ablate-units", config, "--set", f"iters={iters}",
+             "--set", f"samples={samples}")
+

@@ -227,11 +227,12 @@ class TestSweepSlabs:
         ids=["n8-b225-sigmoid", "n8-b225-tanh", "n16-b64-sigmoid", "n16-b64-tanh",
              "n32-b16-sigmoid", "n32-b16-tanh", "n32-b128-sigmoid"])
     def test_sliced_projection_matches_whole(self, n, b, gate, monkeypatch):
-        # N=8 fixed eval's 225 tiles, the N=16 and N=32 eval chunks and the
-        # N=32 validation chunk: each projects its inputs in several slabs of
-        # steps, and every state, gate and candidate has the bits of one
-        # projection GEMM over all steps (the gate does not touch the
-        # projection, so the largest shape runs one gate)
+        # the 225 N=8 tiles of a 128x128 image in one batch, N=16 at 64
+        # contexts and N=32 at 16 (its eval and validation chunk) and 128:
+        # each projects its inputs in several slabs of steps, and every
+        # state, gate and candidate has the bits of one projection GEMM over
+        # all steps (the gate does not touch the projection, so the largest
+        # shape runs one gate)
         slabs = record_sweep_slabs(monkeypatch)
         self.check_against_whole(n, b, gate, np.random.default_rng(n + b))
         assert slabs[0] > 1
@@ -239,9 +240,9 @@ class TestSweepSlabs:
     @pytest.mark.parametrize("gate", ["sigmoid", "tanh"])
     @pytest.mark.parametrize("b", [4, 1], ids=["b4", "b1"])
     def test_greedy_shapes_match_whole(self, b, gate):
-        # N=16 first-unit sweeps at greedy eval's chunk of 4 blocks and its
-        # one-block tail, whose step products take numpy's vector-matrix
-        # path: one slab each
+        # N=16 first-unit sweeps at 4 contexts, the smallest batch
+        # forward_batch runs, and at 1, whose step products take numpy's
+        # vector-matrix path: one slab each
         self.check_against_whole(32, b, gate, np.random.default_rng(b))
 
     @staticmethod

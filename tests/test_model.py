@@ -79,27 +79,46 @@ class TestForward:
         preds, _ = M.forward_batch(net, ctxs)
         for i in range(3):
             one, _ = M.forward_batch(net, ctxs[i : i + 1], need_cache=False)
-            np.testing.assert_allclose(preds[i], one[0], rtol=0, atol=1e-12)
+            assert one[0].tobytes() == preds[i].tobytes()
+
+    @pytest.mark.parametrize("widths", [{}, LEAN_WIDTHS], ids=["default", "lean"])
+    @pytest.mark.parametrize("n, b", [(4, 24), (8, 16), (16, 8), (32, 5)])
+    def test_predictions_do_not_depend_on_the_chunk(self, n, b, widths, monkeypatch):
+        # the guard of batch invariance, which rests on how OpenBLAS picks its
+        # kernels (see tensor.MIN_GEMM_COLS and model.MIN_BATCH): a context's
+        # prediction has the same bits in every chunk size from 1 to the
+        # whole batch, lean or cached, and with every conv and sweep split
+        # into slabs of one sample
+        net = M.build_network(M.NetworkConfig(pu_size=n, **widths), seed=n)
+        ctxs = np.random.default_rng(n).random((b, 2 * n, 2 * n)).astype(np.float32)
+        want = M.forward_batch(net, ctxs, need_cache=False)[0].tobytes()
+        for chunk in range(1, b + 1):
+            for need_cache in (False, True):
+                got = np.concatenate([M.forward_batch(net, ctxs[i : i + chunk], need_cache)[0]
+                                      for i in range(0, b, chunk)])
+                assert got.tobytes() == want, (chunk, need_cache)
+        monkeypatch.setattr(T, "SLAB_BYTES", 2**12)
+        for need_cache in (False, True):
+            assert M.forward_batch(net, ctxs, need_cache)[0].tobytes() == want
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32])
     def test_lean_forward_matches_cached(self, n, monkeypatch):
         # the inference pass keeps no cache and computes the bits of the
-        # cached pass and of whole-patch-matrix convs, also on a fixed-eval
-        # chunk (at N=8 the 225 tiles of a 128x128 image) and on a
-        # validation chunk of 128, where its convs split into several slabs;
-        # only the lean N=4 network's convs stay within one slab there, and
-        # at N=32 even a batch of 3 splits. A validation chunk at N=32 is
-        # left out: its whole patch matrices alone would take 600 MiB.
+        # cached pass and of whole-patch-matrix convs, also on a whole
+        # level's batch (at N=8 the 225 tiles of a 128x128 image) and on a
+        # batch of 128, where its convs split into several slabs; at N=16
+        # and N=32 even a batch of 3, run as 4, splits. A batch of 128 at
+        # N=32 is left out: its whole patch matrices alone would take 600 MiB.
         slabs, bounds = [], T._slab_bounds
 
-        def counting(b, sample_macs):
-            slabs.append(len(bounds(b, sample_macs)) - 1)
-            return bounds(b, sample_macs)
+        def counting(b, sample_bytes):
+            slabs.append(len(bounds(b, sample_bytes)) - 1)
+            return bounds(b, sample_bytes)
 
         chunk = {4: 256, 8: 225, 16: 64, 32: 16}[n]
-        cases = [(3, {}, n == 32), (chunk, {}, True), (chunk, LEAN_WIDTHS, n > 4)]
+        cases = [(3, {}, n >= 16), (chunk, {}, True), (chunk, LEAN_WIDTHS, True)]
         if n < 32:
-            cases += [(128, {}, True), (128, LEAN_WIDTHS, n > 4)]
+            cases += [(128, {}, True), (128, LEAN_WIDTHS, True)]
         for b, widths, splits in cases:
             net = M.build_network(M.NetworkConfig(pu_size=n, **widths), seed=n)
             ctxs = np.random.default_rng(n).random((b, 2 * n, 2 * n)).astype(np.float32)
@@ -118,13 +137,15 @@ class TestForward:
             assert (max(slabs) > 1) == splits
 
     def test_sweep_projection_slabs(self, monkeypatch):
-        # greedy chunks (1024 // N**2 contexts) and the batch-32 training
-        # step project under 2 MiB per sweep (see tensor.SLAB_BYTES), so each
-        # sweep's input projection stays one GEMM; the first unit's sweeps of
-        # fixed N=8 eval's 225 tiles (10.5 MiB) project in 10 slabs of steps
+        # the eval chunks of a 128x128 image (greedy: N=16 at 12-13 contexts
+        # and N=8 at 49; fixed N=8: 56-57) project the first unit's inputs
+        # in two slabs of steps under 2 MiB each (see tensor.SLAB_BYTES), and
+        # 225 contexts in six; the batch-32 training step's 1.5 MiB
+        # projection and every later unit's stay one GEMM
         slabs = record_sweep_slabs(monkeypatch)
-        for n, b, need_cache, first_unit in [(16, 4, False, 1), (8, 16, False, 1),
-                                             (8, 32, True, 1), (8, 225, False, 10)]:
+        for n, b, need_cache, first_unit in [(16, 13, False, 2), (8, 49, False, 2),
+                                             (8, 57, False, 2), (8, 32, True, 1),
+                                             (8, 225, False, 6)]:
             net = M.build_network(M.NetworkConfig(pu_size=n), seed=n)
             ctxs = np.random.default_rng(n).random((b, 2 * n, 2 * n))
             slabs.clear()
@@ -291,7 +312,7 @@ class TestBackward:
         # a training step at the CLI's batch (32) and the determinism run's
         # (16): the slabbed forwards and the per-tap input gradients give
         # the bits of whole-patch-matrix GEMMs and the tap-by-tap scatter.
-        # OpenBLAS picks its kernel by GEMM shape (see tensor.SLAB_MACS), so
+        # OpenBLAS picks its kernel by GEMM shape (see tensor.MIN_GEMM_COLS), so
         # this runs every conv shape of these networks, not a sample.
         net = M.build_network(M.NetworkConfig(pu_size=n, **widths), seed=n)
         gen = np.random.default_rng(n + b)
