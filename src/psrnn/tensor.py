@@ -20,10 +20,18 @@ its GEMM has (see MIN_GEMM_COLS), so a sample's result does not depend on
 the batch or the slab it runs in. The slab rule, _slab_bounds, is shared
 with the GRU sweep in psrnn.layers, which projects its inputs one slab of
 whole steps at a time.
+
+Importing the module fixes glibc's malloc thresholds through mallopt (mmap
+above 32 MiB, glibc's 64-bit maximum; trim above 64 MiB), over any
+MALLOC_MMAP_THRESHOLD_ or MALLOC_TRIM_THRESHOLD_ in the environment, so what
+an eval chunk frees stays in the heap for the next chunk instead of going
+back to the kernel and faulting in again. No computed value depends on them.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +102,19 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> 
 # The cap bounds memory only: slabs do not change the bits (see
 # MIN_GEMM_COLS).
 SLAB_BYTES = 2**21
+
+
+def _keep_freed_heap() -> bool:
+    """Fix the malloc thresholds (see the module docstring); True if libc took both."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # -3 is M_MMAP_THRESHOLD and -1 is M_TRIM_THRESHOLD; mallopt returns 1 on success
+    return mallopt(-3, 2**25) == 1 and mallopt(-1, 2**26) == 1
+
+
+HEAP_KEPT = _keep_freed_heap()
 
 
 def split_bounds(count: int, per_part: int) -> list[int]:

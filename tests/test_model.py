@@ -15,6 +15,7 @@ TINY = M.NetworkConfig(pu_size=4, preproc_channels=(2, 2), unit_hidden=(2, 2),
                        recon_channels=(2,))
 # the widths of the determinism-test network
 LEAN_WIDTHS = dict(preproc_channels=(4, 4), unit_hidden=(4, 2, 2), recon_channels=(4,))
+NARROW_GRU = dict(unit_hidden=(1, 1, 1))  # GRU widths 8, 4 and 4 at N=4
 
 
 def use_whole_matrix_convs(monkeypatch):
@@ -81,14 +82,21 @@ class TestForward:
             one, _ = M.forward_batch(net, ctxs[i : i + 1], need_cache=False)
             assert one[0].tobytes() == preds[i].tobytes()
 
-    @pytest.mark.parametrize("widths", [{}, LEAN_WIDTHS], ids=["default", "lean"])
+    @pytest.mark.parametrize("widths", [{}, LEAN_WIDTHS, NARROW_GRU],
+                             ids=["default", "lean", "narrow-gru"])
     @pytest.mark.parametrize("n, b", [(4, 24), (8, 16), (16, 8), (32, 5)])
-    def test_predictions_do_not_depend_on_the_chunk(self, n, b, widths, monkeypatch):
+    def test_predictions_do_not_depend_on_the_chunk(self, n, b, widths, monkeypatch, request):
         # the guard of batch invariance, which rests on how OpenBLAS picks its
         # kernels (see tensor.MIN_GEMM_COLS and model.MIN_BATCH): a context's
         # prediction has the same bits in every chunk size from 1 to the
         # whole batch, lean or cached, and with every conv and sweep split
-        # into slabs of one sample
+        # into slabs of one sample; narrow-gru at N=4 runs GEMMs under 8
+        # columns in the GRU step loop
+        if n == 32 and widths is NARROW_GRU:
+            request.applymarker(pytest.mark.xfail(strict=True, reason=(
+                "under SLAB_BYTES = 2**12 the first sweep projects one step, 5 rows of "
+                "192 columns, at a time, and OpenBLAS gives them other bits than the "
+                "whole product; the chunk sizes alone keep the bits")))
         net = M.build_network(M.NetworkConfig(pu_size=n, **widths), seed=n)
         ctxs = np.random.default_rng(n).random((b, 2 * n, 2 * n)).astype(np.float32)
         want = M.forward_batch(net, ctxs, need_cache=False)[0].tobytes()
