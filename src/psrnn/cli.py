@@ -1,7 +1,9 @@
 """Batch command-line front end.
 
 Verbs: prepare, train, eval, demo, compare-losses, ablate-units.
-Common flags: --config PATH, --seed U64, --out DIR, --set KEY=VALUE, --oracle.
+Common flags: --config PATH, --out DIR, --set KEY=VALUE, and --seed U64 for
+every verb but prepare, which draws no random numbers. Eval only: --oracle.
+A flag on a verb without its key is a usage error.
 
 Runs are driven by plain key=value config files (one pair per line, #
 comments allowed). Unknown keys are rejected, and every run writes its fully
@@ -84,7 +86,6 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "out": (str, "prepare_out"),
         "scales": (_bool, True),
         "qps": (_some_ints, D.TRAIN_QPS),
-        "seed": (int, 0),
     },
     "train": {
         "out": (str, "train_out"),
@@ -194,6 +195,8 @@ def resolve(command: str, raw: dict[str, str], overrides: dict) -> dict:
             resolved[key] = default
     for key, value in overrides.items():
         if value is not None:
+            if key not in schema:
+                raise UsageError(f"{command} takes no {key}")
             resolved[key] = value
     missing = [k for k, v in resolved.items() if v is None]
     if missing:
@@ -444,7 +447,8 @@ def cmd_demo(resolved: dict) -> int:
 
 def cmd_compare_losses(resolved: dict) -> int:
     base = _train_defaults(resolved)
-    result = compare_losses(_load_samples(base), _train_config(base), resolved["seeds"])
+    result = compare_losses(_load_samples(base), _train_config(base), resolved["seeds"],
+                            _network_config(base))
     out = _out_dir(resolved)
     with open(out / "compare_losses.csv", "w") as fh:
         fh.write("seed,satd_val_satd,satd_val_mse,mse_val_satd,mse_val_mse,satd_gap\n")
@@ -520,9 +524,7 @@ def main(argv=None) -> int:
                 raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
             key, _, value = item.partition("=")
             raw[key.strip()] = value.strip()
-        overrides = {"seed": args.seed, "out": args.out}
-        if args.command == "eval" and args.oracle:
-            overrides["oracle"] = True
+        overrides = {"seed": args.seed, "out": args.out, "oracle": args.oracle or None}
         resolved = resolve(args.command, raw, overrides)
         return COMMANDS[args.command](resolved)
     except (ValueError, OSError) as exc:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModeError, ShapeError, SizeError
-from .hadamard import SatdConfig, satd, satd_batch  # noqa: F401 (satd is re-exported)
+from .hadamard import satd, satd_batch  # noqa: F401 (satd is re-exported)
 
 N_MODES = 35
 MODE_PLANAR = 0
@@ -232,8 +232,7 @@ def network_mode_cost(satd_norm: float, lam: float) -> ModeCost:
                     bits_proxy=NETWORK_FLAG_BITS, lam=lam)
 
 
-def best_modes(lines: np.ndarray, targets: np.ndarray, n: int, lam: float,
-               satd_cfg: SatdConfig = SatdConfig()):
+def best_modes(lines: np.ndarray, targets: np.ndarray, n: int, lam: float):
     """Exhaustive 35-mode search for k blocks at once under SATD + lambda * bits.
 
     `lines` are (k, 4n+1) scan-order reference lines (see reference_lines)
@@ -251,7 +250,7 @@ def best_modes(lines: np.ndarray, targets: np.ndarray, n: int, lam: float,
                          f"got {lines.shape} and {targets.shape}")
     preds = _predict_all(lines[:, _line_layout(n)[3]], n)
     residues = preds - targets.astype(np.float64)[:, None]
-    satds = satd_batch(residues.reshape(k * N_MODES, n, n), satd_cfg).reshape(k, N_MODES)
+    satds = satd_batch(residues.reshape(k * N_MODES, n, n)).reshape(k, N_MODES)
     satds *= PIXEL_SCALE
     modes = np.argmin(satds + lam * DEFAULT_MODE_BITS, axis=1)
     rows = np.arange(k)

@@ -402,11 +402,14 @@ def _config_text(config: NetworkConfig) -> bytes:
 
 
 def _config_from_text(text: str) -> NetworkConfig:
-    """Invert _config_text, converting each field by the type of its default."""
-    kw = {}
-    for line in text.strip().splitlines():
-        key, _, val = line.partition("=")
-        kw[key] = val
+    """Invert _config_text, converting each field by the type of its default.
+
+    The text must hold one key=value line per NetworkConfig field, and no other.
+    """
+    pairs = [line.partition("=") for line in text.strip().splitlines()]
+    kw = {key: val for key, sep, val in pairs if sep}
+    if len(kw) != len(pairs) or kw.keys() != {f.name for f in fields(NetworkConfig)}:
+        raise ValueError("config text is not one key=value line per NetworkConfig field")
     values = {}
     for f in fields(NetworkConfig):
         val = kw[f.name]
@@ -477,8 +480,9 @@ def load_model(path) -> PsRnnNetwork:
         raise VersionError(f"unsupported model version {version}")
     records: dict[str, np.ndarray] = {}
     try:
-        # a CRC-valid file can still carry text that does not parse: a missing
-        # key, a non-numeric value, bytes that are not UTF-8
+        # a CRC-valid file can still carry text that does not parse: a missing,
+        # unknown or repeated key, a line without "=", a non-numeric value,
+        # bytes that are not UTF-8
         config = _config_from_text(r.take(r.u32()).decode("utf-8"))
         while r.pos < len(r.data):
             name = r.take(r.u32()).decode("utf-8")

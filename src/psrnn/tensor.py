@@ -17,9 +17,12 @@ straight into the unpadded input's positions that the tap reads.
 
 The forward gives each output row the same bits whatever the number of rows
 its GEMM has (see MIN_GEMM_COLS), so a sample's result does not depend on
-the batch or the slab it runs in. The slab rule, _slab_bounds, is shared
-with the GRU sweep in psrnn.layers, which projects its inputs one slab of
-whole steps at a time.
+the batch it runs in, nor on its slab while slabs stay above OpenBLAS's
+small-GEMM cut-off. The slab rule, _slab_bounds, is shared with the GRU
+sweep in psrnn.layers, which projects its inputs one slab of whole steps at
+a time. A sweep forced into slabs of a step or a few (SLAB_BYTES = 2**12,
+a narrow GRU at N=32) gets other last bits from OpenBLAS; under the real
+cap a sweep splits only into slabs of at least 1 MiB of projection.
 
 Importing the module fixes glibc's malloc thresholds through mallopt (mmap
 above 32 MiB, glibc's 64-bit maximum; trim above 64 MiB), over any
@@ -99,8 +102,8 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> 
 # GRU sweep's input projection. A batch whose temporary is larger splits
 # into the fewest slabs of whole samples that keep each one under the cap,
 # balanced to within one sample (a single sample over the cap is one slab).
-# The cap bounds memory only: slabs do not change the bits (see
-# MIN_GEMM_COLS).
+# The cap bounds memory only: the slabs it makes keep the bits (see the
+# module docstring for the small slabs that do not).
 SLAB_BYTES = 2**21
 
 

@@ -256,7 +256,6 @@ def train(net: PsRnnNetwork, data, cfg: TrainConfig):
 class EvalConfig:
     block_sizes: tuple[int, ...] = (8,)
     policy: str = "fixed"  # fixed tiling, or greedy top-down splitting
-    satd: SatdConfig = field(default_factory=SatdConfig)
     oracle: bool = False
     ref_smoothing: bool = False
 
@@ -376,14 +375,14 @@ def _level_records(net: PsRnnNetwork | None, image: GrayImage, recon: GrayImage,
         lines, _ = reference_lines(recon.pixels, part, n)
         if cfg.ref_smoothing:
             lines = smooth_lines(lines)
-        modes, satds, base_preds = best_modes(lines, targets, n, lam, cfg.satd)
+        modes, satds, base_preds = best_modes(lines, targets, n, lam)
         base_mse = _mse(base_preds, targets)
         net_preds = targets if cfg.oracle else None
         if net is not None:
             net_preds, _ = forward_batch(net, _contexts(net, image, recon, part),
                                          need_cache=False)
         if net_preds is not None:
-            net_satds = satd_batch(net_preds - targets, cfg.satd)
+            net_satds = satd_batch(net_preds - targets)
             net_mse = _mse(net_preds, targets)
         for k, origin in enumerate(map(tuple, part.tolist())):
             base = ModeCost(mode=int(modes[k]), satd=float(satds[k]),
@@ -468,26 +467,13 @@ def _make_report(records: list[BlockRecord], qp: int, lam: float) -> EvalReport:
 # ---------------------------------------------------------------------------
 
 
-def _network_for(samples: SampleSet, cfg: TrainConfig, seed: int, unit_hidden=None,
-                 net_config: NetworkConfig | None = None) -> PsRnnNetwork:
-    """net_config's network, or a default-width one sized for the samples' contexts."""
-    if net_config is None:
-        net_config = NetworkConfig(pu_size=samples.contexts.shape[1] // 2,
-                                   availability_mode=cfg.availability_mode,
-                                   unit_hidden=unit_hidden or NetworkConfig.unit_hidden)
-    return build_network(net_config, seed=seed)
-
-
-def compare_losses(data, cfg_base: TrainConfig, seeds,
-                   kinds: tuple[str, str] = ("satd", "mse"),
-                   net_config: NetworkConfig | None = None) -> dict:
-    """Train paired SATD/MSE models per seed on identical sample streams.
+def compare_losses(data, cfg_base: TrainConfig, seeds, net_config: NetworkConfig) -> dict:
+    """Train paired SATD/MSE models of net_config per seed on identical sample streams.
 
     Both arms of a seed share the init and the batch sequence, so only the
     training loss differs. Returns per-seed validation SATD and MSE of both
-    arms plus the median SATD gap between the second and the first arm
-    (positive favors the first). `kinds` exists so a control run can put the
-    same loss in both arms.
+    arms plus the median SATD gap between the MSE and the SATD arm
+    (positive favors SATD).
     """
     seeds = list(seeds)
     if len(seeds) < 3:
@@ -500,10 +486,9 @@ def compare_losses(data, cfg_base: TrainConfig, seeds,
     rows = []
     for seed in seeds:
         row = {"seed": seed}
-        for arm, kind in zip(("satd", "mse"), kinds):
-            cfg = replace(cfg_base, loss=kind, seed=seed)
-            net = _network_for(samples, cfg, seed, net_config=net_config)
-            net, _ = train(net, samples, cfg)
+        for arm in ("satd", "mse"):
+            cfg = replace(cfg_base, loss=arm, seed=seed)
+            net, _ = train(build_network(net_config, seed=seed), samples, cfg)
             val_idx, _ = _validation_split(len(samples), cfg)
             ctx, tgt = samples.contexts[val_idx], samples.targets[val_idx]
             row[f"{arm}_val_satd"] = validation_metric(net, ctx, tgt, "satd", cfg.satd)
@@ -518,17 +503,18 @@ def compare_losses(data, cfg_base: TrainConfig, seeds,
 
 def ablate_units(data, unit_counts, cfg: TrainConfig, eval_images: list[GrayImage],
                  qp: int = 32) -> list[dict]:
-    """Train one model per recurrent-unit count at a fixed budget."""
+    """Train one model per recurrent-unit count at a fixed budget: default
+    widths but for the units, an 8-wide first unit and 4-wide others."""
     samples = as_sample_set(data)
+    n = samples.contexts.shape[1] // 2
     rows = []
     for count in unit_counts:
         if count < 1:
             raise UsageError("network must contain at least one recurrent unit")
-        hidden = (8,) + (4,) * (count - 1)
-        net = _network_for(samples, cfg, cfg.seed, unit_hidden=hidden)
-        net, log = train(net, samples, cfg)
-        n = net.config.pu_size
-        report = evaluate({n: net}, eval_images, qp, EvalConfig(block_sizes=(n,), satd=cfg.satd))
+        config = NetworkConfig(pu_size=n, availability_mode=cfg.availability_mode,
+                               unit_hidden=(8,) + (4,) * (count - 1))
+        net, log = train(build_network(config, seed=cfg.seed), samples, cfg)
+        report = evaluate({n: net}, eval_images, qp, EvalConfig(block_sizes=(n,)))
         rows.append({
             "units": count,
             "final_val_loss": log[-1].val_loss,

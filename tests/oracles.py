@@ -364,8 +364,8 @@ def predict_angular(refs: Refs, mode: int, n: int) -> np.ndarray:
     return pred if vertical else pred.T
 
 
-def mode_search_loop(refs: Refs, target: np.ndarray, n: int, lam: float,
-                     satd_cfg: SatdConfig = SatdConfig()) -> tuple[ModeCost, np.ndarray]:
+def mode_search_loop(refs: Refs, target: np.ndarray, n: int,
+                     lam: float) -> tuple[ModeCost, np.ndarray]:
     """Score the 35 modes one at a time; the first strict minimum wins.
 
     Returns the winner's cost and its prediction.
@@ -373,7 +373,7 @@ def mode_search_loop(refs: Refs, target: np.ndarray, n: int, lam: float,
     best, best_pred = None, None
     for mode in range(N_MODES):
         pred = predict_mode_loop(refs, mode, n)
-        cost = ModeCost(mode=mode, satd=satd(pred - target, satd_cfg) * PIXEL_SCALE,
+        cost = ModeCost(mode=mode, satd=satd(pred - target) * PIXEL_SCALE,
                         bits_proxy=DEFAULT_MODE_BITS, lam=lam)
         if best is None or cost.total < best.total:
             best, best_pred = cost, pred
@@ -388,14 +388,14 @@ def block_record(image, recon, origin: tuple[int, int], n: int, lam: float, cfg,
     refs = reference_samples_loop(recon.pixels, origin, n)
     if cfg.ref_smoothing:
         refs = smooth_references_loop(refs)
-    base, base_pred = mode_search_loop(refs, target, n, lam, cfg.satd)
+    base, base_pred = mode_search_loop(refs, target, n, lam)
     base_mse = float(np.mean((base_pred - target) ** 2))
     if cfg.oracle:
         net_pred = target
     if net_pred is None:
         return TR.BlockRecord(origin=origin, n=n, base=base, net=None,
                               winner="baseline", base_mse=base_mse, net_mse=None)
-    net_cost = network_mode_cost(satd(net_pred - target, cfg.satd), lam)
+    net_cost = network_mode_cost(satd(net_pred - target), lam)
     winner = NETWORK if net_cost.total < base.total else "baseline"
     net_mse = float(np.mean((net_pred - target) ** 2))
     return TR.BlockRecord(origin=origin, n=n, base=base, net=net_cost,

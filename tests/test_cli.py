@@ -130,6 +130,12 @@ class TestConfigHandling:
         assert exc.value.code == 1
         assert "usage: psrnn" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["prepare", "demo"])
+    def test_oracle_is_eval_only(self, verb, capsys):
+        # a flag the verb has no key for is an error, not ignored
+        assert run_cli(verb, "--oracle") == 1
+        assert f"{verb} takes no oracle" in capsys.readouterr().err
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("--help")
@@ -143,6 +149,18 @@ class TestPrepare:
         assert run_cli("prepare", "--set", f"manifest={m}",
                        "--out", str(tmp_path / "out")) == 1
         assert "no inputs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("--seed", "3"), ("--set", "seed=3")])
+    def test_seed_rejected(self, tmp_path, capsys, argv):
+        # prepare draws no random numbers, so it has no seed to set
+        img = tmp_path / "img.pgm"
+        write_pgm(img)
+        m = tmp_path / "m.txt"
+        m.write_text(f"{img}\n")
+        assert run_cli("prepare", "--set", f"manifest={m}", *argv,
+                       "--out", str(tmp_path / "out")) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_one_image_two_qps(self, tmp_path, capsys):
         img = tmp_path / "img.pgm"

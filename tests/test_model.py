@@ -446,7 +446,11 @@ class TestSerialization:
         (b"fill_value=0.5\n", b""),          # a key is missing
         (b"pu_size=4", b"pu_size=four"),      # a value is not a number
         (b"gate_activation=sigmoid", b"gate_activation=\xff\xfeigmoid"),  # not UTF-8
-    ], ids=["missing-key", "non-integer", "non-utf8"])
+        (b"fill_value=0.5\n", b"fill_value=0.5\nwidth=3\n"),  # a key NetworkConfig lacks
+        (b"pu_size=4\n", b"pu_size=8\npu_size=4\n"),  # a key twice; the last used to win
+        (b"pu_size=4\n", b"pu_size=4\nsigmoid\n"),  # a line without "="
+    ], ids=["missing-key", "non-integer", "non-utf8", "unknown-key", "repeated-key",
+            "no-equals"])
     def test_corrupt_config_text(self, tmp_path, edit):
         path = tmp_path / "m.psrnn"
         M.save_model(M.build_network(TINY, seed=0), path)

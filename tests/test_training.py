@@ -411,20 +411,30 @@ class TestEvaluate:
 class TestExperiments:
     def test_compare_losses_needs_three_seeds(self):
         with pytest.raises(UsageError):
-            TR.compare_losses(make_samples(count=120), small_cfg(), [1, 2])
+            TR.compare_losses(make_samples(count=120), small_cfg(), [1, 2], SMALL_NET)
 
-    def test_compare_losses_control_gap_zero(self):
+    def test_compare_losses_rows_match_direct_training(self):
+        # each arm of a seed is the network built from that seed, trained on
+        # that seed's batches with the arm's loss: both arms share the init
+        # and the batches, so only the loss differs between them
         samples = make_samples(count=300)
-        out = TR.compare_losses(samples, small_cfg(total_iters=20), [1, 2, 3],
-                                kinds=("satd", "satd"))
-        assert out["median_gap"] == 0.0
-        for row in out["rows"]:
-            assert row["satd_val_satd"] == row["mse_val_satd"]
+        cfg = small_cfg(total_iters=20)
+        row = TR.compare_losses(samples, cfg, [1, 2, 3], SMALL_NET)["rows"][1]
+        assert row["seed"] == 2
+        ctx, tgt = _val_arrays(samples, 2, cfg.val_subset_cap)
+        for arm in ("satd", "mse"):
+            net, _ = TR.train(build_network(SMALL_NET, seed=2), samples,
+                              replace(cfg, loss=arm, seed=2))
+            assert row[f"{arm}_val_satd"] == TR.validation_metric(net, ctx, tgt, "satd",
+                                                                  cfg.satd)
+            assert row[f"{arm}_val_mse"] == TR.validation_metric(net, ctx, tgt, "mse",
+                                                                 cfg.satd)
+        assert row["satd_gap"] == row["mse_val_satd"] - row["satd_val_satd"]
 
     def test_compare_losses_rows_reproducible(self):
         samples = make_samples(count=300)
-        a = TR.compare_losses(samples, small_cfg(total_iters=20), [4, 5, 6])
-        b = TR.compare_losses(samples, small_cfg(total_iters=20), [4, 5, 6])
+        a = TR.compare_losses(samples, small_cfg(total_iters=20), [4, 5, 6], SMALL_NET)
+        b = TR.compare_losses(samples, small_cfg(total_iters=20), [4, 5, 6], SMALL_NET)
         assert a == b
 
     def test_ablate_rejects_zero_units(self):
