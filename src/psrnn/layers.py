@@ -24,14 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor
 from .errors import ShapeError, UsageError
-from .tensor import _slab_bounds
 
 GATE_ACTIVATIONS = ("sigmoid", "tanh")
 
 
-def sigmoid64(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 / (1 + exp(-x)) in float64, written into out if given (out may be x)."""
+def sigmoid64(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """1 / (1 + exp(-x)) in float64, written into out (out may be x; None
+    makes a new array)."""
     # exp(-|x|) never overflows; both tails stay accurate down to underflow.
     # The numerator is 1 for x >= 0 and e below: as e <= 1, the maximum of e
     # and the mask gives it bit for bit (a NaN e stays NaN) without np.where,
@@ -155,7 +156,7 @@ def gru_sweep_forward(params: GruParams, xs: np.ndarray, h0: np.ndarray,
     # without a cache, the candidate
     zr, rh, c = np.empty((b, 2 * h)), np.empty((b, h)), np.empty((b, h))
     z, r = zr[:, :h], zr[:, h:]
-    bounds = _slab_bounds(n, b * 3 * h * 8)
+    bounds = tensor._slab_bounds(n, b * 3 * h * 8, tensor.SLAB_BYTES)
     for i, j in zip(bounds, bounds[1:]):
         xproj = (xs[i:j].reshape((j - i) * b, d) @ WxT).reshape(j - i, b, 3 * h)
         xzr, xc = xproj[:, :, : 2 * h], xproj[:, :, 2 * h :]

@@ -8,9 +8,9 @@ is float64 throughout the package. A single sample is a batch of one.
 
 One gather, _im2col, serves both passes and there is no scatter. The
 forward pads, gathers and multiplies a slab of whole samples at a time into
-one preallocated output (see SLAB_BYTES), dropping each slab's patch matrix
-before it gathers the next, so neither the whole padded input nor the whole
-patch matrix ever exists there, and it hands no patch matrix to the
+one preallocated output (see CONV_SLAB_BYTES), dropping each slab's patch
+matrix before it gathers the next, so neither the whole padded input nor the
+whole patch matrix ever exists there, and it hands no patch matrix to the
 backward. The backward regathers the batch's patch matrix once for the
 weight gradient and adds the input gradient one kernel tap at a time,
 straight into the unpadded input's positions that the tap reads.
@@ -20,9 +20,15 @@ its GEMM has (see MIN_GEMM_COLS), so a sample's result does not depend on
 the batch it runs in, nor on its slab while slabs stay above OpenBLAS's
 small-GEMM cut-off. The slab rule, _slab_bounds, is shared with the GRU
 sweep in psrnn.layers, which projects its inputs one slab of whole steps at
-a time. A sweep forced into slabs of a step or a few (SLAB_BYTES = 2**12,
-a narrow GRU at N=32) gets other last bits from OpenBLAS; under the real
-cap a sweep splits only into slabs of at least 1 MiB of projection.
+a time; each caller passes its cap. The conv's, CONV_SLAB_BYTES (512 KiB, a
+quarter of a 2 MiB per-core L2), keeps a slab's patch rows in cache from
+the gather that writes them to the narrow GEMM that reads them once. The
+sweep's, SLAB_BYTES (2 MiB), bounds memory only: its steps read the
+projection long after the GEMM wrote it, so a smaller cap would only
+shorten its GEMMs. A sweep forced into slabs of a step or a few
+(SLAB_BYTES = 2**12, a narrow GRU at N=32) gets other last bits from
+OpenBLAS; under the real cap a sweep splits only into slabs of at least 1
+MiB of projection.
 
 Importing the module fixes glibc's malloc thresholds through mallopt (mmap
 above 32 MiB, glibc's 64-bit maximum; trim above 64 MiB), over any
@@ -98,13 +104,20 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> 
     return view.reshape(b * oh * ow, kh * kw * c)
 
 
-# Bytes of one slab's largest temporary: a conv forward's patch rows, or a
-# GRU sweep's input projection. A batch whose temporary is larger splits
-# into the fewest slabs of whole samples that keep each one under the cap,
-# balanced to within one sample (a single sample over the cap is one slab).
-# The cap bounds memory only: the slabs it makes keep the bits (see the
-# module docstring for the small slabs that do not).
+# Caps on the bytes of one slab's largest temporary. A batch whose temporary
+# is larger splits into the fewest slabs of whole samples that keep each one
+# under its cap, balanced to within one sample (a single sample over the cap
+# is one slab). The slabs keep the bits (see the module docstring for the
+# small sweep slabs that do not).
+#
+# A GRU sweep's input projection: a memory cap. Each step reads its slice
+# of the projection long after the GEMM wrote it, so a smaller cap would
+# only shorten the GEMMs.
 SLAB_BYTES = 2**21
+# A conv forward's patch rows (9 times its input for a 3x3 kernel at stride
+# 1): a quarter of a 2 MiB L2, so the gathered rows are still in cache when
+# the narrow GEMM reads them.
+CONV_SLAB_BYTES = 2**19
 
 
 def _keep_freed_heap() -> bool:
@@ -127,9 +140,10 @@ def split_bounds(count: int, per_part: int) -> list[int]:
     return [k * count // parts for k in range(parts + 1)]
 
 
-def _slab_bounds(b: int, sample_bytes: int) -> list[int]:
-    """Sample offsets that split a batch of b into slabs (see SLAB_BYTES)."""
-    return split_bounds(b, SLAB_BYTES // max(1, sample_bytes))
+def _slab_bounds(b: int, sample_bytes: int, cap: int) -> list[int]:
+    """Sample offsets that split a batch of b into slabs of at most cap bytes
+    (see SLAB_BYTES)."""
+    return split_bounds(b, cap // max(1, sample_bytes))
 
 
 # OpenBLAS (0.3.31 on AVX-512) gives a GEMM with fewer output columns than
@@ -143,7 +157,7 @@ def conv2d_forward_batch(x, w, bias, spec: ConvSpec):
     """Batched conv kernel; x is (b, h, w, cin), returns (b, oh, ow, cout).
 
     The batch is padded, gathered and multiplied one slab of samples at a
-    time (see SLAB_BYTES), with the same bits as the whole patch matrix
+    time (see CONV_SLAB_BYTES), with the same bits as the whole patch matrix
     gives; one slab's patch matrix is alive at a time. Under MIN_GEMM_COLS
     output channels the result is a strided view into a wider buffer.
     """
@@ -155,7 +169,7 @@ def conv2d_forward_batch(x, w, bias, spec: ConvSpec):
     oh, ow = spec.out_extent(h, kh), spec.out_extent(ww_in, kw)
     rows = oh * ow
     dtype = np.result_type(x, w)
-    bounds = _slab_bounds(b, rows * kh * kw * cin * dtype.itemsize)
+    bounds = _slab_bounds(b, rows * kh * kw * cin * dtype.itemsize, CONV_SLAB_BYTES)
     w2 = np.zeros((kh * kw * cin, max(cout, MIN_GEMM_COLS)), dtype=w.dtype)
     w2[:, :cout] = w.reshape(-1, cout)
     out = np.empty((b * rows, w2.shape[1]), dtype=dtype)

@@ -1,10 +1,11 @@
 import struct
+import sys
 import zlib
 
 import numpy as np
 from hypothesis import settings
 
-from psrnn import layers as L
+from psrnn import tensor as T
 
 settings.register_profile("suite", deadline=None, max_examples=40)
 settings.load_profile("suite")
@@ -108,15 +109,28 @@ def rewrite_config_text(path, old: bytes, new: bytes) -> None:
     path.write_bytes(bytes(data))
 
 
-def record_sweep_slabs(monkeypatch) -> list[int]:
-    """Make gru_sweep_forward append to the returned list the number of slabs
-    of steps each sweep projects its inputs in."""
-    counts, bounds = [], L._slab_bounds
+def _record_slabs(monkeypatch, caller: str) -> list[int]:
+    """Count the slabs of each tensor._slab_bounds call that the function
+    named caller makes, whichever module's name for it the caller uses."""
+    counts, bounds = [], T._slab_bounds
 
     def counting(*args):
         out = bounds(*args)
-        counts.append(len(out) - 1)
+        if sys._getframe(1).f_code.co_name == caller:
+            counts.append(len(out) - 1)
         return out
 
-    monkeypatch.setattr(L, "_slab_bounds", counting)
+    monkeypatch.setattr(T, "_slab_bounds", counting)
     return counts
+
+
+def record_sweep_slabs(monkeypatch) -> list[int]:
+    """Make gru_sweep_forward append to the returned list the number of slabs
+    of steps each sweep projects its inputs in."""
+    return _record_slabs(monkeypatch, "gru_sweep_forward")
+
+
+def record_conv_slabs(monkeypatch) -> list[int]:
+    """Make conv2d_forward_batch append to the returned list the number of
+    slabs of samples each conv gathers its patch rows in."""
+    return _record_slabs(monkeypatch, "conv2d_forward_batch")

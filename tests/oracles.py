@@ -73,8 +73,8 @@ def gru_sequence_forward(params: GruParams, xs, h0, gate_activation: str = "sigm
     steps = []
     for x in xs:
         x = np.asarray(x, dtype=np.float64)
-        z = act(x @ p["Wz"].T + h @ p["Uz"].T)
-        r = act(x @ p["Wr"].T + h @ p["Ur"].T)
+        z = act(x @ p["Wz"].T + h @ p["Uz"].T, out=None)
+        r = act(x @ p["Wr"].T + h @ p["Ur"].T, out=None)
         c = np.tanh(x @ p["W"].T + (r * h) @ p["U"].T + p["b"])
         step = GruStep(x=x, h_prev=h, z=z, r=r, c=c, h=z * h + (1.0 - z) * c)
         steps.append(step)
@@ -134,7 +134,7 @@ def gru_sweep_whole(params: GruParams, xs: np.ndarray, h0: np.ndarray,
     zs, rs, cs = (np.empty((n, b, h)) for _ in range(3))
     for t in range(n):
         ht = states[t]
-        zr = act(xproj[t, :, : 2 * h] + ht @ UzrT)
+        zr = act(xproj[t, :, : 2 * h] + ht @ UzrT, out=None)
         z, r = zr[:, :h], zr[:, h:]
         c = np.tanh(xproj[t, :, 2 * h :] + (r * ht) @ UT + b64)
         zs[t], rs[t], cs[t] = z, r, c

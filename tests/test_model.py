@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (directional_check, min_kink_margin, record_sweep_slabs,
-                      rewrite_config_text)
+from conftest import (directional_check, min_kink_margin, record_conv_slabs,
+                      record_sweep_slabs, rewrite_config_text)
 from psrnn import model as M
 from psrnn import tensor as T
 from psrnn.errors import ConfigError, IntegrityError, ShapeError, VersionError
@@ -90,13 +90,13 @@ class TestForward:
         # kernels (see tensor.MIN_GEMM_COLS and model.MIN_BATCH): a context's
         # prediction has the same bits in every chunk size from 1 to the
         # whole batch, lean or cached, and with every conv and sweep split
-        # into slabs of one sample; narrow-gru at N=4 runs GEMMs under 8
-        # columns in the GRU step loop
+        # into slabs of one sample (both caps forced); narrow-gru at N=4 runs
+        # GEMMs under 8 columns in the GRU step loop
         if n == 32 and widths is NARROW_GRU:
             request.applymarker(pytest.mark.xfail(strict=True, reason=(
-                "under SLAB_BYTES = 2**12 the first sweep projects one step, 5 rows of "
-                "192 columns, at a time, and OpenBLAS gives them other bits than the "
-                "whole product; the chunk sizes alone keep the bits")))
+                "under the sweep's cap SLAB_BYTES = 2**12 the first sweep projects one "
+                "step, 5 rows of 192 columns, at a time, and OpenBLAS gives them other "
+                "bits than the whole product; the chunk sizes alone keep the bits")))
         net = M.build_network(M.NetworkConfig(pu_size=n, **widths), seed=n)
         ctxs = np.random.default_rng(n).random((b, 2 * n, 2 * n)).astype(np.float32)
         want = M.forward_batch(net, ctxs, need_cache=False)[0].tobytes()
@@ -106,6 +106,7 @@ class TestForward:
                                       for i in range(0, b, chunk)])
                 assert got.tobytes() == want, (chunk, need_cache)
         monkeypatch.setattr(T, "SLAB_BYTES", 2**12)
+        monkeypatch.setattr(T, "CONV_SLAB_BYTES", 2**12)
         for need_cache in (False, True):
             assert M.forward_batch(net, ctxs, need_cache)[0].tobytes() == want
 
@@ -114,17 +115,11 @@ class TestForward:
         # the inference pass keeps no cache and computes the bits of the
         # cached pass and of whole-patch-matrix convs, also on a whole
         # level's batch (at N=8 the 225 tiles of a 128x128 image) and on a
-        # batch of 128, where its convs split into several slabs; at N=16
-        # and N=32 even a batch of 3, run as 4, splits. A batch of 128 at
-        # N=32 is left out: its whole patch matrices alone would take 600 MiB.
-        slabs, bounds = [], T._slab_bounds
-
-        def counting(b, sample_bytes):
-            slabs.append(len(bounds(b, sample_bytes)) - 1)
-            return bounds(b, sample_bytes)
-
+        # batch of 128, where its convs split into several slabs; from N=8
+        # up even a batch of 3, run as 4, splits. A batch of 128 at N=32 is
+        # left out: its whole patch matrices alone would take 600 MiB.
         chunk = {4: 256, 8: 225, 16: 64, 32: 16}[n]
-        cases = [(3, {}, n >= 16), (chunk, {}, True), (chunk, LEAN_WIDTHS, True)]
+        cases = [(3, {}, n >= 8), (chunk, {}, True), (chunk, LEAN_WIDTHS, True)]
         if n < 32:
             cases += [(128, {}, True), (128, LEAN_WIDTHS, True)]
         for b, widths, splits in cases:
@@ -137,8 +132,7 @@ class TestForward:
             assert caches is not None
             del caches
             with monkeypatch.context() as m:
-                m.setattr(T, "_slab_bounds", counting)
-                slabs.clear()
+                slabs = record_conv_slabs(m)
                 lean, none = M.forward_batch(net, ctxs, need_cache=False)
             assert none is None
             assert lean.tobytes() == preds.tobytes() == want.tobytes()

@@ -24,9 +24,6 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED_UNPASSED = {
     "intra.py:reference_lines(availability)":
         "the coding-order availability of ROADMAP item 1 replaces it with a per-block mask",
-    "layers.py:sigmoid64(out)":
-        "gru_sweep_forward passes it through _gate_fn's alias `act`, which matching "
-        "by called name does not follow",
 }
 
 

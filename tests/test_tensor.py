@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import rel_err
+from conftest import record_conv_slabs, rel_err
 from oracles import conv_forward_whole, sigmoid_two_branch
 from psrnn import layers as L
 from psrnn import model as M
@@ -60,7 +60,7 @@ class TestMatmul:
 class TestElementwise:
     # the package's elementwise activations are the GRU gate functions
     def test_analytic_values(self):
-        assert L.sigmoid64(np.zeros(1))[0] == 0.5
+        assert L.sigmoid64(np.zeros(1), out=None)[0] == 0.5
         act, deriv = L._gate_fn("tanh")
         assert act(np.zeros(1))[0] == 0.0 and deriv(np.zeros(1))[0] == 1.0
 
@@ -72,20 +72,20 @@ class TestElementwise:
         gen = np.random.default_rng(0)
         x = np.concatenate([edges, np.negative(edges)]
                            + [gen.standard_normal(100_000) * s for s in (0.1, 3.0, 30.0, 300.0)])
-        assert L.sigmoid64(x).tobytes() == sigmoid_two_branch(x).tobytes()
+        assert L.sigmoid64(x, out=None).tobytes() == sigmoid_two_branch(x).tobytes()
 
     def test_sigmoid_in_place(self):
         # the GRU sweep writes its gates over their pre-activations
         gen = np.random.default_rng(1)
         x = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan],
                             gen.standard_normal(9_996) * 30.0]).reshape(-1, 7)
-        want = L.sigmoid64(x.copy())
+        want = L.sigmoid64(x.copy(), out=None)
         assert L.sigmoid64(x, out=x) is x
         assert x.tobytes() == want.tobytes()
 
     def test_dispatcher(self):
         act, deriv = L._gate_fn("sigmoid")
-        np.testing.assert_array_equal(act(np.array([0.0])), [0.5])
+        np.testing.assert_array_equal(act(np.array([0.0]), out=None), [0.5])
         np.testing.assert_array_equal(deriv(np.array([0.5])), [0.25])
         with pytest.raises(UsageError):
             L._gate_fn("nope")
@@ -218,13 +218,14 @@ class TestConv2d:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("cout, b, oh, cin", [
         (1, 229, 32, 4), (2, 115, 32, 4), (4, 58, 32, 4), (8, 29, 32, 4),
-        (4, 147, 32, 4), (8, 76, 32, 4), (8, 3, 64, 16)])
+        (4, 147, 32, 4), (8, 76, 32, 4), (8, 3, 64, 16), (8, 56, 16, 8), (8, 56, 16, 16)])
     def test_slabs_match_patch_matrix_path(self, cout, b, oh, cin, stride):
-        # the forward splits these batches into several uneven slabs (three
-        # of one sample in the last case), multiplies the narrow ones by a
-        # zero-padded weight, and must give the bits of one product over the
-        # whole patch matrix
-        assert len(T._slab_bounds(b, oh * oh * 9 * cin * 8)) > 2
+        # the forward splits these batches into several slabs (three of one
+        # sample for the 64x64 maps; 19 uneven ones for an N=8 eval chunk's
+        # 8 -> 8 convs, 56 of one sample for its 16 -> 8 fusion convs),
+        # multiplies the narrow ones by a zero-padded weight, and must give
+        # the bits of one product over the whole patch matrix
+        assert len(T._slab_bounds(b, oh * oh * 9 * cin * 8, T.CONV_SLAB_BYTES)) > 2
         gen = np.random.default_rng(cout + 10 * stride)
         x = gen.random((b, oh * stride, oh * stride, cin))
         w = gen.uniform(-1, 1, (3, 3, cin, cout))
@@ -233,35 +234,38 @@ class TestConv2d:
         want = conv_forward_whole(x, w, bias, spec)
         assert T.conv2d_forward_batch(x, w, bias, spec).tobytes() == want.tobytes()
 
-    @given(st.integers(0, 600), st.integers(0, 3 * T.SLAB_BYTES))
-    def test_slab_bounds_are_balanced_and_bounded(self, b, sample_bytes):
-        bounds = T._slab_bounds(b, sample_bytes)
+    @given(st.integers(0, 600), st.integers(0, 3 * T.SLAB_BYTES),
+           st.sampled_from([T.CONV_SLAB_BYTES, T.SLAB_BYTES]))
+    def test_slab_bounds_are_balanced_and_bounded(self, b, sample_bytes, cap):
+        bounds = T._slab_bounds(b, sample_bytes, cap)
         sizes = np.diff(bounds)
         assert bounds[0] == 0 and bounds[-1] == b
         assert sizes.max() - sizes.min() <= 1
         # under the cap unless one sample alone exceeds it, in the fewest slabs
-        assert sizes.max() * sample_bytes <= T.SLAB_BYTES or sizes.max() <= 1
-        per = max(1, T.SLAB_BYTES // max(1, sample_bytes))
+        assert sizes.max() * sample_bytes <= cap or sizes.max() <= 1
+        per = max(1, cap // max(1, sample_bytes))
         assert len(sizes) == 1 or (len(sizes) - 1) * per < b
 
-    def test_forward_holds_one_slab(self):
-        # a preprocessing conv of 225 samples of 16x16x8 -> 8 in 17 slabs of
-        # under 2 MiB of patch rows, beside the 3.5 MiB output; the forward
-        # drops each slab's patch matrix before it gathers the next (13.3 MiB
-        # peak while two slabs of 4.5 MiB were alive at once)
+    def test_forward_holds_one_slab(self, monkeypatch):
+        # a preprocessing conv of 225 samples of 16x16x8 -> 8 in 75 slabs of
+        # under 512 KiB of patch rows, beside the 3.5 MiB output: 4.01 MiB
+        # peak. The forward drops each slab's patch matrix before it gathers
+        # the next (4.43 MiB peak while two slabs were alive at once; 5.77
+        # MiB under the former 2 MiB cap)
         gen = np.random.default_rng(225)
         x = gen.random((225, 16, 16, 8))
         w = gen.uniform(-1, 1, (3, 3, 8, 8))
         bias = gen.uniform(-1, 1, 8)
         spec = _spec(3, 3, 1, 1, 8, 8)
-        assert len(T._slab_bounds(225, 16 * 16 * 9 * 8 * 8)) - 1 == 17
+        slabs = record_conv_slabs(monkeypatch)
         tracemalloc.start()
         try:
             T.conv2d_forward_batch(x, w, bias, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 2**20
+        assert slabs == [75]
+        assert peak < 4.25 * 2**20
 
     def test_shape_errors(self):
         spec = _spec(3, 3, 1, 1, 2, 3)

@@ -382,10 +382,11 @@ class TestEvaluate:
 
     def test_fixed_eval_memory_is_bounded(self):
         # the 225 tiles of a 128x128 image run as four N=8 network chunks of
-        # 56-57; their convs gather their patch matrices and their sweeps
-        # project their inputs in slabs of under 2 MiB (6.5 MiB peak; 19.7
-        # MiB with all 225 in one chunk, 87 MiB with that chunk's whole 63
-        # MiB first-unit fusion patch matrix)
+        # 56-57; their convs gather their patch matrices in slabs of under
+        # 512 KiB and their sweeps project their inputs in slabs of under 2
+        # MiB (6.5 MiB peak, as with 2 MiB conv slabs; 19.7 MiB with all 225
+        # in one chunk, 87 MiB with that chunk's whole 63 MiB first-unit
+        # fusion patch matrix)
         assert self._second_eval_peak((8,), "fixed") < 10 * 2**20
 
     def test_fixed_eval_network_chunks_are_bounded(self, monkeypatch):
