@@ -322,14 +322,17 @@ def _load_samples(resolved: dict):
         pairs = [line.split("\t")[:2] for line in index.read_text().splitlines() if line]
         if not pairs:
             raise UsageError("prepared archive produced no samples")
+        samples = D.SampleSet.empty(count, n)
         # the first count % len(pairs) pairs give one sample more, so the set
         # has exactly `count` samples
         per, extra = divmod(count, len(pairs))
-        return D.SampleSet.concat([
-            D.sample_contexts(D.load_image(src / clean_rel), D.load_image(src / deg_rel), n,
-                              per + (i < extra), seed=seed + i, fill=fill,
-                              availability_mode=availability)
-            for i, (clean_rel, deg_rel) in enumerate(pairs) if per + (i < extra)])
+
+        def source(i):
+            clean_rel, deg_rel = pairs[i]
+            return D.load_image(src / clean_rel), D.load_image(src / deg_rel), seed + i
+
+        return D.fill_samples(samples, [per + (i < extra) for i in range(len(pairs))], source,
+                              availability, fill)
     images = [D.load_image(p) for p in D.read_manifest(src)]
     if not images:
         raise UsageError("no inputs in manifest")

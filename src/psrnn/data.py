@@ -22,6 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError, ShapeError, SizeError, UsageError
 from .rng import stream
+from .tensor import SLAB_BYTES, split_bounds
 
 PAPER_SCALES = ((1792, 1024), (1344, 768), (896, 512))
 TRAIN_QPS = (22, 27, 32, 37)
@@ -51,10 +52,20 @@ class SampleSet:
     def __len__(self):
         return self.contexts.shape[0]
 
+    def __getitem__(self, rows: slice) -> SampleSet:
+        """The samples in `rows`, as views that write through to this set."""
+        return SampleSet(self.contexts[rows], self.targets[rows])
+
     @classmethod
-    def concat(cls, parts: list[SampleSet]) -> SampleSet:
-        return cls(np.concatenate([p.contexts for p in parts]),
-                   np.concatenate([p.targets for p in parts]))
+    def empty(cls, count: int, n: int) -> SampleSet:
+        """An unfilled set of `count` samples at block size n, allocated at its
+        final size; a set too large to allocate is a UsageError."""
+        try:
+            return cls(np.empty((count, 2 * n, 2 * n), dtype=np.float32),
+                       np.empty((count, n, n), dtype=np.float32))
+        except (MemoryError, ValueError):  # numpy's ValueError: past its largest array
+            raise UsageError(f"samples={count} at N={n} asks for {count * 5 * n * n * 4:,} "
+                             "bytes, more than can be allocated") from None
 
 
 @dataclass
@@ -287,8 +298,10 @@ def degrade(img: GrayImage, cfg: DegradeConfig) -> GrayImage:
 
 
 def cut_contexts(degraded: np.ndarray, clean: np.ndarray, ys, xs, n: int,
-                 three_block, fill: float) -> SampleSet:
-    """Context/target pairs of the 2n x 2n windows at (ys[i], xs[i]), cut in one gather.
+                 three_block, fill: float, out: SampleSet | None = None) -> SampleSet:
+    """Context/target pairs of the 2n x 2n windows at (ys[i], xs[i]), written
+    into `out` (a new set if None) one piece of at most SLAB_BYTES of contexts
+    at a time, so cutting needs no more than one piece beyond the set.
 
     Every target quadrant is set to `fill`, and so is every bottom-left
     quadrant where `three_block` (one bool, or one per origin) holds.
@@ -301,11 +314,22 @@ def cut_contexts(degraded: np.ndarray, clean: np.ndarray, ys, xs, n: int,
     inside = (0 <= ys) & (ys <= h - 2 * n) & (0 <= xs) & (xs <= w - 2 * n)
     if h < 2 * n or w < 2 * n or not inside.all():
         raise SizeError(f"{2*n}x{2*n} windows at these origins do not fit image {w}x{h}")
-    contexts = sliding_window_view(degraded, (2 * n, 2 * n))[ys, xs].astype(np.float32, copy=False)
-    targets = sliding_window_view(clean, (n, n))[ys + n, xs + n].astype(np.float32, copy=False)
-    contexts[:, n:, n:] = fill
-    contexts[np.broadcast_to(three_block, ys.shape), n:, :n] = fill
-    return SampleSet(contexts, targets)
+    if out is None:
+        out = SampleSet.empty(len(ys), n)
+    elif out.contexts.shape != (len(ys), 2 * n, 2 * n):
+        raise ShapeError(f"{len(ys)} windows of {2*n}x{2*n} do not fill a set shaped "
+                         f"{out.contexts.shape}")
+    windows = sliding_window_view(degraded, (2 * n, 2 * n))
+    blocks = sliding_window_view(clean, (n, n))
+    three_block = np.broadcast_to(three_block, ys.shape)
+    bounds = split_bounds(len(ys), SLAB_BYTES // max(1, 4 * n * n * out.contexts.itemsize))
+    for i, j in zip(bounds, bounds[1:]):
+        contexts = out.contexts[i:j]
+        contexts[...] = windows[ys[i:j], xs[i:j]]
+        out.targets[i:j] = blocks[ys[i:j] + n, xs[i:j] + n]
+        contexts[:, n:, n:] = fill
+        contexts[three_block[i:j], n:, :n] = fill
+    return out
 
 
 def is_three_block(availability_mode: str) -> bool:
@@ -325,18 +349,37 @@ def make_context(degraded: np.ndarray, clean: np.ndarray, origin: tuple[int, int
 
 
 def sample_contexts(img_clean: GrayImage, img_degraded: GrayImage, n: int, count: int,
-                    availability_mode: str, seed: int = 0,
-                    fill: float = CONTEXT_FILL) -> SampleSet:
+                    availability_mode: str, seed: int = 0, fill: float = CONTEXT_FILL,
+                    out: SampleSet | None = None) -> SampleSet:
     """Uniformly sample `count` context/target pairs from one image, all masked
-    per `availability_mode`. Deterministic under `seed`."""
+    per `availability_mode`, into `out` (a new set if None). Deterministic
+    under `seed`: every origin is drawn before any window is cut."""
     h, w = img_clean.pixels.shape
     if h < 2 * n or w < 2 * n:
         raise SizeError(f"image {w}x{h} too small for {2*n}x{2*n} windows")
+    if out is None:
+        out = SampleSet.empty(count, n)  # before any draw of `count` values
     gen = stream(seed, f"contexts/n{n}")
     ys = gen.integers(0, h - 2 * n + 1, size=count)
     xs = gen.integers(0, w - 2 * n + 1, size=count)
     return cut_contexts(img_degraded.pixels, img_clean.pixels, ys, xs, n,
-                        is_three_block(availability_mode), fill)
+                        is_three_block(availability_mode), fill, out)
+
+
+def fill_samples(samples: SampleSet, counts, source, availability_mode: str,
+                 fill: float) -> SampleSet:
+    """Fill `samples` in order: counts[i] samples from source i, cut into its
+    own slice; the counts sum to len(samples). source(i) gives that source's
+    (clean, degraded, seed) and is called only for a source with a sample, so
+    one source is loaded at a time."""
+    n = samples.targets.shape[1]
+    offsets = np.cumsum([0, *counts])
+    for i, (start, stop) in enumerate(zip(offsets, offsets[1:])):
+        if stop > start:
+            clean, degraded, seed = source(i)
+            sample_contexts(clean, degraded, n, int(stop - start), availability_mode,
+                            seed=seed, fill=fill, out=samples[start:stop])
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +475,13 @@ def build_training_samples(images: list[GrayImage], n: int, count: int, seed: in
         raise UsageError("no source images")
     if count < 1:
         raise UsageError(f"sample count must be positive, got {count}")
+    samples = SampleSet.empty(count, n)  # before any draw of `count` values
     gen = stream(seed, "assign")
     per_image = np.bincount(gen.integers(0, len(images), size=count),
                             minlength=len(images))
-    parts = []
-    for i, (img, k) in enumerate(zip(images, per_image)):
-        if k == 0:
-            continue
-        qp = qps[i % len(qps)]
-        deg = degrade(img, DegradeConfig(qp=qp))
-        parts.append(sample_contexts(img, deg, n, int(k), availability_mode,
-                                     seed=seed + 7919 * i, fill=fill))
-    return SampleSet.concat(parts)
+
+    def source(i):
+        img = images[i]
+        return img, degrade(img, DegradeConfig(qp=qps[i % len(qps)])), seed + 7919 * i
+
+    return fill_samples(samples, per_image, source, availability_mode, fill)

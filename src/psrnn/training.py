@@ -61,6 +61,8 @@ class TrainConfig:
             raise ConfigError("validation_fraction must lie in (0, 1)")
         if not 0.0 < self.selection_window <= 1.0:
             raise ConfigError("selection_window must lie in (0, 1]")
+        if self.val_subset_cap < 1:
+            raise ConfigError(f"val_subset_cap must be >= 1, got {self.val_subset_cap}")
         ms = self.lr_milestones()
         if ms and ms[0] < 1:
             raise ConfigError(f"milestones {ms} must start at 1 or later")

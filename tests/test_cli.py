@@ -76,8 +76,17 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("argv, named", [
         (("eval", "--set", "eval_size=8"), "block size 8"),
-        (("train", *TRAIN_FAST, "--set", "samples=1"), "validation set")],
-        ids=["eval-no-block", "train-no-validation"])
+        (("train", *TRAIN_FAST, "--set", "samples=1"), "validation set"),
+        # 1.28 PB at N=8, past the 128 TiB a process maps: the allocation
+        # fails before any page is touched, and before the draws it sizes
+        (("train", *TRAIN_FAST, "--set", "samples=1000000000000"),
+         "samples=1000000000000 at N=8 asks for 1,280,000,000,000,000 bytes"),
+        # ablate-units cuts its samples, here zero-byte windows, before the
+        # network config rejects the block size
+        (("ablate-units", "--set", "n=0", "--set", "samples=50", "--set", "corpus_size=32",
+          "--set", "counts=1"), "pu_size must be one of")],
+        ids=["eval-no-block", "train-no-validation", "train-unallocatable-set",
+             "ablate-block-size-0"])
     def test_failed_run_makes_no_out_dir(self, argv, named, tmp_path, capsys):
         # inputs that fail only once the run has started used to leave an
         # empty --out directory behind

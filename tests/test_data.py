@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -5,8 +7,10 @@ from hypothesis import strategies as st
 
 from oracles import (build_training_samples_loop, context_loop, sample_contexts_loop,
                      stack_blocks)
+from psrnn import cli
 from psrnn import data as D
 from psrnn.errors import FormatError, ShapeError, SizeError, UsageError
+from psrnn.tensor import SLAB_BYTES
 
 
 class TestPgm:
@@ -354,3 +358,48 @@ class TestSynthTextures:
         images = D.synthetic_corpus(32, seed=3, per_kind=1)
         with pytest.raises(UsageError):
             D.build_training_samples(images, 8, 0, seed=3)
+
+
+class TestBuildMemory:
+    # A set is allocated once and each source's windows are cut into its own
+    # slice one piece (at most SLAB_BYTES of contexts) at a time, so building
+    # it holds the set plus one piece. Joining per-source parts held it twice.
+    COUNT = 6000  # 7.3 MiB at N=8
+    MARGIN = 2**19  # the origin draws (24 bytes a sample) and degrade()'s buffers
+
+    def assert_one_set(self, build):
+        tracemalloc.start()
+        try:
+            samples = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        set_bytes = samples.contexts.nbytes + samples.targets.nbytes
+        assert len(samples) == self.COUNT
+        assert peak < set_bytes + SLAB_BYTES + self.MARGIN, (peak, set_bytes)
+
+    @pytest.mark.parametrize("per_kind", [6, 1], ids=["many-images", "one-image"])
+    def test_building_holds_one_set(self, per_kind):
+        images = D.synthetic_corpus(64, seed=3, kinds=("sinusoid",), per_kind=per_kind)
+        self.assert_one_set(lambda: D.build_training_samples(images, 8, self.COUNT, seed=3))
+
+    def test_archive_holds_one_set(self, tmp_path):
+        lines = []
+        for i, img in enumerate(D.synthetic_corpus(64, seed=4, per_kind=2)):
+            D.save_pgm(img, tmp_path / f"{i}_clean.pgm")
+            D.save_pgm(D.degrade(img, D.DegradeConfig(qp=32)), tmp_path / f"{i}_qp32.pgm")
+            lines.append(f"{i}_clean.pgm\t{i}_qp32.pgm\t0\t32\n")
+        (tmp_path / "index.tsv").write_text("".join(lines))
+        resolved = cli.resolve("train", {"data": str(tmp_path), "samples": str(self.COUNT)}, {})
+        self.assert_one_set(lambda: cli._load_samples(resolved))
+
+    def test_unallocatable_set_is_a_usage_error(self):
+        # 10**12 samples at N=8 is 1.28 PB, past the 128 TiB a process maps,
+        # so the allocation fails before a page is touched, whatever the
+        # overcommit mode; it comes before the draws, which would ask for 8 TB
+        # each
+        img = D.synth_texture("flat", 32)
+        for build in (lambda: D.sample_contexts(img, img, 8, 10**12, D.THREE_BLOCK),
+                      lambda: D.build_training_samples([img], 8, 10**12, seed=3)):
+            with pytest.raises(UsageError, match="samples=1000000000000 .* 1,280,000,000,000,000"):
+                build()

@@ -9,10 +9,11 @@ __init__.py do not count.
 
 An option only tests set is deleted too. A parameter with a default counts
 as passed when some call in src/psrnn, scripts/*.py or perfbench/*.py to a
-function of that name passes it, by keyword or by position. A call with
-*args or **kwargs passes every parameter it could reach. ALLOWED_UNPASSED
-lists the exceptions and why each stays; an entry the check no longer finds
-fails the test too.
+function of that name passes it, by keyword or by position. A dataclass
+field with a default is a parameter of its class, and a keyword given to any
+`replace` call passes it too. A call with *args or **kwargs passes every
+parameter it could reach. ALLOWED_UNPASSED lists the exceptions and why
+each stays; an entry the check no longer finds fails the test too.
 """
 
 import ast
@@ -24,6 +25,8 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED_UNPASSED = {
     "intra.py:reference_lines(availability)":
         "the coding-order availability of ROADMAP item 1 replaces it with a per-block mask",
+    **{f"layers.py:AdamState({state})": "optimizer state that starts empty, not an option"
+       for state in ("m", "v", "step_count")},
 }
 
 
@@ -55,15 +58,25 @@ def unreached_names(root: Path = ROOT) -> list[str]:
     return missing
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    called = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in called)
+
+
 def _optional_parameters(tree: ast.Module):
-    """(name, qualified name, parameter, position) of every parameter with a
-    default; position is the index a call's positional arguments fill, or
-    None for a keyword-only parameter. A method's self does not count."""
+    """(name, qualified name, parameter, position, is_field) of every
+    parameter with a default; position is the index a call's positional
+    arguments fill, or None for a keyword-only parameter. A method's self
+    does not count. A dataclass field is a parameter of its class."""
     found = []
 
     def visit(body, prefix, in_class):
         for node in body:
             if isinstance(node, ast.ClassDef):
+                if _is_dataclass(node):
+                    fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                    found.extend((node.name, prefix + node.name, f.target.id, i, True)
+                                 for i, f in enumerate(fields) if f.value is not None)
                 visit(node.body, f"{prefix}{node.name}.", True)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 a = node.args
@@ -73,10 +86,10 @@ def _optional_parameters(tree: ast.Module):
                     for d in node.decorator_list)
                 first_default = len(positional) - len(a.defaults)
                 for i, arg in enumerate(positional[first_default:], first_default):
-                    found.append((node.name, prefix + node.name, arg.arg, i - bound))
+                    found.append((node.name, prefix + node.name, arg.arg, i - bound, False))
                 for arg, default in zip(a.kwonlyargs, a.kw_defaults):
                     if default is not None:
-                        found.append((node.name, prefix + node.name, arg.arg, None))
+                        found.append((node.name, prefix + node.name, arg.arg, None, False))
                 visit(node.body, f"{prefix}{node.name}.", False)
 
     visit(tree.body, "", False)
@@ -108,10 +121,13 @@ def unpassed_parameters(root: Path = ROOT) -> list[str]:
     that no call outside tests/ passes."""
     modules = _src_modules(root)
     passed = _passed([*modules.values(), *_outside(root)])
+    replaced = passed.get("replace", (0, set()))[1]
     missing = []
     for path, text in modules.items():
-        for name, qualname, param, position in _optional_parameters(ast.parse(text)):
+        for name, qualname, param, position, is_field in _optional_parameters(ast.parse(text)):
             count, keywords = passed.get(name, (0, set()))
+            if is_field:
+                keywords = keywords | replaced
             by_position = position is not None and position < count
             if not (by_position or param in keywords or None in keywords):
                 missing.append(f"{path.name}:{qualname}({param})")
@@ -147,3 +163,20 @@ def test_parameter_check_sees_test_only_keywords_and_stale_entries(tmp_path):
     stale = {"m.py:f(flag)": "kept", "m.py:f(mode)": "now passed", "m.py:h(y)": "deleted"}
     assert parameter_problems(tmp_path, stale) == [
         "m.py:f(mode): stale allow-list entry", "m.py:h(y): stale allow-list entry"]
+
+
+def test_parameter_check_sees_dataclass_fields(tmp_path):
+    src = tmp_path / "src" / "psrnn"
+    src.mkdir(parents=True)
+    (src / "m.py").write_text(
+        "from dataclasses import dataclass, replace\n\n\n"
+        "@dataclass(frozen=True)\nclass Cfg:\n    size: int\n    a: int = 1\n"
+        "    b: int = 2\n    c: int = 3\n    d: int = 4\n\n\n"
+        "@dataclass\nclass State:\n    count: int = 0\n\n\n"
+        "def make():\n    return replace(Cfg(8, 2), c=5)\n")
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "s.py").write_text("Cfg(8, b=3)\n'text'.replace('c', 'd')\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_m.py").write_text("Cfg(8, d=1)\nState(count=2)\n")
+    # a by position, b by keyword, c through replace; d and count only in tests
+    assert unpassed_parameters(tmp_path) == ["m.py:Cfg(d)", "m.py:State(count)"]

@@ -122,6 +122,12 @@ class TestTrain:
         with pytest.raises(ConfigError, match="samples sized 32"):
             TR.train(net, make_samples(n=16, count=100), small_cfg())
 
+    def test_validation_cap_must_be_positive(self):
+        # a cap of 0 used to train on with a NaN val_loss at every checkpoint,
+        # select none and return the last iterate
+        with pytest.raises(ConfigError, match="val_subset_cap"):
+            small_cfg(val_subset_cap=0)
+
     def test_determinism_bitwise(self):
         samples = make_samples(count=300)
         logs = []
