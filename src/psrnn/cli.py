@@ -322,7 +322,7 @@ def _load_samples(resolved: dict):
         pairs = [line.split("\t")[:2] for line in index.read_text().splitlines() if line]
         if not pairs:
             raise UsageError("prepared archive produced no samples")
-        samples = D.SampleSet.empty(count, n)
+        samples = D.SampleSet.empty(count, n, fill)
         # the first count % len(pairs) pairs give one sample more, so the set
         # has exactly `count` samples
         per, extra = divmod(count, len(pairs))
@@ -332,7 +332,7 @@ def _load_samples(resolved: dict):
             return D.load_image(src / clean_rel), D.load_image(src / deg_rel), seed + i
 
         return D.fill_samples(samples, [per + (i < extra) for i in range(len(pairs))], source,
-                              availability, fill)
+                              availability)
     images = [D.load_image(p) for p in D.read_manifest(src)]
     if not images:
         raise UsageError("no inputs in manifest")

@@ -6,10 +6,12 @@ imply (Qstep = 2^((qp-4)/6) on the 0..255 scale), which reproduces the kind
 of blocky reconstruction noise the predictor must tolerate.
 
 A training sample pairs a 2N x 2N context window taken from the degraded
-image with the clean N x N target in its bottom-right quadrant. The target
-quadrant is always masked with the fill value before the window is handed
-to the network; in three-block availability the bottom-left quadrant is
-masked as well, leaving only the two blocks above as usable context.
+image with the clean N x N target in its bottom-right quadrant. A sample set
+stores each sample as that one window, the clean target in its bottom-right
+quadrant; SampleSet.take hands a window to the network with that quadrant
+masked with the fill value. In three-block availability the bottom-left
+quadrant is stored masked as well, leaving only the two blocks above as
+usable context.
 """
 
 from __future__ import annotations
@@ -46,25 +48,36 @@ class GrayImage:
 
 @dataclass
 class SampleSet:
-    contexts: np.ndarray  # (m, 2n, 2n) float32, masked per availability mode
-    targets: np.ndarray   # (m, n, n) float32 clean ground truth
+    windows: np.ndarray  # (m, 2n, 2n) float32: degraded context, clean target bottom-right
+    fill: float          # what take() writes over the target quadrant
 
     def __len__(self):
-        return self.contexts.shape[0]
+        return self.windows.shape[0]
 
     def __getitem__(self, rows: slice) -> SampleSet:
-        """The samples in `rows`, as views that write through to this set."""
-        return SampleSet(self.contexts[rows], self.targets[rows])
+        """The samples in `rows`, as a view that writes through to this set."""
+        return SampleSet(self.windows[rows], self.fill)
+
+    def take(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """(contexts, targets) of the samples at `rows` (an index array or a
+        slice), as new arrays: the (k, 2n, 2n) windows with the target
+        quadrant set to `fill`, and the (k, n, n) targets cut from it."""
+        n = self.windows.shape[1] // 2
+        contexts = self.windows[rows]
+        if np.may_share_memory(contexts, self.windows):  # a slice gives a view
+            contexts = contexts.copy()
+        targets = contexts[:, n:, n:].copy()
+        contexts[:, n:, n:] = self.fill
+        return contexts, targets
 
     @classmethod
-    def empty(cls, count: int, n: int) -> SampleSet:
+    def empty(cls, count: int, n: int, fill: float) -> SampleSet:
         """An unfilled set of `count` samples at block size n, allocated at its
         final size; a set too large to allocate is a UsageError."""
         try:
-            return cls(np.empty((count, 2 * n, 2 * n), dtype=np.float32),
-                       np.empty((count, n, n), dtype=np.float32))
+            return cls(np.empty((count, 2 * n, 2 * n), dtype=np.float32), fill)
         except (MemoryError, ValueError):  # numpy's ValueError: past its largest array
-            raise UsageError(f"samples={count} at N={n} asks for {count * 5 * n * n * 4:,} "
+            raise UsageError(f"samples={count} at N={n} asks for {count * 16 * n * n:,} "
                              "bytes, more than can be allocated") from None
 
 
@@ -299,12 +312,13 @@ def degrade(img: GrayImage, cfg: DegradeConfig) -> GrayImage:
 
 def cut_contexts(degraded: np.ndarray, clean: np.ndarray, ys, xs, n: int,
                  three_block, fill: float, out: SampleSet | None = None) -> SampleSet:
-    """Context/target pairs of the 2n x 2n windows at (ys[i], xs[i]), written
-    into `out` (a new set if None) one piece of at most SLAB_BYTES of contexts
+    """The samples of the 2n x 2n windows at (ys[i], xs[i]), written into
+    `out` (a new set of this `fill` if None) one piece of at most SLAB_BYTES
     at a time, so cutting needs no more than one piece beyond the set.
 
-    Every target quadrant is set to `fill`, and so is every bottom-left
-    quadrant where `three_block` (one bool, or one per origin) holds.
+    Each window is cut from `degraded` but for its bottom-right quadrant,
+    which holds the clean target; its bottom-left quadrant is set to `fill`
+    where `three_block` (one bool, or one per origin) holds.
     """
     if clean.shape != degraded.shape:
         raise ShapeError("clean and degraded images must have the same shape")
@@ -315,20 +329,21 @@ def cut_contexts(degraded: np.ndarray, clean: np.ndarray, ys, xs, n: int,
     if h < 2 * n or w < 2 * n or not inside.all():
         raise SizeError(f"{2*n}x{2*n} windows at these origins do not fit image {w}x{h}")
     if out is None:
-        out = SampleSet.empty(len(ys), n)
-    elif out.contexts.shape != (len(ys), 2 * n, 2 * n):
+        out = SampleSet.empty(len(ys), n, fill)
+    elif out.windows.shape != (len(ys), 2 * n, 2 * n):
         raise ShapeError(f"{len(ys)} windows of {2*n}x{2*n} do not fill a set shaped "
-                         f"{out.contexts.shape}")
+                         f"{out.windows.shape}")
+    elif out.fill != fill:
+        raise UsageError(f"windows masked with {fill} do not fill a set of fill {out.fill}")
     windows = sliding_window_view(degraded, (2 * n, 2 * n))
     blocks = sliding_window_view(clean, (n, n))
     three_block = np.broadcast_to(three_block, ys.shape)
-    bounds = split_bounds(len(ys), SLAB_BYTES // max(1, 4 * n * n * out.contexts.itemsize))
+    bounds = split_bounds(len(ys), SLAB_BYTES // max(1, 4 * n * n * out.windows.itemsize))
     for i, j in zip(bounds, bounds[1:]):
-        contexts = out.contexts[i:j]
-        contexts[...] = windows[ys[i:j], xs[i:j]]
-        out.targets[i:j] = blocks[ys[i:j] + n, xs[i:j] + n]
-        contexts[:, n:, n:] = fill
-        contexts[three_block[i:j], n:, :n] = fill
+        piece = out.windows[i:j]
+        piece[...] = windows[ys[i:j], xs[i:j]]
+        piece[:, n:, n:] = blocks[ys[i:j] + n, xs[i:j] + n]
+        piece[three_block[i:j], n:, :n] = fill
     return out
 
 
@@ -343,8 +358,9 @@ def make_context(degraded: np.ndarray, clean: np.ndarray, origin: tuple[int, int
                  n: int, availability_mode: str, fill: float) -> ContextBlock:
     """Cut one context/target pair at a window origin (top-left of 2n x 2n)."""
     y, x = origin
-    pair = cut_contexts(degraded, clean, [y], [x], n, is_three_block(availability_mode), fill)
-    return ContextBlock(context=pair.contexts[0], target=pair.targets[0],
+    contexts, targets = cut_contexts(degraded, clean, [y], [x], n,
+                                     is_three_block(availability_mode), fill).take(slice(None))
+    return ContextBlock(context=contexts[0], target=targets[0],
                         availability_mode=availability_mode, origin=(y, x), n=n)
 
 
@@ -358,7 +374,7 @@ def sample_contexts(img_clean: GrayImage, img_degraded: GrayImage, n: int, count
     if h < 2 * n or w < 2 * n:
         raise SizeError(f"image {w}x{h} too small for {2*n}x{2*n} windows")
     if out is None:
-        out = SampleSet.empty(count, n)  # before any draw of `count` values
+        out = SampleSet.empty(count, n, fill)  # before any draw of `count` values
     gen = stream(seed, f"contexts/n{n}")
     ys = gen.integers(0, h - 2 * n + 1, size=count)
     xs = gen.integers(0, w - 2 * n + 1, size=count)
@@ -366,19 +382,18 @@ def sample_contexts(img_clean: GrayImage, img_degraded: GrayImage, n: int, count
                         is_three_block(availability_mode), fill, out)
 
 
-def fill_samples(samples: SampleSet, counts, source, availability_mode: str,
-                 fill: float) -> SampleSet:
+def fill_samples(samples: SampleSet, counts, source, availability_mode: str) -> SampleSet:
     """Fill `samples` in order: counts[i] samples from source i, cut into its
     own slice; the counts sum to len(samples). source(i) gives that source's
     (clean, degraded, seed) and is called only for a source with a sample, so
     one source is loaded at a time."""
-    n = samples.targets.shape[1]
+    n = samples.windows.shape[1] // 2
     offsets = np.cumsum([0, *counts])
     for i, (start, stop) in enumerate(zip(offsets, offsets[1:])):
         if stop > start:
             clean, degraded, seed = source(i)
             sample_contexts(clean, degraded, n, int(stop - start), availability_mode,
-                            seed=seed, fill=fill, out=samples[start:stop])
+                            seed=seed, fill=samples.fill, out=samples[start:stop])
     return samples
 
 
@@ -475,7 +490,7 @@ def build_training_samples(images: list[GrayImage], n: int, count: int, seed: in
         raise UsageError("no source images")
     if count < 1:
         raise UsageError(f"sample count must be positive, got {count}")
-    samples = SampleSet.empty(count, n)  # before any draw of `count` values
+    samples = SampleSet.empty(count, n, fill)  # before any draw of `count` values
     gen = stream(seed, "assign")
     per_image = np.bincount(gen.integers(0, len(images), size=count),
                             minlength=len(images))
@@ -484,4 +499,4 @@ def build_training_samples(images: list[GrayImage], n: int, count: int, seed: in
         img = images[i]
         return img, degrade(img, DegradeConfig(qp=qps[i % len(qps)])), seed + 7919 * i
 
-    return fill_samples(samples, per_image, source, availability_mode, fill)
+    return fill_samples(samples, per_image, source, availability_mode)

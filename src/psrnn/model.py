@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import AVAILABILITY_MODES, CONTEXT_FILL, THREE_BLOCK
-from .errors import ConfigError, IntegrityError, ShapeError, VersionError
+from .errors import ConfigError, IntegrityError, ShapeError, UsageError, VersionError
 from .layers import (GATE_ACTIVATIONS, GruParams, glorot_uniform,
                      gru_sweep_backward, gru_sweep_forward, init_gru,
                      prelu_backward, prelu_forward)
@@ -363,7 +363,10 @@ def forward_batch(net: PsRnnNetwork, contexts: np.ndarray, need_cache: bool = Tr
 def backward_batch(net: PsRnnNetwork, caches, grad_pred: np.ndarray) -> dict[str, np.ndarray]:
     """Float64 gradients for every parameter, given d(loss)/d(prediction).
 
-    The rows forward_batch padded its batch with get zero gradient.
+    The rows forward_batch padded its batch with get zero gradient. A cache
+    serves one backward: each layer's entry is taken out of it (set to None)
+    before that layer's backward runs, so it is freed once the layer is done,
+    and a second backward on the same cache is a UsageError.
     """
     layer_caches, pre_clip = caches
     g = np.zeros(pre_clip.shape + (1,))
@@ -374,11 +377,14 @@ def backward_batch(net: PsRnnNetwork, caches, grad_pred: np.ndarray) -> dict[str
     flow = _flow(net)
     for k in range(len(flow) - 1, -1, -1):
         prefix, layer = flow[k]
+        cache, layer_caches[k] = layer_caches[k], None
+        if cache is None:
+            raise UsageError("this forward cache has served a backward already")
         if isinstance(layer, ConvLayer):
             # k = 0 is the first conv: nothing needs the network input's gradient
-            g = _conv_backward(layer, layer_caches[k], g, grads, prefix, need_grad_x=k > 0)
+            g = _conv_backward(layer, cache, g, grads, prefix, need_grad_x=k > 0)
         else:
-            g = unit_backward_batch(layer, layer_caches[k], g, grads, prefix)
+            g = unit_backward_batch(layer, cache, g, grads, prefix)
     return grads
 
 

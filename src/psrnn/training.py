@@ -196,16 +196,20 @@ def train(net: PsRnnNetwork, data, cfg: TrainConfig):
 
     The returned network is the checkpoint with the lowest validation loss
     inside the final selection window (it is `net` itself, with its
-    parameters overwritten). Deterministic given cfg.seed.
+    parameters overwritten). Deterministic given cfg.seed. A set whose window
+    size or fill differs from the network config's is a ConfigError: the
+    network would learn one fill and be evaluated with another.
     """
     samples = as_sample_set(data)
-    if samples.contexts.shape[1] != net.config.context_size:
+    if samples.windows.shape[1] != net.config.context_size:
         raise ConfigError(
-            f"samples sized {samples.contexts.shape[1]} != context {net.config.context_size}")
+            f"samples sized {samples.windows.shape[1]} != context {net.config.context_size}")
+    if samples.fill != net.config.fill_value:
+        raise ConfigError(f"samples masked with fill {samples.fill} != the network's "
+                          f"fill_value {net.config.fill_value}")
 
     val_idx, train_idx = _validation_split(len(samples), cfg)
-    val_ctx = samples.contexts[val_idx]
-    val_tgt = samples.targets[val_idx]
+    val_ctx, val_tgt = samples.take(val_idx)
 
     params = parameters(net)
     state = AdamState()
@@ -224,9 +228,9 @@ def train(net: PsRnnNetwork, data, cfg: TrainConfig):
 
     for it in range(cfg.total_iters):
         idx = batches.integers(0, len(train_idx), size=cfg.batch_size)
-        pick = train_idx[idx]
-        preds, caches = forward_batch(net, samples.contexts[pick])
-        loss, grad_pred = loss_and_grad(preds, samples.targets[pick], cfg.loss, cfg.satd)
+        contexts, targets = samples.take(train_idx[idx])
+        preds, caches = forward_batch(net, contexts)
+        loss, grad_pred = loss_and_grad(preds, targets, cfg.loss, cfg.satd)
         if not math.isfinite(loss):
             raise DivergenceError(it)
         grads = backward_batch(net, caches, grad_pred)
@@ -348,7 +352,7 @@ def _contexts(net: PsRnnNetwork, image: GrayImage, recon: GrayImage, origins) ->
     c = net.config
     ys, xs = (np.array(origins, dtype=np.intp).reshape(-1, 2) - c.pu_size).T
     return cut_contexts(recon.pixels, image.pixels, ys, xs, c.pu_size,
-                        is_three_block(c.availability_mode), c.fill_value).contexts
+                        is_three_block(c.availability_mode), c.fill_value).take(slice(None))[0]
 
 
 def _tile_origins(shape: tuple[int, int], n: int) -> np.ndarray:
@@ -492,7 +496,7 @@ def compare_losses(data, cfg_base: TrainConfig, seeds, net_config: NetworkConfig
             cfg = replace(cfg_base, loss=arm, seed=seed)
             net, _ = train(build_network(net_config, seed=seed), samples, cfg)
             val_idx, _ = _validation_split(len(samples), cfg)
-            ctx, tgt = samples.contexts[val_idx], samples.targets[val_idx]
+            ctx, tgt = samples.take(val_idx)
             row[f"{arm}_val_satd"] = validation_metric(net, ctx, tgt, "satd", cfg.satd)
             row[f"{arm}_val_mse"] = validation_metric(net, ctx, tgt, "mse", cfg.satd)
         row["satd_gap"] = row["mse_val_satd"] - row["satd_val_satd"]
@@ -508,7 +512,7 @@ def ablate_units(data, unit_counts, cfg: TrainConfig, eval_images: list[GrayImag
     """Train one model per recurrent-unit count at a fixed budget: default
     widths but for the units, an 8-wide first unit and 4-wide others."""
     samples = as_sample_set(data)
-    n = samples.contexts.shape[1] // 2
+    n = samples.windows.shape[1] // 2
     rows = []
     for count in unit_counts:
         if count < 1:

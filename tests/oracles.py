@@ -22,8 +22,8 @@
   per-block record per candidate, which the level-batched evaluation must
   match.
 - Context sampling with one slice-and-mask per sample, which the one-gather
-  psrnn.data.sample_contexts and build_training_samples must reproduce byte
-  for byte. It returns ContextBlock items, so the origin and availability
+  psrnn.data.sample_contexts and build_training_samples, read through
+  SampleSet.take, must reproduce byte for byte. It returns ContextBlock items, so the origin and availability
   mode of every sample can be inspected.
 
 All favour plainness over speed; the numeric ones run in float64.
@@ -492,7 +492,7 @@ def build_training_samples_loop(images: list[GrayImage], n: int, count: int, see
 
 
 def stack_blocks(blocks: list[ContextBlock], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(contexts, targets) of a list of samples, shaped like a SampleSet's."""
+    """(contexts, targets) of a list of samples, shaped like SampleSet.take's."""
     if not blocks:
         return np.zeros((0, 2 * n, 2 * n), np.float32), np.zeros((0, n, n), np.float32)
     return np.stack([b.context for b in blocks]), np.stack([b.target for b in blocks])

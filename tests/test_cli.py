@@ -77,10 +77,10 @@ class TestConfigHandling:
     @pytest.mark.parametrize("argv, named", [
         (("eval", "--set", "eval_size=8"), "block size 8"),
         (("train", *TRAIN_FAST, "--set", "samples=1"), "validation set"),
-        # 1.28 PB at N=8, past the 128 TiB a process maps: the allocation
+        # 1.02 PB at N=8, past the 128 TiB a process maps: the allocation
         # fails before any page is touched, and before the draws it sizes
         (("train", *TRAIN_FAST, "--set", "samples=1000000000000"),
-         "samples=1000000000000 at N=8 asks for 1,280,000,000,000,000 bytes"),
+         "samples=1000000000000 at N=8 asks for 1,024,000,000,000,000 bytes"),
         # ablate-units cuts its samples, here zero-byte windows, before the
         # network config rejects the block size
         (("ablate-units", "--set", "n=0", "--set", "samples=50", "--set", "corpus_size=32",
@@ -93,6 +93,18 @@ class TestConfigHandling:
         out = tmp_path / "out"
         assert run_cli(*argv, "--out", str(out)) == 1
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fill_mismatch_exits_1(self, tmp_path, capsys, monkeypatch):
+        # the verbs build the set and the network from one fill key, so only
+        # a set built with another fill reaches train's check
+        build = cli.D.build_training_samples
+        monkeypatch.setattr(cli.D, "build_training_samples",
+                            lambda *args, **kw: build(*args, **{**kw, "fill": 0.25}))
+        out = tmp_path / "out"
+        assert run_cli("train", "--out", str(out), *TRAIN_FAST, "--set", "iters=2") == 1
+        err = capsys.readouterr().err
+        assert "fill 0.25 != the network's fill_value 0.5" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("milestones", ["10,10", "12,20", "30", "-5,0", "0"],
@@ -258,8 +270,8 @@ class TestTrain:
         resolved = cli.resolve("train", keys, {"seed": 0})
         samples, cfg = cli._load_samples(resolved), cli._train_config(resolved)
         val_idx, _ = TR._validation_split(len(samples), cfg)
-        saved = TR.validation_metric(load_model(out / "model.psrnn"), samples.contexts[val_idx],
-                                     samples.targets[val_idx], cfg.loss, cfg.satd)
+        saved = TR.validation_metric(load_model(out / "model.psrnn"), *samples.take(val_idx),
+                                     cfg.loss, cfg.satd)
         assert printed == saved
 
     def test_resolved_config_reproduces_run(self, tmp_path):
@@ -324,8 +336,9 @@ class TestTrainFromFiles:
                                                fill=0.8, availability_mode=D.FOUR_BLOCK)
         assert len(got) == len(blocks) == count
         want = stack_blocks(blocks, 8)
-        assert got.contexts.tobytes() == want[0].tobytes()
-        assert got.targets.tobytes() == want[1].tobytes()
+        contexts, targets = got.take(slice(None))
+        assert contexts.tobytes() == want[0].tobytes()
+        assert targets.tobytes() == want[1].tobytes()
 
     def test_archive_rejects_nonpositive_count(self, tmp_path, manifest, capsys):
         archive = tmp_path / "prepared"

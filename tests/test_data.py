@@ -199,8 +199,7 @@ class TestContexts:
         img, deg = self._pair()
         a = D.sample_contexts(img, deg, 8, 20, D.FOUR_BLOCK, seed=9)
         b = D.sample_contexts(img, deg, 8, 20, D.FOUR_BLOCK, seed=9)
-        np.testing.assert_array_equal(a.contexts, b.contexts)
-        np.testing.assert_array_equal(a.targets, b.targets)
+        np.testing.assert_array_equal(a.windows, b.windows)
         a = sample_contexts_loop(img, deg, 8, 20, D.FOUR_BLOCK, seed=9)
         b = sample_contexts_loop(img, deg, 8, 20, D.FOUR_BLOCK, seed=9)
         for s, t in zip(a, b):
@@ -211,7 +210,7 @@ class TestContexts:
         for mode in (D.FOUR_BLOCK, D.THREE_BLOCK):
             samples = D.sample_contexts(img, deg, 8, 200, mode, seed=4, fill=0.5)
             blocks = sample_contexts_loop(img, deg, 8, 200, mode, seed=4, fill=0.5)
-            for block, context in zip(blocks, samples.contexts):
+            for block, context in zip(blocks, samples.take(slice(None))[0]):
                 assert np.all(context[8:, 8:] == 0.5)
                 if block.availability_mode == D.THREE_BLOCK:
                     assert np.all(context[8:, :8] == 0.5)
@@ -223,7 +222,7 @@ class TestContexts:
         img, _ = self._pair(seed=5)
         samples = D.sample_contexts(img, img, 8, 50, D.THREE_BLOCK, seed=6)
         blocks = sample_contexts_loop(img, img, 8, 50, D.THREE_BLOCK, seed=6)
-        for block, context, target in zip(blocks, samples.contexts, samples.targets):
+        for block, context, target in zip(blocks, *samples.take(slice(None))):
             y, x = block.origin
             window = img.pixels[y : y + 16, x : x + 16].copy()
             rebuilt = context.copy()
@@ -256,7 +255,7 @@ class TestContexts:
     def test_range_invariant(self):
         img, deg = self._pair()
         samples = D.sample_contexts(img, deg, 8, 50, D.THREE_BLOCK, seed=3)
-        for arr in (samples.contexts, samples.targets):
+        for arr in samples.take(slice(None)):
             assert arr.min() >= 0.0 and arr.max() <= 1.0
 
     @given(n=st.sampled_from([4, 8, 16, 32]), extra_h=st.integers(0, 40),
@@ -273,7 +272,7 @@ class TestContexts:
         deg = D.GrayImage(gen.random(shape).astype(np.float32))
         got = D.sample_contexts(img, deg, n, count, mode, seed=seed, fill=fill)
         want = stack_blocks(sample_contexts_loop(img, deg, n, count, mode, seed=seed, fill=fill), n)
-        for arr, ref in zip((got.contexts, got.targets), want):
+        for arr, ref in zip(got.take(slice(None)), want):
             assert arr.dtype == ref.dtype and arr.shape == ref.shape
             assert arr.tobytes() == ref.tobytes()
 
@@ -291,11 +290,11 @@ class TestContexts:
     def test_edge_windows_accepted(self):
         pixels = np.random.default_rng(1).random((40, 50)).astype(np.float32)
         got = D.cut_contexts(pixels, pixels, [0, 24, 0, 24], [0, 0, 34, 34], 8, False,
-                             D.CONTEXT_FILL)
+                             D.CONTEXT_FILL).take(slice(None))
         want = stack_blocks([context_loop(pixels, pixels, (y, x), 8, D.FOUR_BLOCK)
                              for y, x in ((0, 0), (24, 0), (0, 34), (24, 34))], 8)
-        assert got.contexts.tobytes() == want[0].tobytes()
-        assert got.targets.tobytes() == want[1].tobytes()
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
     def test_unknown_mode_rejected(self):
         img, deg = self._pair()
@@ -349,10 +348,11 @@ class TestSynthTextures:
                                              availability_mode=D.THREE_BLOCK)
         assert len(samples) == 120
         assert all(s.availability_mode == D.THREE_BLOCK for s in blocks)
-        assert all(context.shape == (16, 16) for context in samples.contexts)
+        assert samples.windows.shape == (120, 16, 16)
+        contexts, targets = samples.take(slice(None))
         want = stack_blocks(blocks, 8)
-        assert samples.contexts.tobytes() == want[0].tobytes()
-        assert samples.targets.tobytes() == want[1].tobytes()
+        assert contexts.tobytes() == want[0].tobytes()
+        assert targets.tobytes() == want[1].tobytes()
 
     def test_training_samples_need_a_positive_count(self):
         images = D.synthetic_corpus(32, seed=3, per_kind=1)
@@ -362,9 +362,9 @@ class TestSynthTextures:
 
 class TestBuildMemory:
     # A set is allocated once and each source's windows are cut into its own
-    # slice one piece (at most SLAB_BYTES of contexts) at a time, so building
+    # slice one piece (at most SLAB_BYTES of windows) at a time, so building
     # it holds the set plus one piece. Joining per-source parts held it twice.
-    COUNT = 6000  # 7.3 MiB at N=8
+    COUNT = 6000  # 5.9 MiB at N=8
     MARGIN = 2**19  # the origin draws (24 bytes a sample) and degrade()'s buffers
 
     def assert_one_set(self, build):
@@ -374,7 +374,7 @@ class TestBuildMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        set_bytes = samples.contexts.nbytes + samples.targets.nbytes
+        set_bytes = samples.windows.nbytes
         assert len(samples) == self.COUNT
         assert peak < set_bytes + SLAB_BYTES + self.MARGIN, (peak, set_bytes)
 
@@ -394,12 +394,12 @@ class TestBuildMemory:
         self.assert_one_set(lambda: cli._load_samples(resolved))
 
     def test_unallocatable_set_is_a_usage_error(self):
-        # 10**12 samples at N=8 is 1.28 PB, past the 128 TiB a process maps,
+        # 10**12 samples at N=8 is 1.02 PB, past the 128 TiB a process maps,
         # so the allocation fails before a page is touched, whatever the
         # overcommit mode; it comes before the draws, which would ask for 8 TB
         # each
         img = D.synth_texture("flat", 32)
         for build in (lambda: D.sample_contexts(img, img, 8, 10**12, D.THREE_BLOCK),
                       lambda: D.build_training_samples([img], 8, 10**12, seed=3)):
-            with pytest.raises(UsageError, match="samples=1000000000000 .* 1,280,000,000,000,000"):
+            with pytest.raises(UsageError, match="samples=1000000000000 .* 1,024,000,000,000,000"):
                 build()

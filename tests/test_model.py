@@ -7,7 +7,7 @@ from conftest import (directional_check, min_kink_margin, record_conv_slabs,
                       record_sweep_slabs, rewrite_config_text)
 from psrnn import model as M
 from psrnn import tensor as T
-from psrnn.errors import ConfigError, IntegrityError, ShapeError, VersionError
+from psrnn.errors import ConfigError, IntegrityError, ShapeError, UsageError, VersionError
 from psrnn.layers import AdamState, adam_step
 from oracles import conv_backward_scatter, conv_forward_whole, gru_sequence_forward
 
@@ -287,12 +287,12 @@ class TestBackward:
         # their bits
         net = M.build_network(M.NetworkConfig(pu_size=8), seed=4)
         gen = np.random.default_rng(4)
-        _, caches = M.forward_batch(net, gen.random((4, 16, 16)))
+        ctxs = gen.random((4, 16, 16))
         grad = gen.uniform(-1, 1, (4, 8, 8))
         full = T.conv2d_backward_batch
         monkeypatch.setattr(M, "conv2d_backward_batch",
                             lambda *args: full(*args[:4], need_grad_x=True))
-        want = M.backward_batch(net, caches, grad)
+        want = M.backward_batch(net, M.forward_batch(net, ctxs)[1], grad)
         requests = []
 
         def recording(x, w, spec, grad_out, need_grad_x=True):
@@ -300,7 +300,7 @@ class TestBackward:
             return full(x, w, spec, grad_out, need_grad_x)
 
         monkeypatch.setattr(M, "conv2d_backward_batch", recording)
-        got = M.backward_batch(net, caches, grad)
+        got = M.backward_batch(net, M.forward_batch(net, ctxs)[1], grad)
         assert list(got) == list(want)
         assert all(got[k].tobytes() == want[k].tobytes() for k in want)
         convs = len(net.preproc) + len(net.units) + 1 + len(net.recon)
@@ -331,9 +331,13 @@ class TestBackward:
         assert [k for k in want if got[k].tobytes() != want[k].tobytes()] == []
 
     def test_training_step_memory(self):
-        # N=8, batch 32: no layer cache holds a patch matrix, and the
-        # backward frees each conv's patch matrix before its input gradient
-        # (42.9 MiB when the cache kept every conv's whole patch matrix)
+        # N=8, batch 32: no layer cache holds a patch matrix, the backward
+        # frees each conv's patch matrix before its input gradient, and each
+        # layer's cache once its backward is done, so the later layers'
+        # caches are gone when the first unit's fusion conv regathers its
+        # 9 MiB patch matrix: 19.81 MiB (22.66 MiB when the caches lived
+        # until the backward returned, 42.9 MiB when the cache kept every
+        # conv's whole patch matrix)
         net = M.build_network(M.NetworkConfig(pu_size=8), seed=8)
         gen = np.random.default_rng(8)
         ctxs = gen.random((32, 16, 16)).astype(np.float32)
@@ -345,7 +349,16 @@ class TestBackward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 21 * 2**20
+
+    def test_cache_serves_one_backward(self):
+        net = M.build_network(TINY, seed=2)
+        gen = np.random.default_rng(2)
+        _, caches = M.forward_batch(net, gen.random((4, 8, 8)))
+        M.backward_batch(net, caches, gen.uniform(-1, 1, (4, 4, 4)))
+        assert caches[0] == [None] * len(M._flow(net))
+        with pytest.raises(UsageError, match="served a backward"):
+            M.backward_batch(net, caches, gen.uniform(-1, 1, (4, 4, 4)))
 
     def test_finite_difference_spot_check(self):
         # full-coverage FD checks live in the acceptance suite; this guards

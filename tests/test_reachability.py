@@ -2,10 +2,10 @@
 outside tests/.
 
 Library code that only tests call either moves to tests/oracles.py or is
-deleted. A function or class counts as reached when its name occurs as a
-word in another src/psrnn module, in its own module outside its
-definition, in scripts/*.py or in perfbench/*.py. Re-exports in
-__init__.py do not count.
+deleted. A function, a class or a method of a class (but a dunder) counts as
+reached when its name occurs as a word in another src/psrnn module, in its
+own module outside its definition, in scripts/*.py or in perfbench/*.py.
+Re-exports in __init__.py do not count.
 
 An option only tests set is deleted too. A parameter with a default counts
 as passed when some call in src/psrnn, scripts/*.py or perfbench/*.py to a
@@ -40,21 +40,31 @@ def _outside(root: Path) -> list[str]:
             for p in sorted(root.glob(pattern))]
 
 
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of every module-level function and class, and
+    of every method of a module-level class but its dunders."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{m.name}", m) for m in node.body
+                        if isinstance(m, defs[:2]) and not m.name.startswith("__"))
+
+
 def unreached_names(root: Path = ROOT) -> list[str]:
     modules = _src_modules(root)
     outside = _outside(root)
     missing = []
     for path, text in modules.items():
         lines = text.splitlines()
-        for node in ast.parse(text).body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
+        for qualname, node in _definitions(ast.parse(text)):
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
             rest = "\n".join(lines[: first - 1] + lines[node.end_lineno :])
             others = [t for p, t in modules.items() if p != path]
             word = re.compile(rf"\b{re.escape(node.name)}\b")
             if not any(word.search(t) for t in [rest, *others, *outside]):
-                missing.append(f"{path.name}:{node.name}")
+                missing.append(f"{path.name}:{qualname}")
     return missing
 
 
@@ -180,3 +190,19 @@ def test_parameter_check_sees_dataclass_fields(tmp_path):
     (tmp_path / "tests" / "test_m.py").write_text("Cfg(8, d=1)\nState(count=2)\n")
     # a by position, b by keyword, c through replace; d and count only in tests
     assert unpassed_parameters(tmp_path) == ["m.py:Cfg(d)", "m.py:State(count)"]
+
+
+def test_name_check_sees_methods(tmp_path):
+    src = tmp_path / "src" / "psrnn"
+    src.mkdir(parents=True)
+    (src / "m.py").write_text(
+        "class C:\n    def __len__(self):\n        return 0\n\n"
+        "    @property\n    def size(self):\n        return self.used()\n\n"
+        "    def used(self):\n        return 1\n\n"
+        "    def only_tested(self):\n        return 2\n")
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "s.py").write_text("print(C().size)\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_m.py").write_text("C().only_tested()\n")
+    # a dunder is never flagged; `used` is called from `size`, in its own module
+    assert unreached_names(tmp_path) == ["m.py:C.only_tested"]

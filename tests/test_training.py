@@ -122,6 +122,20 @@ class TestTrain:
         with pytest.raises(ConfigError, match="samples sized 32"):
             TR.train(net, make_samples(n=16, count=100), small_cfg())
 
+    @pytest.mark.parametrize("run", [
+        lambda samples: TR.train(build_network(SMALL_NET, seed=2), samples, small_cfg()),
+        lambda samples: TR.compare_losses(samples, small_cfg(), [1, 2, 3], SMALL_NET),
+        lambda samples: TR.ablate_units(samples, [1], small_cfg(), [])],
+        ids=["train", "compare_losses", "ablate_units"])
+    def test_fill_mismatch(self, run):
+        # a set masked with 0.25 would train a network that eval feeds 0.5
+        images = D.synthetic_corpus(64, seed=0, per_kind=3)
+        samples = D.build_training_samples(images, 8, 120, seed=0, fill=0.25)
+        with pytest.raises(ConfigError, match="fill 0.25 != the network's fill_value 0.5"):
+            run(samples)
+        net = build_network(replace(SMALL_NET, fill_value=0.25), seed=2)
+        assert len(TR.train(net, samples, small_cfg(total_iters=0))[1]) == 1
+
     def test_validation_cap_must_be_positive(self):
         # a cap of 0 used to train on with a NaN val_loss at every checkpoint,
         # select none and return the last iterate
@@ -171,7 +185,7 @@ class TestTrain:
     def test_divergence_reported_with_iteration(self):
         samples = make_samples(count=200)
         bad = TR.as_sample_set(samples)
-        bad.targets[0:: 2] = np.nan
+        bad.windows[0:: 2, 8:, 8:] = np.nan  # the targets
         net = build_network(SMALL_NET, seed=2)
         with pytest.raises(DivergenceError) as exc:
             TR.train(net, bad, small_cfg())
@@ -204,9 +218,9 @@ class TestTrain:
         thirds = np.array_split(np.array(vals), 3)
         means = [t.mean() for t in thirds]
         assert means[0] > means[1] > means[2]
-        sset = TR.as_sample_set(samples)
-        preds, _ = forward_batch(net, sset.contexts[0:160:8], need_cache=False)
-        err = float(np.max(np.abs(preds - sset.targets[0:160:8])))
+        contexts, targets = TR.as_sample_set(samples).take(slice(0, 160, 8))
+        preds, _ = forward_batch(net, contexts, need_cache=False)
+        err = float(np.max(np.abs(preds - targets)))
         assert err < 0.05
 
 
@@ -217,7 +231,7 @@ def _val_arrays(samples, seed, cap):
     split = stream(seed, "split").permutation(len(sset))
     n_val = max(1, int(round(len(sset) * 0.1)))
     idx = split[:n_val][:cap]
-    return sset.contexts[idx], sset.targets[idx]
+    return sset.take(idx)
 
 
 class TestEvaluate:
