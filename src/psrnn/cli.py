@@ -11,7 +11,8 @@ resolved configuration next to its outputs, so feeding that file back
 reproduces the run byte for byte. All randomness flows from the single run
 seed through named substreams.
 
-Exit codes: 0 success, 1 usage/config error, 2 runtime/numeric failure.
+Exit codes: 0 success, 1 usage/config error (a config that asks for more
+memory than can be allocated included), 2 runtime/numeric failure.
 
 CSV schemas:
   training log: iteration,lr,train_loss,val_loss
@@ -357,7 +358,9 @@ def cmd_train(resolved: dict) -> int:
     return 0
 
 
-def _eval_images(resolved: dict) -> list[D.GrayImage]:
+def _eval_images(resolved: dict):
+    """The eval images: a list of synthetic ones, or the manifest's, each
+    decoded as it is reached, so eval holds one at a time."""
     if resolved["images"] == "synthetic":
         seed = resolved["seed"] + 1013  # held out from the training corpus
         size = resolved["eval_size"]
@@ -370,7 +373,7 @@ def _eval_images(resolved: dict) -> list[D.GrayImage]:
     paths = D.read_manifest(resolved["images"])
     if not paths:
         raise UsageError("no inputs in manifest")
-    return [D.load_image(p) for p in paths]
+    return (D.load_image(p) for p in paths)
 
 
 def _eval_config(resolved: dict) -> EvalConfig:
@@ -437,7 +440,7 @@ def cmd_demo(resolved: dict) -> int:
                                net.config.availability_mode, net.config.fill_value)
         # the calls eval runs, on a batch of one block
         pred_net, _ = forward_batch(net, block.context[None], need_cache=False)
-        lines, _ = reference_lines(recon.pixels, [origin], n)
+        lines = reference_lines(recon.pixels, [origin], n)
         _, _, pred_base = best_modes(lines, block.target[None], n, lam)
         D.save_pgm(block.context, out / f"{kind}_{case}_context.pgm")
         D.save_pgm(pred_net[0].astype(np.float32), out / f"{kind}_{case}_psrnn.pgm")
@@ -532,6 +535,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](resolved)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a config asking for more than can be allocated
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

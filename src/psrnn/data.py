@@ -12,6 +12,10 @@ quadrant; SampleSet.take hands a window to the network with that quadrant
 masked with the fill value. In three-block availability the bottom-left
 quadrant is stored masked as well, leaving only the two blocks above as
 usable context.
+
+cut_contexts, the one gather, fills a given set and reads N and the fill
+from it; fill_samples draws each source image's origins and cuts them into
+its slice of a set.
 """
 
 from __future__ import annotations
@@ -83,11 +87,8 @@ class SampleSet:
 
 @dataclass
 class ContextBlock:
-    context: np.ndarray  # (2n, 2n) float32, masked per availability_mode
+    context: np.ndarray  # (2n, 2n) float32, masked per its availability mode
     target: np.ndarray   # (n, n) float32 clean ground truth
-    availability_mode: str
-    origin: tuple[int, int]
-    n: int
 
 
 @dataclass(frozen=True)
@@ -310,31 +311,27 @@ def degrade(img: GrayImage, cfg: DegradeConfig) -> GrayImage:
 # ---------------------------------------------------------------------------
 
 
-def cut_contexts(degraded: np.ndarray, clean: np.ndarray, ys, xs, n: int,
-                 three_block, fill: float, out: SampleSet | None = None) -> SampleSet:
-    """The samples of the 2n x 2n windows at (ys[i], xs[i]), written into
-    `out` (a new set of this `fill` if None) one piece of at most SLAB_BYTES
-    at a time, so cutting needs no more than one piece beyond the set.
+def cut_contexts(degraded: np.ndarray, clean: np.ndarray, ys, xs, three_block,
+                 out: SampleSet) -> SampleSet:
+    """Fill `out` with the samples of the windows at (ys[i], xs[i]), one
+    piece of at most SLAB_BYTES at a time, so cutting needs no more than one
+    piece beyond the set; the window side 2n and the fill are the set's.
 
     Each window is cut from `degraded` but for its bottom-right quadrant,
-    which holds the clean target; its bottom-left quadrant is set to `fill`
-    where `three_block` (one bool, or one per origin) holds.
+    which holds the clean target; its bottom-left quadrant is set to the
+    fill where `three_block` (one bool, or one per origin) holds.
     """
     if clean.shape != degraded.shape:
         raise ShapeError("clean and degraded images must have the same shape")
     ys, xs = np.asarray(ys, dtype=np.intp), np.asarray(xs, dtype=np.intp)
+    if len(ys) != len(out):
+        raise ShapeError(f"{len(ys)} windows do not fill a set of {len(out)}")
+    n = out.windows.shape[1] // 2
     h, w = degraded.shape
     # fancy indexing would wrap a negative origin around instead of failing
     inside = (0 <= ys) & (ys <= h - 2 * n) & (0 <= xs) & (xs <= w - 2 * n)
     if h < 2 * n or w < 2 * n or not inside.all():
         raise SizeError(f"{2*n}x{2*n} windows at these origins do not fit image {w}x{h}")
-    if out is None:
-        out = SampleSet.empty(len(ys), n, fill)
-    elif out.windows.shape != (len(ys), 2 * n, 2 * n):
-        raise ShapeError(f"{len(ys)} windows of {2*n}x{2*n} do not fill a set shaped "
-                         f"{out.windows.shape}")
-    elif out.fill != fill:
-        raise UsageError(f"windows masked with {fill} do not fill a set of fill {out.fill}")
     windows = sliding_window_view(degraded, (2 * n, 2 * n))
     blocks = sliding_window_view(clean, (n, n))
     three_block = np.broadcast_to(three_block, ys.shape)
@@ -343,7 +340,7 @@ def cut_contexts(degraded: np.ndarray, clean: np.ndarray, ys, xs, n: int,
         piece = out.windows[i:j]
         piece[...] = windows[ys[i:j], xs[i:j]]
         piece[:, n:, n:] = blocks[ys[i:j] + n, xs[i:j] + n]
-        piece[three_block[i:j], n:, :n] = fill
+        piece[three_block[i:j], n:, :n] = out.fill
     return out
 
 
@@ -357,43 +354,31 @@ def is_three_block(availability_mode: str) -> bool:
 def make_context(degraded: np.ndarray, clean: np.ndarray, origin: tuple[int, int],
                  n: int, availability_mode: str, fill: float) -> ContextBlock:
     """Cut one context/target pair at a window origin (top-left of 2n x 2n)."""
-    y, x = origin
-    contexts, targets = cut_contexts(degraded, clean, [y], [x], n,
-                                     is_three_block(availability_mode), fill).take(slice(None))
-    return ContextBlock(context=contexts[0], target=targets[0],
-                        availability_mode=availability_mode, origin=(y, x), n=n)
-
-
-def sample_contexts(img_clean: GrayImage, img_degraded: GrayImage, n: int, count: int,
-                    availability_mode: str, seed: int = 0, fill: float = CONTEXT_FILL,
-                    out: SampleSet | None = None) -> SampleSet:
-    """Uniformly sample `count` context/target pairs from one image, all masked
-    per `availability_mode`, into `out` (a new set if None). Deterministic
-    under `seed`: every origin is drawn before any window is cut."""
-    h, w = img_clean.pixels.shape
-    if h < 2 * n or w < 2 * n:
-        raise SizeError(f"image {w}x{h} too small for {2*n}x{2*n} windows")
-    if out is None:
-        out = SampleSet.empty(count, n, fill)  # before any draw of `count` values
-    gen = stream(seed, f"contexts/n{n}")
-    ys = gen.integers(0, h - 2 * n + 1, size=count)
-    xs = gen.integers(0, w - 2 * n + 1, size=count)
-    return cut_contexts(img_degraded.pixels, img_clean.pixels, ys, xs, n,
-                        is_three_block(availability_mode), fill, out)
+    contexts, targets = cut_contexts(degraded, clean, [origin[0]], [origin[1]],
+                                     is_three_block(availability_mode),
+                                     SampleSet.empty(1, n, fill)).take(slice(None))
+    return ContextBlock(context=contexts[0], target=targets[0])
 
 
 def fill_samples(samples: SampleSet, counts, source, availability_mode: str) -> SampleSet:
     """Fill `samples` in order: counts[i] samples from source i, cut into its
     own slice; the counts sum to len(samples). source(i) gives that source's
     (clean, degraded, seed) and is called only for a source with a sample, so
-    one source is loaded at a time."""
+    one source is loaded at a time. A source's window origins are drawn
+    uniformly from its `seed`, all before its first window is cut."""
     n = samples.windows.shape[1] // 2
     offsets = np.cumsum([0, *counts])
     for i, (start, stop) in enumerate(zip(offsets, offsets[1:])):
         if stop > start:
             clean, degraded, seed = source(i)
-            sample_contexts(clean, degraded, n, int(stop - start), availability_mode,
-                            seed=seed, fill=samples.fill, out=samples[start:stop])
+            h, w = clean.pixels.shape
+            if h < 2 * n or w < 2 * n:
+                raise SizeError(f"image {w}x{h} too small for {2*n}x{2*n} windows")
+            gen = stream(seed, f"contexts/n{n}")
+            ys = gen.integers(0, h - 2 * n + 1, size=stop - start)
+            xs = gen.integers(0, w - 2 * n + 1, size=stop - start)
+            cut_contexts(degraded.pixels, clean.pixels, ys, xs,
+                         is_three_block(availability_mode), samples[start:stop])
     return samples
 
 

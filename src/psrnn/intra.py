@@ -10,9 +10,9 @@ samples. Mode indices: 0 planar, 1 DC, 2..34 angular (10 pure horizontal,
 References are the single line above (2N+1 samples including the corner)
 and to the left (2N samples), held as one (4N+1,) line in scan order: from
 the bottom-left sample up the left column, through the corner and across
-the top. Unavailable segments are substituted along that scan, propagating
-the nearest available value; when nothing is available at all, mid-gray
-(FILL_VALUE) is used.
+the top. A segment is available when it lies inside the image. Unavailable
+segments are substituted along that scan, propagating the nearest available
+value; when nothing is available at all, mid-gray (FILL_VALUE) is used.
 
 Everything works on a chunk of k blocks at once. reference_lines gathers
 the (k, 4N+1) lines with one fancy index and substitutes with a running
@@ -86,28 +86,21 @@ def _line_layout(n: int) -> tuple[np.ndarray, ...]:
     return layout
 
 
-def reference_lines(image: np.ndarray, origins, n: int,
-                    availability: dict[str, bool] | None = None) -> tuple[np.ndarray, np.ndarray]:
+def reference_lines(image: np.ndarray, origins, n: int) -> np.ndarray:
     """Substituted reference lines of the n x n blocks at `origins`, in one gather.
 
-    `origins` is a (k, 2) array of (y, x). Returns (lines, available): lines
-    is (k, 4n+1) float64 in scan order, and available is (k, 5) bool in
-    SEGMENTS order. `availability` may force segments unavailable for every
-    block; segments reaching outside the image are unavailable regardless.
-    Every block must fit inside the image.
+    `origins` is a (k, 2) array of (y, x); every block must fit inside the
+    image. Returns the (k, 4n+1) float64 lines in scan order. A segment is
+    available when it lies inside the image.
     """
     origins = np.asarray(origins, dtype=np.intp).reshape(-1, 2)
     h, w = image.shape
     ys, xs = origins[:, :1], origins[:, 1:]
     if not ((ys >= 0) & (xs >= 0) & (ys + n <= h) & (xs + n <= w)).all():
         raise SizeError(f"{n}x{n} blocks at these origins do not fit image {image.shape}")
+    # (k, 5) in SEGMENTS order
     available = np.concatenate([(xs > 0) & (ys + 2 * n <= h), xs > 0, (ys > 0) & (xs > 0),
                                 ys > 0, (ys > 0) & (xs + 2 * n <= w)], axis=1)
-    for k, v in (availability or {}).items():
-        if k not in SEGMENTS:
-            raise ShapeError(f"unknown reference segment {k!r}")
-        if not v:
-            available[:, SEGMENTS.index(k)] = False
     dy, dx, seg, _ = _line_layout(n)
     ok = available[:, seg]
     # an unavailable sample copies the last available one before it in scan
@@ -118,7 +111,7 @@ def reference_lines(image: np.ndarray, origins, n: int,
     lines = image[np.clip(ys + dy[take], 0, h - 1),
                   np.clip(xs + dx[take], 0, w - 1)].astype(np.float64)
     lines[~ok.any(axis=1)] = FILL_VALUE
-    return lines, available
+    return lines
 
 
 def smooth_lines(lines: np.ndarray) -> np.ndarray:
@@ -131,7 +124,7 @@ def smooth_lines(lines: np.ndarray) -> np.ndarray:
 def build_reference_samples(image: np.ndarray, block_origin: tuple[int, int],
                             n: int) -> np.ndarray:
     """The (4n+1,) substituted reference line of the block at block_origin."""
-    return reference_lines(image, [block_origin], n)[0][0]
+    return reference_lines(image, [block_origin], n)[0]
 
 
 def _predict_planar(src: np.ndarray, n: int) -> np.ndarray:

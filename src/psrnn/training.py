@@ -16,6 +16,7 @@ use the 8-bit pixel scale so the HM-style lambda is in its usual regime.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -319,7 +320,7 @@ class EvalReport:
                    f"{net_satd},{net_bits},{net_total},{r.winner}")
 
 
-def evaluate(nets: dict[int, PsRnnNetwork] | None, images: list[GrayImage], qp: int,
+def evaluate(nets: dict[int, PsRnnNetwork] | None, images: Iterable[GrayImage], qp: int,
              cfg: EvalConfig = EvalConfig()) -> EvalReport:
     """Tile images, race the angular baseline against the network per block.
 
@@ -328,7 +329,8 @@ def evaluate(nets: dict[int, PsRnnNetwork] | None, images: list[GrayImage], qp: 
     the corresponding model was trained with. Each image is scored one
     block size (fixed) or one quad-tree level (greedy) at a time, in
     bounded chunks of blocks (see EVAL_CHUNK_PIXELS), so peak memory does
-    not grow with the image.
+    not grow with the image. `images` is iterated once, so it may decode
+    each image as it is reached.
     """
     if nets is not None and not cfg.oracle:
         for n in cfg.block_sizes:
@@ -351,8 +353,8 @@ def evaluate(nets: dict[int, PsRnnNetwork] | None, images: list[GrayImage], qp: 
 def _contexts(net: PsRnnNetwork, image: GrayImage, recon: GrayImage, origins) -> np.ndarray:
     c = net.config
     ys, xs = (np.array(origins, dtype=np.intp).reshape(-1, 2) - c.pu_size).T
-    return cut_contexts(recon.pixels, image.pixels, ys, xs, c.pu_size,
-                        is_three_block(c.availability_mode), c.fill_value).take(slice(None))[0]
+    return cut_contexts(recon.pixels, image.pixels, ys, xs, is_three_block(c.availability_mode),
+                        SampleSet.empty(len(ys), c.pu_size, c.fill_value)).take(slice(None))[0]
 
 
 def _tile_origins(shape: tuple[int, int], n: int) -> np.ndarray:
@@ -378,7 +380,7 @@ def _level_records(net: PsRnnNetwork | None, image: GrayImage, recon: GrayImage,
     for i, j in _chunks(n, len(origins)):
         part = origins[i:j]
         targets = blocks[part[:, 0], part[:, 1]].astype(np.float64)
-        lines, _ = reference_lines(recon.pixels, part, n)
+        lines = reference_lines(recon.pixels, part, n)
         if cfg.ref_smoothing:
             lines = smooth_lines(lines)
         modes, satds, base_preds = best_modes(lines, targets, n, lam)
@@ -418,13 +420,15 @@ def _eval_greedy(nets: dict[int, PsRnnNetwork], image: GrayImage, recon: GrayIma
                  ).reshape(-1, 2)
     out: list[BlockRecord] = []
     for y, x in roots.tolist():
-        out.extend(_descend(table, (y, x), sizes[0], sizes[-1], lam))
+        out.extend(_descend(table, (y, x), sizes[0], sizes[-1], lam)[0])
     return out
 
 
 def _descend(table: dict, origin: tuple[int, int], n: int, smallest: int,
-             lam: float) -> list[BlockRecord]:
-    """The cheaper of a block's own record and its four children's best splits.
+             lam: float) -> tuple[list[BlockRecord], float]:
+    """The cheaper of a block's own record and its four children's best
+    splits, and its cost: a split costs its children's costs, each with the
+    split flags inside it, plus its own flag.
 
     Module-level on purpose: a nested recursive closure is a reference cycle
     that keeps each image's table alive until the cyclic garbage collector
@@ -432,15 +436,20 @@ def _descend(table: dict, origin: tuple[int, int], n: int, smallest: int,
     """
     whole = table[origin, n]
     if n == smallest:
-        return [whole]
+        return [whole], whole.winner_total
     half = n // 2
     children: list[BlockRecord] = []
+    costs: list[float] = []
     for dy in (0, half):
         for dx in (0, half):
-            children.extend(_descend(table, (origin[0] + dy, origin[1] + dx), half, smallest,
-                                     lam))
-    split_cost = sum(r.winner_total for r in children) + lam * SPLIT_FLAG_BITS
-    return children if split_cost < whole.winner_total else [whole]
+            records, cost = _descend(table, (origin[0] + dy, origin[1] + dx), half, smallest,
+                                     lam)
+            children.extend(records)
+            costs.append(cost)
+    split_cost = sum(costs) + lam * SPLIT_FLAG_BITS
+    if split_cost < whole.winner_total:
+        return children, split_cost
+    return [whole], whole.winner_total
 
 
 def _make_report(records: list[BlockRecord], qp: int, lam: float) -> EvalReport:

@@ -19,12 +19,13 @@
   for one mode, then interpolate) and a mode-by-mode search. psrnn.intra's
   batched gathers, tables and search must reproduce it bit for bit.
 - The greedy quad-tree evaluation with one batch-1 network pass and one
-  per-block record per candidate, which the level-batched evaluation must
-  match.
+  per-block record per candidate, a split charged its children's costs
+  (their own split flags included) plus its flag, which the level-batched
+  evaluation must match.
 - Context sampling with one slice-and-mask per sample, which the one-gather
-  psrnn.data.sample_contexts and build_training_samples, read through
-  SampleSet.take, must reproduce byte for byte. It returns ContextBlock items, so the origin and availability
-  mode of every sample can be inspected.
+  psrnn.data.fill_samples and build_training_samples, read through
+  SampleSet.take, must reproduce byte for byte. It returns Sample records,
+  which also carry each sample's origin and availability mode.
 
 All favour plainness over speed; the numeric ones run in float64.
 """
@@ -37,8 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from psrnn import training as TR
-from psrnn.data import (THREE_BLOCK, TRAIN_QPS, ContextBlock, DegradeConfig,
-                        GrayImage, degrade)
+from psrnn.data import THREE_BLOCK, TRAIN_QPS, DegradeConfig, GrayImage, degrade
 from psrnn.hadamard import SatdConfig, hadamard_matrix, satd
 from psrnn.intra import (DEFAULT_MODE_BITS, INTRA_PRED_ANGLE, INV_ANGLE, MODE_DC,
                          MODE_PLANAR, N_MODES, NETWORK, PIXEL_SCALE, SPLIT_FLAG_BITS,
@@ -417,20 +417,24 @@ def greedy_eval_batch1(nets, images, qp: int, cfg) -> list:
                 pred = forward_batch(nets[n], ctx, need_cache=False)[0][0]
             whole = block_record(image, recon, origin, n, lam, cfg, pred)
             if n == sizes[-1]:
-                return [whole]
+                return [whole], whole.winner_total
             half = n // 2
-            children = []
+            children, costs = [], []
             for dy in (0, half):
                 for dx in (0, half):
-                    children.extend(descend((origin[0] + dy, origin[1] + dx), half))
-            split_cost = sum(r.winner_total for r in children) + lam * SPLIT_FLAG_BITS
-            return children if split_cost < whole.winner_total else [whole]
+                    records, cost = descend((origin[0] + dy, origin[1] + dx), half)
+                    children.extend(records)
+                    costs.append(cost)
+            split_cost = sum(costs) + lam * SPLIT_FLAG_BITS
+            if split_cost < whole.winner_total:
+                return children, split_cost
+            return [whole], whole.winner_total
 
         h, w = image.pixels.shape
         top = sizes[0]
         for y in range(top, h - top + 1, top):
             for x in range(top, w - top + 1, top):
-                records.extend(descend((y, x), top))
+                records.extend(descend((y, x), top)[0])
     return records
 
 
@@ -448,8 +452,17 @@ def fixed_baseline_loop(images, qp: int, cfg) -> list:
     return records
 
 
+class Sample(NamedTuple):
+    """One context/target pair, with the origin and mode it was cut with."""
+
+    context: np.ndarray  # (2n, 2n) float32
+    target: np.ndarray   # (n, n) float32
+    origin: tuple[int, int]
+    availability_mode: str
+
+
 def context_loop(degraded: np.ndarray, clean: np.ndarray, origin: tuple[int, int], n: int,
-                 availability_mode: str, fill: float = 0.5) -> ContextBlock:
+                 availability_mode: str, fill: float = 0.5) -> Sample:
     """One context/target pair: slice the window, copy it, mask it."""
     y, x = origin
     window = degraded[y : y + 2 * n, x : x + 2 * n].astype(np.float32).copy()
@@ -458,14 +471,15 @@ def context_loop(degraded: np.ndarray, clean: np.ndarray, origin: tuple[int, int
     window[n:, n:] = fill
     if availability_mode == THREE_BLOCK:
         window[n:, :n] = fill
-    return ContextBlock(context=window, target=target,
-                        availability_mode=availability_mode, origin=(y, x), n=n)
+    return Sample(context=window, target=target, origin=(y, x),
+                  availability_mode=availability_mode)
 
 
 def sample_contexts_loop(img_clean: GrayImage, img_degraded: GrayImage, n: int, count: int,
                          availability_mode: str, seed: int = 0,
-                         fill: float = 0.5) -> list[ContextBlock]:
-    """sample_contexts with the same draws, cut one sample at a time."""
+                         fill: float = 0.5) -> list[Sample]:
+    """fill_samples' samples of one source, with the same draws, cut one
+    sample at a time."""
     h, w = img_clean.pixels.shape
     gen = stream(seed, f"contexts/n{n}")
     ys = gen.integers(0, h - 2 * n + 1, size=count)
@@ -478,7 +492,7 @@ def sample_contexts_loop(img_clean: GrayImage, img_degraded: GrayImage, n: int, 
 def build_training_samples_loop(images: list[GrayImage], n: int, count: int, seed: int,
                                 qps: tuple[int, ...] = TRAIN_QPS,
                                 availability_mode: str = THREE_BLOCK,
-                                fill: float = 0.5) -> list[ContextBlock]:
+                                fill: float = 0.5) -> list[Sample]:
     """build_training_samples with the same draws, as a list of samples."""
     gen = stream(seed, "assign")
     per_image = np.bincount(gen.integers(0, len(images), size=count), minlength=len(images))
@@ -491,7 +505,7 @@ def build_training_samples_loop(images: list[GrayImage], n: int, count: int, see
     return samples
 
 
-def stack_blocks(blocks: list[ContextBlock], n: int) -> tuple[np.ndarray, np.ndarray]:
+def stack_blocks(blocks: list[Sample], n: int) -> tuple[np.ndarray, np.ndarray]:
     """(contexts, targets) of a list of samples, shaped like SampleSet.take's."""
     if not blocks:
         return np.zeros((0, 2 * n, 2 * n), np.float32), np.zeros((0, n, n), np.float32)

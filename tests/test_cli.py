@@ -107,6 +107,21 @@ class TestConfigHandling:
         assert "fill 0.25 != the network's fill_value 0.5" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [("eval", "--set", "eval_size=300000"),
+                                      ("train", "--set", "corpus_size=300000")],
+                             ids=["eval", "train"])
+    def test_unallocatable_image_exits_1(self, argv, tmp_path, capsys, monkeypatch):
+        # a 300000x300000 synthetic image used to end in numpy's
+        # _ArrayMemoryError traceback; the failed allocation is simulated
+        def no_memory(kind, size, **kwargs):
+            raise MemoryError(f"Unable to allocate {16 * size * size:,} bytes")
+        monkeypatch.setattr(cli.D, "synth_texture", no_memory)
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: out of memory: Unable to allocate 1,440,000,000,000 bytes")
+        assert not out.exists()
+
     @pytest.mark.parametrize("milestones", ["10,10", "12,20", "30", "-5,0", "0"],
                              ids=["repeated", "at-iters", "past-iters", "-5,0", "0"])
     def test_bad_milestones(self, milestones, tmp_path, capsys, monkeypatch):

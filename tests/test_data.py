@@ -182,8 +182,14 @@ class TestDegrade:
         assert e[1] > e[0]
 
 
+def one_source(img, deg, n, count, mode, seed=0, fill=D.CONTEXT_FILL):
+    """fill_samples with one source: `count` samples of one image pair."""
+    return D.fill_samples(D.SampleSet.empty(count, n, fill), [count],
+                          lambda i: (img, deg, seed), mode)
+
+
 class TestContexts:
-    # array properties are read from sample_contexts; origins and availability
+    # array properties are read from fill_samples; origins and availability
     # modes from the per-sample oracle, which draws the same samples
     def _pair(self, size=64, seed=0):
         img = D.GrayImage(np.random.default_rng(seed).random((size, size)).astype(np.float32))
@@ -192,13 +198,13 @@ class TestContexts:
 
     def test_count_zero(self):
         img, deg = self._pair()
-        assert len(D.sample_contexts(img, deg, 8, 0, D.THREE_BLOCK)) == 0
+        assert len(one_source(img, deg, 8, 0, D.THREE_BLOCK)) == 0
         assert sample_contexts_loop(img, deg, 8, 0, D.THREE_BLOCK) == []
 
     def test_same_seed_identical(self):
         img, deg = self._pair()
-        a = D.sample_contexts(img, deg, 8, 20, D.FOUR_BLOCK, seed=9)
-        b = D.sample_contexts(img, deg, 8, 20, D.FOUR_BLOCK, seed=9)
+        a = one_source(img, deg, 8, 20, D.FOUR_BLOCK, seed=9)
+        b = one_source(img, deg, 8, 20, D.FOUR_BLOCK, seed=9)
         np.testing.assert_array_equal(a.windows, b.windows)
         a = sample_contexts_loop(img, deg, 8, 20, D.FOUR_BLOCK, seed=9)
         b = sample_contexts_loop(img, deg, 8, 20, D.FOUR_BLOCK, seed=9)
@@ -208,7 +214,7 @@ class TestContexts:
     def test_masking_audit(self):
         img, deg = self._pair()
         for mode in (D.FOUR_BLOCK, D.THREE_BLOCK):
-            samples = D.sample_contexts(img, deg, 8, 200, mode, seed=4, fill=0.5)
+            samples = one_source(img, deg, 8, 200, mode, seed=4, fill=0.5)
             blocks = sample_contexts_loop(img, deg, 8, 200, mode, seed=4, fill=0.5)
             for block, context in zip(blocks, samples.take(slice(None))[0]):
                 assert np.all(context[8:, 8:] == 0.5)
@@ -220,7 +226,7 @@ class TestContexts:
     def test_alignment_audit(self):
         # degraded == clean: re-pasting the target must rebuild the window
         img, _ = self._pair(seed=5)
-        samples = D.sample_contexts(img, img, 8, 50, D.THREE_BLOCK, seed=6)
+        samples = one_source(img, img, 8, 50, D.THREE_BLOCK, seed=6)
         blocks = sample_contexts_loop(img, img, 8, 50, D.THREE_BLOCK, seed=6)
         for block, context, target in zip(blocks, *samples.take(slice(None))):
             y, x = block.origin
@@ -244,17 +250,17 @@ class TestContexts:
     def test_too_small_image(self):
         img = D.GrayImage(np.zeros((12, 12), dtype=np.float32))
         with pytest.raises(SizeError):
-            D.sample_contexts(img, img, 8, 1, D.THREE_BLOCK)
+            one_source(img, img, 8, 1, D.THREE_BLOCK)
 
     def test_mismatched_pair(self):
         a = D.GrayImage(np.zeros((32, 32), dtype=np.float32))
         b = D.GrayImage(np.zeros((64, 64), dtype=np.float32))
         with pytest.raises(ShapeError):
-            D.sample_contexts(a, b, 8, 1, D.THREE_BLOCK)
+            one_source(a, b, 8, 1, D.THREE_BLOCK)
 
     def test_range_invariant(self):
         img, deg = self._pair()
-        samples = D.sample_contexts(img, deg, 8, 50, D.THREE_BLOCK, seed=3)
+        samples = one_source(img, deg, 8, 50, D.THREE_BLOCK, seed=3)
         for arr in samples.take(slice(None)):
             assert arr.min() >= 0.0 and arr.max() <= 1.0
 
@@ -270,7 +276,7 @@ class TestContexts:
         shape = (2 * n + extra_h, 2 * n + extra_w)
         img = D.GrayImage(gen.random(shape).astype(np.float32))
         deg = D.GrayImage(gen.random(shape).astype(np.float32))
-        got = D.sample_contexts(img, deg, n, count, mode, seed=seed, fill=fill)
+        got = one_source(img, deg, n, count, mode, seed=seed, fill=fill)
         want = stack_blocks(sample_contexts_loop(img, deg, n, count, mode, seed=seed, fill=fill), n)
         for arr, ref in zip(got.take(slice(None)), want):
             assert arr.dtype == ref.dtype and arr.shape == ref.shape
@@ -284,22 +290,28 @@ class TestContexts:
         with pytest.raises(SizeError):
             D.make_context(pixels, pixels, origin, 8, D.FOUR_BLOCK, D.CONTEXT_FILL)
         with pytest.raises(SizeError):
-            D.cut_contexts(pixels, pixels, [0, origin[0]], [0, origin[1]], 8, True,
-                           D.CONTEXT_FILL)
+            D.cut_contexts(pixels, pixels, [0, origin[0]], [0, origin[1]], True,
+                           D.SampleSet.empty(2, 8, D.CONTEXT_FILL))
 
     def test_edge_windows_accepted(self):
         pixels = np.random.default_rng(1).random((40, 50)).astype(np.float32)
-        got = D.cut_contexts(pixels, pixels, [0, 24, 0, 24], [0, 0, 34, 34], 8, False,
-                             D.CONTEXT_FILL).take(slice(None))
+        got = D.cut_contexts(pixels, pixels, [0, 24, 0, 24], [0, 0, 34, 34], False,
+                             D.SampleSet.empty(4, 8, D.CONTEXT_FILL)).take(slice(None))
         want = stack_blocks([context_loop(pixels, pixels, (y, x), 8, D.FOUR_BLOCK)
                              for y, x in ((0, 0), (24, 0), (0, 34), (24, 34))], 8)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
 
+    def test_origin_count_must_fill_the_set(self):
+        pixels = np.zeros((40, 50), dtype=np.float32)
+        with pytest.raises(ShapeError):
+            D.cut_contexts(pixels, pixels, [0, 8], [0, 8], False,
+                           D.SampleSet.empty(3, 8, D.CONTEXT_FILL))
+
     def test_unknown_mode_rejected(self):
         img, deg = self._pair()
         with pytest.raises(UsageError):
-            D.sample_contexts(img, deg, 8, 3, availability_mode="two-block")
+            one_source(img, deg, 8, 3, "two-block")
         with pytest.raises(UsageError):
             D.make_context(deg.pixels, img.pixels, (0, 0), 8, "two-block", D.CONTEXT_FILL)
 
@@ -399,7 +411,7 @@ class TestBuildMemory:
         # overcommit mode; it comes before the draws, which would ask for 8 TB
         # each
         img = D.synth_texture("flat", 32)
-        for build in (lambda: D.sample_contexts(img, img, 8, 10**12, D.THREE_BLOCK),
+        for build in (lambda: one_source(img, img, 8, 10**12, D.THREE_BLOCK),
                       lambda: D.build_training_samples([img], 8, 10**12, seed=3)):
             with pytest.raises(UsageError, match="samples=1000000000000 .* 1,024,000,000,000,000"):
                 build()

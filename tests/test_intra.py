@@ -22,10 +22,13 @@ def line_of(top, left):
     return np.concatenate([left[::-1], top])
 
 
-def one_block(img, origin, n, availability=None):
-    """reference_lines of one block: its line and its availability by segment."""
-    lines, available = I.reference_lines(img, [origin], n, availability=availability)
-    return lines[0], dict(zip(I.SEGMENTS, available[0].tolist()))
+def one_block(img, origin, n):
+    """reference_lines of one block, checked byte for byte against the
+    per-block oracle: its line, and the oracle's availability by segment."""
+    line = I.reference_lines(img, [origin], n)[0]
+    refs = reference_samples_loop(img, origin, n)
+    assert line.tobytes() == scan_line(refs).tobytes()
+    return line, refs.available
 
 
 class TestReferenceConstruction:
@@ -63,21 +66,10 @@ class TestReferenceConstruction:
         # scan runs left-bottom -> corner -> top; top inherits the last left sample
         np.testing.assert_allclose(top_left(line, 4)[0], img[0, 7])
 
-    def test_forced_unavailability(self):
-        img = np.full((32, 32), 0.25, dtype=np.float32)
-        line, available = one_block(img, (8, 8), 4, availability={"below-left": False})
-        assert not available["below-left"]
-        np.testing.assert_allclose(top_left(line, 4)[1][4:], img[11, 7])  # extended upward
-
     def test_block_outside_image(self):
         img = np.zeros((16, 16), dtype=np.float32)
         with pytest.raises(SizeError):
             I.build_reference_samples(img, (12, 12), 8)
-
-    def test_unknown_segment_rejected(self):
-        img = np.zeros((32, 32), dtype=np.float32)
-        with pytest.raises(ShapeError):
-            I.reference_lines(img, [(8, 8)], 4, availability={"behind": True})
 
 
 class TestPredictions:
@@ -265,23 +257,25 @@ class TestBatchedSearch:
         origins = np.array([(y, x) for y in ys for x in xs])
         targets = gen.random((len(origins), n, n))
         lam = I.hm_lambda(int(gen.integers(22, 38)))
-        lines, available = I.reference_lines(img, origins, n, availability=avail)
+        src_lines = I.reference_lines(img, origins, n)
+        # the search runs on the oracle's lines with `avail` forced on top of
+        # the image bounds; with nothing forced they are reference_lines'
+        forced = [reference_samples_loop(img, (y, x), n, availability=avail)
+                  for y, x in origins.tolist()]
+        lines = np.stack([scan_line(refs) for refs in forced])
         if smoothing:
             lines = I.smooth_lines(lines)
         modes, satds, preds = I.best_modes(lines, targets, n, lam)
         for i, (y, x) in enumerate(origins.tolist()):
-            refs = reference_samples_loop(img, (y, x), n, availability=avail)
-            assert available[i].tolist() == [refs.available[k] for k in I.SEGMENTS]
-            if smoothing:
-                refs = smooth_references_loop(refs)
+            want = scan_line(reference_samples_loop(img, (y, x), n)).tobytes()
+            assert src_lines[i].tobytes() == want
+            refs = smooth_references_loop(forced[i]) if smoothing else forced[i]
             assert lines[i].tobytes() == scan_line(refs).tobytes()
             best, pred = mode_search_loop(refs, targets[i], n, lam)
             assert (int(modes[i]), float(satds[i])) == (best.mode, best.satd)
             assert preds[i].tobytes() == pred.tobytes()
             # the one-block calls: a line of one origin, one mode's prediction
-            if not avail:
-                one = I.build_reference_samples(img, (y, x), n)
-                assert (smoothed(one) if smoothing else one).tobytes() == lines[i].tobytes()
+            assert I.build_reference_samples(img, (y, x), n).tobytes() == want
             assert I.predict_mode(lines[i], best.mode, n).tobytes() == pred.tobytes()
 
     def test_ties_break_to_lowest_index_per_block(self):
@@ -289,7 +283,7 @@ class TestBatchedSearch:
         n = 4
         img = np.full((16, 16), 0.5, dtype=np.float32)
         origins = np.array([(0, 0), (4, 4), (8, 12)])
-        lines, _ = I.reference_lines(img, origins, n)
+        lines = I.reference_lines(img, origins, n)
         modes, satds, _ = I.best_modes(lines, np.full((3, n, n), 0.5), n, lam=1.0)
         assert modes.tolist() == [0, 0, 0] and satds.tolist() == [0.0, 0.0, 0.0]
 
@@ -300,7 +294,7 @@ class TestBatchedSearch:
                 I.reference_lines(img, np.array([(0, 0), origin]), 8)
 
     def test_shapes_checked(self):
-        lines, _ = I.reference_lines(np.zeros((16, 16), np.float32), np.array([(4, 4)]), 4)
+        lines = I.reference_lines(np.zeros((16, 16), np.float32), np.array([(4, 4)]), 4)
         with pytest.raises(ShapeError):
             I.best_modes(lines, np.zeros((2, 4, 4)), 4, lam=1.0)
         with pytest.raises(ShapeError):

@@ -22,12 +22,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-ALLOWED_UNPASSED = {
-    "intra.py:reference_lines(availability)":
-        "the coding-order availability of ROADMAP item 1 replaces it with a per-block mask",
-    **{f"layers.py:AdamState({state})": "optimizer state that starts empty, not an option"
-       for state in ("m", "v", "step_count")},
-}
+ALLOWED_UNPASSED = {f"layers.py:AdamState({state})":
+                    "optimizer state that starts empty, not an option"
+                    for state in ("m", "v", "step_count")}
 
 
 def _src_modules(root: Path) -> dict[Path, str]:

@@ -15,6 +15,7 @@ from psrnn import training as TR
 from psrnn.errors import ConfigError, DivergenceError, UsageError
 from oracles import fixed_baseline_loop, greedy_eval_batch1, satd_smooth
 from psrnn.hadamard import SatdConfig, satd, satd_batch, satd_loss_grad_batch
+from psrnn.intra import ModeCost
 from psrnn.model import NetworkConfig, build_network, forward_batch, parameters
 from psrnn.tensor import HEAP_KEPT
 
@@ -112,9 +113,8 @@ class TestTrain:
         net = build_network(SMALL_NET, seed=2)
         with pytest.raises(UsageError):
             TR.train(net, [], small_cfg())
-        img = D.synth_texture("flat", 32)
         with pytest.raises(UsageError):
-            TR.train(net, D.sample_contexts(img, img, 8, 0, D.THREE_BLOCK), small_cfg())
+            TR.train(net, D.SampleSet.empty(0, 8, D.CONTEXT_FILL), small_cfg())
 
     def test_sample_size_mismatch(self):
         # N=16 contexts are 32x32; the N=8 network reads 16x16
@@ -350,6 +350,39 @@ class TestEvaluate:
         assert report.records == want
         again = TR.evaluate(nets, images, 32, cfg)
         assert list(again.csv_rows()) == list(report.csv_rows())
+
+    def test_split_cost_counts_inner_split_flags(self):
+        # a 32/16/8 table in which every 16x16 block splits: splitting the
+        # root costs its sixteen leaves and five flags, which used to be
+        # counted as one flag, so the root split although keeping it is cheaper
+        lam = 10.0
+
+        def record(origin, n, total):
+            return TR.BlockRecord(origin=origin, n=n, base=ModeCost(0, total, 0.0, lam),
+                                  net=None, winner="baseline", base_mse=0.0, net_mse=None)
+
+        table = {}
+        for y, x in ((0, 0), (0, 16), (16, 0), (16, 16)):
+            table[(y, x), 16] = record((y, x), 16, 4.0 + 2 * lam)
+            for dy in (0, 8):
+                for dx in (0, 8):
+                    table[(y + dy, x + dx), 8] = record((y + dy, x + dx), 8, 1.0)
+        table[(0, 0), 32] = record((0, 0), 32, 16.0 + 3 * lam)
+        assert TR._descend(table, (0, 0), 32, 8, lam) == ([table[(0, 0), 32]], 16.0 + 3 * lam)
+        table[(0, 0), 32] = record((0, 0), 32, 16.0 + 6 * lam)
+        records, cost = TR._descend(table, (0, 0), 32, 8, lam)
+        assert [r.n for r in records] == [8] * 16 and cost == 16.0 + 5 * lam
+
+    @pytest.mark.parametrize("policy, sizes", [("fixed", (8,)), ("greedy", (16, 8))])
+    def test_generator_gives_the_list_report(self, policy, sizes):
+        # psrnn eval decodes a manifest's images one at a time
+        images = self._images(count=3)
+        nets = {n: build_network(replace(SMALL_NET, pu_size=n), seed=9) for n in sizes}
+        cfg = TR.EvalConfig(block_sizes=sizes, policy=policy)
+        want = TR.evaluate(nets, images, 32, cfg)
+        got = TR.evaluate(nets, (image for image in images), 32, cfg)
+        assert list(got.csv_rows()) == list(want.csv_rows())
+        assert json.dumps(got.summary) == json.dumps(want.summary)
 
     @pytest.mark.parametrize("policy, sizes", [("fixed", (8,)), ("greedy", (16, 8))])
     def test_image_without_tiles_scores_no_blocks(self, policy, sizes):
