@@ -20,6 +20,11 @@ unknown quadrant. The per-direction hidden width is `unit_hidden[i]` channels
 per spatial position, so the GRU state for an n-wide plane has n *
 unit_hidden[i] entries.
 
+_layout states this sequence once, as (parameter prefix, layer) pairs. A
+network holds that list: build_network and parameter_count derive from it,
+the forward and backward passes walk it, and parameters() lists it in the
+model file's order (FILE_ORDER).
+
 Model files use a small self-describing binary format (see save_model) with
 a trailing CRC32 so truncation and corruption are detected on load.
 """
@@ -27,6 +32,7 @@ a trailing CRC32 so truncation and corruption are detected on load.
 from __future__ import annotations
 
 import copy
+import functools
 import struct
 import zlib
 from dataclasses import dataclass, fields
@@ -103,8 +109,7 @@ class ConvLayer:
 class PsRnnUnitParams:
     gru_h: GruParams
     gru_v: GruParams
-    fusion: ConvLayer
-    hidden_per_pos: int
+    fusion: ConvLayer  # its output width is the unit's hidden width per position
 
     def named(self, prefix: str) -> dict[str, np.ndarray]:
         out = {}
@@ -118,99 +123,83 @@ class PsRnnUnitParams:
 @dataclass
 class PsRnnNetwork:
     config: NetworkConfig
-    preproc: list[ConvLayer]
-    units: list[PsRnnUnitParams]
-    downsample: ConvLayer
-    recon: list[ConvLayer]
+    layers: list[tuple[str, ConvLayer | PsRnnUnitParams]]  # _layout's pairs, in data order
 
 
-def _init_conv(gen, kh, kw, cin, cout, stride=1, activation=True,
-               bias_fill=0.0) -> ConvLayer:
-    fan_in, fan_out = kh * kw * cin, kh * kw * cout
-    w = glorot_uniform(gen, (kh, kw, cin, cout), fan_in, fan_out)
-    b = np.full(cout, bias_fill, dtype=np.float32)
+def _layout(config: NetworkConfig, conv, unit) -> list[tuple[str, object]]:
+    """The network as (parameter prefix, layer) pairs in data order: the
+    preprocessing convs `pre*` at 2N, the first recurrent unit `u0`, the
+    stride-2 downsampling conv `down`, the further units `u1…` at N, and the
+    reconstruction convs `rec*`, the last of them linear.
+
+    conv(k, cin, cout, stride=, activation=) and unit(n, cin, k, fusion_kernel),
+    with k the unit's hidden width per position, make each layer, called in
+    this order: build_network's draw the weights, parameter_count's count them.
+    """
+    layers, cin = [], 1
+    for i, cout in enumerate(config.preproc_channels):
+        layers.append((f"pre{i}", conv(3, cin, cout, stride=1, activation=True)))
+        cin = cout
+    for i, k in enumerate(config.unit_hidden):
+        n = config.pu_size if i else config.context_size
+        layers.append((f"u{i}", unit(n, cin, k, config.fusion_kernel)))
+        cin = k
+        if i == 0:
+            layers.append(("down", conv(3, cin, cin, stride=2, activation=True)))
+    for i, cout in enumerate(config.recon_channels + (1,)):
+        layers.append((f"rec{i}", conv(3, cin, cout, stride=1,
+                                       activation=i < len(config.recon_channels))))
+        cin = cout
+    return layers
+
+
+def _init_conv(gen, k: int, cin: int, cout: int, stride: int, activation: bool) -> ConvLayer:
+    w = glorot_uniform(gen, (k, k, cin, cout), k * k * cin, k * k * cout)
+    # the linear output conv starts at a mid-gray bias, which keeps the fresh
+    # network inside the clip range, so gradients flow from the first step
+    # even on flat inputs
+    b = np.full(cout, 0.0 if activation else 0.5, dtype=np.float32)
     alpha = np.full(cout, 0.25, dtype=np.float32) if activation else None
     return ConvLayer(w=w, b=b, alpha=alpha, stride=stride)
 
 
-def _init_unit(gen, n: int, in_channels: int, hidden_per_pos: int,
-               fusion_kernel: int) -> PsRnnUnitParams:
-    input_dim = n * in_channels
-    hidden = n * hidden_per_pos
-    k = fusion_kernel
-    return PsRnnUnitParams(
-        gru_h=init_gru(gen, hidden, input_dim),
-        gru_v=init_gru(gen, hidden, input_dim),
-        fusion=_init_conv(gen, k, k, 2 * hidden_per_pos, hidden_per_pos),
-        hidden_per_pos=hidden_per_pos,
-    )
+def _init_unit(gen, n: int, cin: int, k: int, fusion_kernel: int) -> PsRnnUnitParams:
+    return PsRnnUnitParams(init_gru(gen, n * k, n * cin), init_gru(gen, n * k, n * cin),
+                           _init_conv(gen, fusion_kernel, 2 * k, k, stride=1, activation=True))
 
 
 def build_network(config: NetworkConfig, seed: int = 0) -> PsRnnNetwork:
-    """Construct a randomly initialized network for `config`.
-
-    The spatial flow (2N before downsampling, N after) is fixed by
-    construction; unit input widths are derived from the preceding layer.
-    """
+    """Construct a randomly initialized network for `config`, drawing every
+    layer's weights from one stream in data order."""
     gen = stream(seed, f"init/n{config.pu_size}/{config.availability_mode}")
-    n_full = config.context_size
-    n_half = config.pu_size
-    preproc = []
-    cin = 1
-    for cout in config.preproc_channels:
-        preproc.append(_init_conv(gen, 3, 3, cin, cout))
-        cin = cout
-    units = [_init_unit(gen, n_full, cin, config.unit_hidden[0], config.fusion_kernel)]
-    cin = config.unit_hidden[0]
-    downsample = _init_conv(gen, 3, 3, cin, cin, stride=2)
-    for k in config.unit_hidden[1:]:
-        units.append(_init_unit(gen, n_half, cin, k, config.fusion_kernel))
-        cin = k
-    recon = []
-    for cout in config.recon_channels:
-        recon.append(_init_conv(gen, 3, 3, cin, cout))
-        cin = cout
-    # mid-gray output bias keeps the fresh network inside the clip range,
-    # so gradients flow from the first step even on flat inputs
-    recon.append(_init_conv(gen, 3, 3, cin, 1, activation=False, bias_fill=0.5))
-    return PsRnnNetwork(config=config, preproc=preproc, units=units,
-                        downsample=downsample, recon=recon)
+    return PsRnnNetwork(config, _layout(config, functools.partial(_init_conv, gen),
+                                        functools.partial(_init_unit, gen)))
 
 
 def parameter_count(config: NetworkConfig) -> int:
     """The floats build_network(config) allocates, counted without building it."""
-    def conv(k: int, cin: int, cout: int, activation: bool = True) -> int:
+    def conv(k: int, cin: int, cout: int, stride: int, activation: bool) -> int:
         return k * k * cin * cout + cout + (cout if activation else 0)
 
-    def unit(n: int, cin: int, k: int) -> int:
+    def unit(n: int, cin: int, k: int, fusion_kernel: int) -> int:
         h, d = n * k, n * cin
-        return 2 * (3 * h * d + 3 * h * h + h) + conv(config.fusion_kernel, 2 * k, k)
+        return (2 * (3 * h * d + 3 * h * h + h)
+                + conv(fusion_kernel, 2 * k, k, stride=1, activation=True))
 
-    widths = (1,) + config.preproc_channels
-    total = sum(conv(3, a, b) for a, b in zip(widths, widths[1:]))
-    cin = widths[-1]
-    total += unit(config.context_size, cin, config.unit_hidden[0])
-    cin = config.unit_hidden[0]
-    total += conv(3, cin, cin)
-    for k in config.unit_hidden[1:]:
-        total += unit(config.pu_size, cin, k)
-        cin = k
-    for cout in config.recon_channels:
-        total += conv(3, cin, cout)
-        cin = cout
-    return total + conv(3, cin, 1, activation=False)
+    return sum(size for _, size in _layout(config, conv, unit))
+
+
+# Model files store the layers' records grouped by prefix kind in this order;
+# it differs from data order only in that `down` follows the last unit.
+FILE_ORDER = ("pre", "u", "down", "rec")
 
 
 def parameters(net: PsRnnNetwork) -> dict[str, np.ndarray]:
-    """Name -> live float32 array, in a fixed deterministic order."""
+    """Name -> live float32 array, in the model file's order."""
     out: dict[str, np.ndarray] = {}
-    for i, layer in enumerate(net.preproc):
-        out.update(layer.named(f"pre{i}"))
-    for i, unit in enumerate(net.units):
-        out.update(unit.named(f"u{i}"))
-    out.update(net.downsample.named("down"))
-    for i, layer in enumerate(net.recon):
-        out.update(layer.named(f"rec{i}"))
+    for prefix, layer in sorted(net.layers,
+                                key=lambda pl: FILE_ORDER.index(pl[0].rstrip("0123456789"))):
+        out.update(layer.named(prefix))
     return out
 
 
@@ -286,7 +275,7 @@ def unit_forward_batch(unit: PsRnnUnitParams, feat: np.ndarray, gate_activation:
                                       gate_activation, need_cache)
     hs_v, cache_v = gru_sweep_forward(unit.gru_v, _to_planes(feat, VERTICAL), h0,
                                       gate_activation, need_cache)
-    ch = unit.hidden_per_pos
+    ch = unit.fusion.w.shape[3]
     concat = np.concatenate([_from_planes(hs_h, HORIZONTAL, ch),
                              _from_planes(hs_v, VERTICAL, ch)], axis=-1)
     # without a cache, the sweep states are freed before the fusion conv runs
@@ -298,7 +287,7 @@ def unit_forward_batch(unit: PsRnnUnitParams, feat: np.ndarray, gate_activation:
 def unit_backward_batch(unit: PsRnnUnitParams, cache, grad_out, grads: dict,
                         prefix: str):
     c, cache_h, cache_v, fuse_cache = cache
-    ch = unit.hidden_per_pos
+    ch = unit.fusion.w.shape[3]
     g_concat = _conv_backward(unit.fusion, fuse_cache, grad_out, grads, f"{prefix}.fuse")
     gp_h, _, gx_h = gru_sweep_backward(unit.gru_h, cache_h,
                                        _to_planes(g_concat[..., :ch], HORIZONTAL))
@@ -313,15 +302,6 @@ def unit_backward_batch(unit: PsRnnUnitParams, cache, grad_out, grads: dict,
     return g_feat
 
 
-def _flow(net: PsRnnNetwork) -> list[tuple[str, ConvLayer | PsRnnUnitParams]]:
-    """(parameter prefix, layer) pairs in data order: preprocessing, the first
-    unit, downsampling, the further units, reconstruction."""
-    units = [(f"u{i}", unit) for i, unit in enumerate(net.units)]
-    return ([(f"pre{i}", layer) for i, layer in enumerate(net.preproc)] + units[:1]
-            + [("down", net.downsample)] + units[1:]
-            + [(f"rec{i}", layer) for i, layer in enumerate(net.recon)])
-
-
 # OpenBLAS multiplies a GEMM with fewer rows than this (a GRU step's product
 # at batch 1 takes the vector-matrix path) with results that differ from
 # those of a taller one, so a smaller batch runs padded to this many samples.
@@ -331,7 +311,7 @@ MIN_BATCH = 4
 def forward_batch(net: PsRnnNetwork, contexts: np.ndarray, need_cache: bool = True):
     """Predict a (b, N, N) stack from (b, 2N, 2N) contexts; returns (pred, cache).
 
-    The cache is (one cache per _flow layer, pre-clip output).
+    The cache is (one cache per net.layers entry, pre-clip output).
     need_cache=False is the inference pass: no layer keeps its input,
     pre-activation or GRU state, each activation is freed once the next
     layer has read it, and the cache returned is None. The bits are the same
@@ -348,7 +328,7 @@ def forward_batch(net: PsRnnNetwork, contexts: np.ndarray, need_cache: bool = Tr
         contexts = np.concatenate([contexts, np.repeat(contexts[:1], MIN_BATCH - b, axis=0)])
     x = contexts.astype(np.float64)[..., None]
     caches = []
-    for _, layer in _flow(net):
+    for _, layer in net.layers:
         if isinstance(layer, ConvLayer):
             x, c = _conv_forward(layer, x, need_cache)
         else:
@@ -374,9 +354,8 @@ def backward_batch(net: PsRnnNetwork, caches, grad_pred: np.ndarray) -> dict[str
     # clip01 passes gradient where the pre-clip value is inside [0, 1]
     g[..., 0] *= (pre_clip >= 0.0) & (pre_clip <= 1.0)
     grads: dict[str, np.ndarray] = {}
-    flow = _flow(net)
-    for k in range(len(flow) - 1, -1, -1):
-        prefix, layer = flow[k]
+    for k in range(len(net.layers) - 1, -1, -1):
+        prefix, layer = net.layers[k]
         cache, layer_caches[k] = layer_caches[k], None
         if cache is None:
             raise UsageError("this forward cache has served a backward already")

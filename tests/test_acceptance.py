@@ -233,7 +233,7 @@ def _check_unit_instances(count, gen):
         net = M.build_network(
             M.NetworkConfig(pu_size=4, preproc_channels=(2, 2), unit_hidden=(2, 2),
                             recon_channels=(2,)), seed=int(gen.integers(1 << 30)))
-        unit = net.units[0]
+        unit = dict(net.layers)["u0"]
         feat = gen.uniform(-1, 1, (1, 8, 8, 2))
         probe = gen.uniform(-1, 1, (1, 8, 8, 2))
         out, cache = M.unit_forward_batch(unit, feat, "sigmoid")
@@ -345,7 +345,7 @@ def test_gru_contract():
     net = M.build_network(M.NetworkConfig(pu_size=4, preproc_channels=(2, 2),
                                           unit_hidden=(2, 2), recon_channels=(2,)),
                           seed=5)
-    unit = net.units[0]
+    unit = dict(net.layers)["u0"]
     feat = gen.uniform(0, 1, (1, 8, 8, 2))
     _, cache = M.unit_forward_batch(unit, feat, "sigmoid")
     t = 3

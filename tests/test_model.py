@@ -158,7 +158,7 @@ class TestForward:
 class TestUnit:
     def test_zero_weights_give_fusion_bias_map(self):
         net = M.build_network(TINY, seed=0)
-        unit = net.units[0]
+        unit = dict(net.layers)["u0"]
         for gru in (unit.gru_h, unit.gru_v):
             for v in gru.named().values():
                 v[...] = 0
@@ -172,7 +172,7 @@ class TestUnit:
         # every row plane is identical, so the horizontal sweep must equal
         # the plain recurrence driven by that one constant input vector
         net = M.build_network(TINY, seed=8)
-        unit = net.units[0]
+        unit = dict(net.layers)["u0"]
         gen = np.random.default_rng(4)
         plane = gen.random((8, 2))
         feat = np.broadcast_to(plane, (8, 8, 2)).astype(np.float64)
@@ -185,7 +185,7 @@ class TestUnit:
 
     def test_sweep_causality(self):
         net = M.build_network(TINY, seed=9)
-        unit = net.units[0]
+        unit = dict(net.layers)["u0"]
         gen = np.random.default_rng(6)
         feat = gen.random((1, 8, 8, 2))
         _, cache = M.unit_forward_batch(unit, feat, "sigmoid")
@@ -201,17 +201,18 @@ class TestUnit:
     def test_single_sample_wrapper_shape(self):
         # a single feature map goes through the unit as a batch of one
         net = M.build_network(TINY, seed=1)
-        out, _ = M.unit_forward_batch(net.units[0], np.zeros((1, 8, 8, 2)), "sigmoid")
+        unit = dict(net.layers)["u0"]
+        out, _ = M.unit_forward_batch(unit, np.zeros((1, 8, 8, 2)), "sigmoid")
         assert out.shape == (1, 8, 8, 2)
         with pytest.raises(ShapeError):
-            M.unit_forward_batch(net.units[0], np.zeros((8, 8, 2)), "sigmoid")
+            M.unit_forward_batch(unit, np.zeros((8, 8, 2)), "sigmoid")
 
 
 GATES = ("Wz", "Uz", "Wr", "Ur", "W", "U")
 
 
 def gru_gate_names(net):
-    for i in range(len(net.units)):
+    for i in range(len(net.config.unit_hidden)):
         for tag in ("h", "v"):
             for gate in GATES:
                 yield f"u{i}.{tag}.{gate}"
@@ -223,7 +224,8 @@ class TestGruViews:
     def test_named_gates_share_the_stacks(self):
         net = M.build_network(TINY, seed=3)
         params = M.parameters(net)
-        for i, unit in enumerate(net.units):
+        for i in range(len(net.config.unit_hidden)):
+            unit = dict(net.layers)[f"u{i}"]
             for tag, gru in (("h", unit.gru_h), ("v", unit.gru_v)):
                 stacks = {"Wz": gru.Wx, "Wr": gru.Wx, "W": gru.Wx,
                           "Uz": gru.Uzr, "Ur": gru.Uzr, "U": gru.U}
@@ -254,7 +256,7 @@ class TestGruViews:
         assert list(got) == list(params)
         for k, v in params.items():
             np.testing.assert_array_equal(got[k], v, err_msg=k)
-        assert np.shares_memory(got["u0.h.Ur"], loaded.units[0].gru_h.Uzr)
+        assert np.shares_memory(got["u0.h.Ur"], dict(loaded.layers)["u0"].gru_h.Uzr)
 
 
 def single_backward(net, ctx, grad_pred):
@@ -303,7 +305,7 @@ class TestBackward:
         got = M.backward_batch(net, M.forward_batch(net, ctxs)[1], grad)
         assert list(got) == list(want)
         assert all(got[k].tobytes() == want[k].tobytes() for k in want)
-        convs = len(net.preproc) + len(net.units) + 1 + len(net.recon)
+        convs = len(net.layers)  # a unit's one conv is its fusion conv
         assert len(requests) == convs and requests[-1] == (1, False)
         assert all(cin > 1 and need for cin, need in requests[:-1])
 
@@ -356,7 +358,7 @@ class TestBackward:
         gen = np.random.default_rng(2)
         _, caches = M.forward_batch(net, gen.random((4, 8, 8)))
         M.backward_batch(net, caches, gen.uniform(-1, 1, (4, 4, 4)))
-        assert caches[0] == [None] * len(M._flow(net))
+        assert caches[0] == [None] * len(net.layers)
         with pytest.raises(UsageError, match="served a backward"):
             M.backward_batch(net, caches, gen.uniform(-1, 1, (4, 4, 4)))
 
@@ -490,6 +492,17 @@ class TestSerialization:
         config = M.NetworkConfig(pu_size=n, **widths)
         built = M.parameters(M.build_network(config))
         assert M.parameter_count(config) == sum(v.size for v in built.values())
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_layer_order(self, count):
+        # the unit counts ablate-units builds: data order puts `down` right
+        # after the first unit, the model file's order after the last one
+        net = M.build_network(M.NetworkConfig(unit_hidden=(8,) + (4,) * (count - 1)))
+        units = [f"u{i}" for i in range(count)]
+        assert [p for p, _ in net.layers] == ["pre0", "pre1", "u0", "down", *units[1:],
+                                              "rec0", "rec1"]
+        stored = dict.fromkeys(name.split(".")[0] for name in M.parameters(net))
+        assert list(stored) == ["pre0", "pre1", *units, "down", "rec0", "rec1"]
 
     def test_clone_is_independent(self):
         net = M.build_network(TINY, seed=6)
