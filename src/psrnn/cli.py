@@ -48,14 +48,6 @@ def _ints(s: str) -> tuple[int, ...]:
     return tuple(int(t) for t in s.split(",") if t.strip())
 
 
-def _some_ints(s: str) -> tuple[int, ...]:
-    """_ints that rejects an empty list."""
-    v = _ints(s)
-    if not v:
-        raise ValueError(s)
-    return v
-
-
 def _strs(s: str) -> tuple[str, ...]:
     return tuple(t.strip() for t in s.split(",") if t.strip())
 
@@ -73,6 +65,16 @@ def _int_from(low: int):
 _count, _nonneg = _int_from(1), _int_from(0)
 
 
+def _ints_from(low: int):
+    """A converter of non-empty int lists that rejects values below low."""
+    def conv(s: str) -> tuple[int, ...]:
+        v = _ints(s)
+        if not v or min(v) < low:
+            raise ValueError(s)
+        return v
+    return conv
+
+
 def _bool(s: str) -> bool:
     if s.lower() in ("1", "true", "yes", "on"):
         return True
@@ -86,7 +88,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "manifest": (str, None),
         "out": (str, "prepare_out"),
         "scales": (_bool, True),
-        "qps": (_some_ints, D.TRAIN_QPS),
+        "qps": (_ints_from(0), D.TRAIN_QPS),
     },
     "train": {
         "out": (str, "train_out"),
@@ -111,7 +113,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "recon_channels": (_ints, NetworkConfig.recon_channels),
         "fusion_kernel": (int, NetworkConfig.fusion_kernel),
         "clip_grad_norm": (float, TrainConfig.clip_grad_norm),
-        "qps": (_some_ints, D.TRAIN_QPS),
+        "qps": (_ints_from(0), D.TRAIN_QPS),
         "corpus_size": (_count, 128),
         "corpus_kinds": (_strs, ("directional", "sinusoid")),
         "corpus_per_kind": (_count, 12),
@@ -120,7 +122,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "out": (str, "eval_out"),
         "models": (_strs, ()),
         "images": (str, "synthetic"),
-        "qp": (int, 32),
+        "qp": (_nonneg, 32),
         "block_policy": (str, EvalConfig.policy),
         "sizes": (_ints, EvalConfig.block_sizes),
         "oracle": (_bool, EvalConfig.oracle),
@@ -134,7 +136,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "model": (str, None),
         "kind": (str, "directional"),
         "cases": (_count, 4),
-        "qp": (int, 32),
+        "qp": (_nonneg, 32),
         "seed": (int, 0),
     },
     "compare-losses": {
@@ -150,7 +152,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
     },
     "ablate-units": {
         "out": (str, "ablate_out"),
-        "counts": (_some_ints, (1, 2, 3, 4)),
+        "counts": (_ints_from(1), (1, 2, 3, 4)),
         "n": (int, NetworkConfig.pu_size),
         "availability": (str, NetworkConfig.availability_mode),
         "iters": (_nonneg, 400),
@@ -158,7 +160,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "samples": (_count, 6000),
         "seed": (int, 0),
         "corpus_size": (_count, 128),
-        "qp": (int, 32),
+        "qp": (_nonneg, 32),
     },
 }
 
@@ -416,11 +418,13 @@ def cmd_eval(resolved: dict) -> int:
 
 def cmd_demo(resolved: dict) -> int:
     net = load_model(resolved["model"])
+    kind = resolved["kind"]
+    if kind not in D.TEXTURE_KINDS:
+        raise UsageError(f"unknown texture kind {kind!r}; choose from {D.TEXTURE_KINDS}")
     out = _out_dir(resolved)
     n = net.config.pu_size
     qp = resolved["qp"]
     lam = hm_lambda(qp)
-    kind = resolved["kind"]
     for case in range(resolved["cases"]):
         seed = resolved["seed"] + case
         params = {}

@@ -522,10 +522,10 @@ def ablate_units(data, unit_counts, cfg: TrainConfig, eval_images: list[GrayImag
     widths but for the units, an 8-wide first unit and 4-wide others."""
     samples = as_sample_set(data)
     n = samples.windows.shape[1] // 2
+    if min(unit_counts, default=1) < 1:
+        raise UsageError("network must contain at least one recurrent unit")
     rows = []
     for count in unit_counts:
-        if count < 1:
-            raise UsageError("network must contain at least one recurrent unit")
         config = NetworkConfig(pu_size=n, availability_mode=cfg.availability_mode,
                                unit_hidden=(8,) + (4,) * (count - 1))
         net, log = train(build_network(config, seed=cfg.seed), samples, cfg)

@@ -62,12 +62,16 @@ class TestConfigHandling:
         ("demo", "cases", "-2"), ("eval", "eval_count", "-1"), ("train", "samples", "0"),
         ("train", "batch", "0"), ("train", "corpus_size", "-4"),
         ("train", "corpus_per_kind", "0"), ("train", "iters", "-1"),
-        ("train", "qps", ""), ("prepare", "qps", ""), ("ablate-units", "counts", "")])
+        ("train", "qps", ""), ("prepare", "qps", ""), ("ablate-units", "counts", ""),
+        ("prepare", "qps", "22,-3"), ("train", "qps", "22,-3"), ("demo", "qp", "-3"),
+        ("eval", "qp", "-1"), ("ablate-units", "qp", "-1"), ("ablate-units", "counts", "2,0")])
     def test_counts_checked(self, verb, key, value, tmp_path, capsys):
-        # counts below 1 (iters below 0) and empty qps and unit-count lists
-        # stop the run before it writes anything; an empty list used to make
-        # train divide by zero, prepare write an empty index and ablate-units
-        # a header-only table
+        # counts below 1 (iters below 0), empty qps and unit-count lists,
+        # negative qps and unit counts below 1 stop the run before it writes
+        # anything; an empty list used to make train divide by zero, prepare
+        # write an empty index and ablate-units a header-only table, and a
+        # negative qp was caught only after prepare had written images, demo
+        # its --out directory and ablate-units had trained every network
         out = tmp_path / "out"
         assert run_cli(verb, "--out", str(out), "--set", f"{key}={value}") == 1
         err = capsys.readouterr().err
@@ -488,6 +492,15 @@ class TestDemo:
         for panel in ("context", "psrnn", "baseline", "truth"):
             img = D.load_image(out / f"directional_0_{panel}.pgm")
             assert img.pixels.min() >= 0.0 and img.pixels.max() <= 1.0
+
+    def test_unknown_kind_makes_no_out_dir(self, tmp_path, capsys):
+        model = tmp_path / "m.psrnn"
+        save_model(build_network(NetworkConfig(pu_size=4)), model)
+        out = tmp_path / "demo"
+        assert run_cli("demo", "--out", str(out), "--set", "kind=bogus",
+                       "--set", f"model={model}") == 1
+        assert "unknown texture kind 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_model(self, tmp_path):
         assert run_cli("demo", "--out", str(tmp_path / "x"),

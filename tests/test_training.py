@@ -495,6 +495,16 @@ class TestExperiments:
         with pytest.raises(UsageError):
             TR.ablate_units(make_samples(count=120), [0], small_cfg(), [])
 
+    def test_ablate_checks_every_count_before_training(self, monkeypatch):
+        # with counts 2,0 the 2-unit network used to be trained and scored
+        # before the 0 was rejected
+        def no_train(*args):
+            raise AssertionError("trained before every unit count was checked")
+
+        monkeypatch.setattr(TR, "train", no_train)
+        with pytest.raises(UsageError, match="at least one recurrent unit"):
+            TR.ablate_units(make_samples(count=120), [2, 0], small_cfg(), [])
+
     def test_ablate_emits_row_per_count(self):
         samples = make_samples(count=300)
         images = [D.synth_texture("directional", 64, angle=20.0)]
