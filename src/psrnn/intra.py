@@ -141,8 +141,10 @@ def _predict_planar(src: np.ndarray, n: int) -> np.ndarray:
 
 
 def _predict_dc(src: np.ndarray, n: int) -> np.ndarray:
-    """(k,) DC values from (k, 4n+1) source-order references."""
-    return (src[:, 1 : 2 * n + 1].sum(axis=1) + src[:, 2 * n + 1 :].sum(axis=1)) / (4.0 * n)
+    """(k,) DC values from (k, 4n+1) source-order references: HEVC's mean of
+    the n samples above and the n to the left, without the corner, the
+    above-right or the below-left samples."""
+    return (src[:, 1 : n + 1].sum(axis=1) + src[:, 2 * n + 1 : 3 * n + 1].sum(axis=1)) / (2.0 * n)
 
 
 @functools.cache

@@ -310,7 +310,7 @@ def predict_planar_loop(refs: Refs, n: int) -> np.ndarray:
 
 
 def predict_dc_loop(refs: Refs, n: int) -> np.ndarray:
-    dc = (refs.top[1:].sum() + refs.left.sum()) / (4.0 * n)
+    dc = (refs.top[1 : n + 1].sum() + refs.left[:n].sum()) / (2.0 * n)
     return np.full((n, n), dc, dtype=np.float64)
 
 

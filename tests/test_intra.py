@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracles import (mode_search_loop, predict_mode_loop, reference_samples_loop,
+from oracles import (Refs, mode_search_loop, predict_mode_loop, reference_samples_loop,
                      scan_line, smooth_references_loop)
 from psrnn import intra as I
 from psrnn.errors import ModeError, ShapeError, SizeError
@@ -77,6 +77,18 @@ class TestPredictions:
         n = 8
         np.testing.assert_array_equal(I.predict_mode(np.full(4 * n + 1, 0.5), I.MODE_DC, n),
                                       np.full((n, n), 0.5))
+
+    def test_dc_is_the_mean_above_and_left(self):
+        # HEVC's DC (Lainema et al., TCSVT 2012): the n samples above and the
+        # n to the left; the corner, above-right and below-left do not count
+        n = 8
+        top = np.concatenate([[0.9], np.full(n, 0.2), np.full(n, 0.9)])
+        left = np.concatenate([np.full(n, 0.6), np.full(n, 0.1)])
+        pred = I.predict_mode(line_of(top, left), I.MODE_DC, n)
+        np.testing.assert_allclose(pred, 0.4, rtol=1e-15)
+        top[0], top[n + 1 :], left[n:] = 0.0, 1.0, 0.3
+        assert I.predict_mode(line_of(top, left), I.MODE_DC, n).tobytes() == pred.tobytes()
+        assert predict_mode_loop(Refs(top, left, {}), I.MODE_DC, n).tobytes() == pred.tobytes()
 
     def test_horizontal_row_copy(self):
         line = random_line(5)
