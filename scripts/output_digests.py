@@ -30,6 +30,12 @@ model files, training logs and eval reports byte for byte:
 
 The checkout's own src/ is searched after PYTHONPATH, so pointing PYTHONPATH
 at another checkout's src/ digests that checkout's library with this script.
+
+The digests depend on the OpenBLAS kernel set, not only on the code: a
+DYNAMIC_ARCH OpenBLAS picks its kernels for the CPU at run time, and other
+kernels give other low-order bits. The lines CHANGES.md records were made
+with the SkylakeX (AVX-512) kernels, so compare two checkouts on one
+machine, or under one forced OPENBLAS_CORETYPE.
 """
 
 import argparse

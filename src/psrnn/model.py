@@ -90,7 +90,7 @@ class ConvLayer:
     w: np.ndarray  # (kh, kw, cin, cout) float32
     b: np.ndarray  # (cout,) float32
     alpha: np.ndarray | None  # (cout,) PReLU slopes, None for linear output
-    stride: int = 1
+    stride: int
 
     @property
     def spec(self) -> ConvSpec:
