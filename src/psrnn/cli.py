@@ -35,8 +35,8 @@ from . import data as D
 from .errors import ConfigError, UsageError
 from .hadamard import SatdConfig
 from .model import NetworkConfig, build_network, forward_batch, load_model, save_model
-from .training import (EvalConfig, TrainConfig, ablate_units,
-                       compare_losses, evaluate, train, write_training_log)
+from .training import (EvalConfig, TrainConfig, ablate_units, compare_losses,
+                       comparison_seeds, evaluate, train, write_training_log)
 from .intra import best_modes, hm_lambda, reference_lines
 
 # ---------------------------------------------------------------------------
@@ -325,7 +325,7 @@ def _load_samples(resolved: dict):
         pairs = [line.split("\t")[:2] for line in index.read_text().splitlines() if line]
         if not pairs:
             raise UsageError("prepared archive produced no samples")
-        samples = D.SampleSet.empty(count, n, fill)
+        samples = D.SampleSet.empty(count, n, fill, D.is_three_block(availability))
         # the first count % len(pairs) pairs give one sample more, so the set
         # has exactly `count` samples
         per, extra = divmod(count, len(pairs))
@@ -334,8 +334,7 @@ def _load_samples(resolved: dict):
             clean_rel, deg_rel = pairs[i]
             return D.load_image(src / clean_rel), D.load_image(src / deg_rel), seed + i
 
-        return D.fill_samples(samples, [per + (i < extra) for i in range(len(pairs))], source,
-                              availability)
+        return D.fill_samples(samples, [per + (i < extra) for i in range(len(pairs))], source)
     images = [D.load_image(p) for p in D.read_manifest(src)]
     if not images:
         raise UsageError("no inputs in manifest")
@@ -457,7 +456,8 @@ def cmd_demo(resolved: dict) -> int:
 
 def cmd_compare_losses(resolved: dict) -> int:
     base = _train_defaults(resolved)
-    result = compare_losses(_load_samples(base), _train_config(base), resolved["seeds"],
+    seeds = comparison_seeds(resolved["seeds"])  # before the set is built
+    result = compare_losses(_load_samples(base), _train_config(base), seeds,
                             _network_config(base))
     out = _out_dir(resolved)
     with open(out / "compare_losses.csv", "w") as fh:

@@ -7,15 +7,15 @@ of blocky reconstruction noise the predictor must tolerate.
 
 A training sample pairs a 2N x 2N context window taken from the degraded
 image with the clean N x N target in its bottom-right quadrant. A sample set
-stores each sample as that one window, the clean target in its bottom-right
-quadrant; SampleSet.take hands a window to the network with that quadrant
-masked with the fill value. In three-block availability the bottom-left
-quadrant is stored masked as well, leaving only the two blocks above as
-usable context.
+stores only the quadrants a sample has: the degraded top half, then the
+bottom-left quadrant in four-block availability only (in three-block
+availability it is masked, leaving the two blocks above as the usable
+context), then the clean target. SampleSet.take hands the network whole
+windows, the target quadrant and any masked quadrant set to the fill value.
 
-cut_contexts, the one gather, fills a given set and reads N and the fill
-from it; fill_samples draws each source image's origins and cuts them into
-its slice of a set.
+cut_contexts, the one gather, fills a given set and reads N, the fill and
+the availability from it; fill_samples draws each source image's origins
+and cuts them into its slice of a set.
 """
 
 from __future__ import annotations
@@ -52,37 +52,54 @@ class GrayImage:
 
 @dataclass
 class SampleSet:
-    windows: np.ndarray  # (m, 2n, 2n) float32: degraded context, clean target bottom-right
-    fill: float          # what take() writes over the target quadrant
+    upper: np.ndarray  # (m, n, 2n) float32: the degraded top half of each window
+    lower: np.ndarray  # (m, n, n) three-block: the clean target; (m, n, 2n)
+                       # four-block: the degraded bottom-left quadrant, then the target
+    fill: float        # what take() writes over the target and any masked quadrant
 
     def __len__(self):
-        return self.windows.shape[0]
+        return self.upper.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.upper.shape[1]
+
+    @property
+    def three_block(self) -> bool:
+        """Whether the set holds no bottom-left quadrant (three-block availability)."""
+        return self.lower.shape[2] == self.n
 
     def __getitem__(self, rows: slice) -> SampleSet:
         """The samples in `rows`, as a view that writes through to this set."""
-        return SampleSet(self.windows[rows], self.fill)
+        return SampleSet(self.upper[rows], self.lower[rows], self.fill)
 
     def take(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """(contexts, targets) of the samples at `rows` (an index array or a
         slice), as new arrays: the (k, 2n, 2n) windows with the target
-        quadrant set to `fill`, and the (k, n, n) targets cut from it."""
-        n = self.windows.shape[1] // 2
-        contexts = self.windows[rows]
-        if np.may_share_memory(contexts, self.windows):  # a slice gives a view
-            contexts = contexts.copy()
-        targets = contexts[:, n:, n:].copy()
-        contexts[:, n:, n:] = self.fill
-        return contexts, targets
+        quadrant, and in a three-block set the bottom-left one, set to
+        `fill`, and the (k, n, n) targets."""
+        n = self.n
+        upper, lower = self.upper[rows], self.lower[rows]
+        contexts = np.empty((len(upper), 2 * n, 2 * n), dtype=upper.dtype)
+        contexts[:, :n] = upper
+        contexts[:, n:] = self.fill
+        if not self.three_block:
+            contexts[:, n:, :n] = lower[:, :, :n]
+        return contexts, lower[:, :, -n:].copy()
 
     @classmethod
-    def empty(cls, count: int, n: int, fill: float) -> SampleSet:
-        """An unfilled set of `count` samples at block size n, allocated at its
-        final size; a set too large to allocate is a UsageError."""
+    def empty(cls, count: int, n: int, fill: float, three_block: bool) -> SampleSet:
+        """An unfilled set of `count` samples at block size n, with no
+        bottom-left quadrants where `three_block`, allocated at its final
+        size; a set too large to allocate is a UsageError."""
+        lower_side = n if three_block else 2 * n
         try:
-            return cls(np.empty((count, 2 * n, 2 * n), dtype=np.float32), fill)
+            return cls(np.empty((count, n, 2 * n), dtype=np.float32),
+                       np.empty((count, n, lower_side), dtype=np.float32), fill)
         except (MemoryError, ValueError):  # numpy's ValueError: past its largest array
-            raise UsageError(f"samples={count} at N={n} asks for {count * 16 * n * n:,} "
-                             "bytes, more than can be allocated") from None
+            raise UsageError(f"samples={count} at N={n} asks for "
+                             f"{count * 4 * n * (2 * n + lower_side):,} bytes, "
+                             "more than can be allocated") from None
 
 
 @dataclass
@@ -311,41 +328,43 @@ def degrade(img: GrayImage, cfg: DegradeConfig) -> GrayImage:
 # ---------------------------------------------------------------------------
 
 
-def cut_contexts(degraded: np.ndarray, clean: np.ndarray, ys, xs, three_block,
+def cut_contexts(degraded: np.ndarray, clean: np.ndarray, ys, xs,
                  out: SampleSet) -> SampleSet:
     """Fill `out` with the samples of the windows at (ys[i], xs[i]), one
     piece of at most SLAB_BYTES at a time, so cutting needs no more than one
-    piece beyond the set; the window side 2n and the fill are the set's.
+    piece beyond the set; N and the availability are the set's.
 
     Each window is cut from `degraded` but for its bottom-right quadrant,
-    which holds the clean target; its bottom-left quadrant is set to the
-    fill where `three_block` (one bool, or one per origin) holds.
+    which holds the clean target; a three-block set takes no bottom-left
+    quadrant.
     """
     if clean.shape != degraded.shape:
         raise ShapeError("clean and degraded images must have the same shape")
     ys, xs = np.asarray(ys, dtype=np.intp), np.asarray(xs, dtype=np.intp)
     if len(ys) != len(out):
         raise ShapeError(f"{len(ys)} windows do not fill a set of {len(out)}")
-    n = out.windows.shape[1] // 2
+    n = out.n
     h, w = degraded.shape
     # fancy indexing would wrap a negative origin around instead of failing
     inside = (0 <= ys) & (ys <= h - 2 * n) & (0 <= xs) & (xs <= w - 2 * n)
     if h < 2 * n or w < 2 * n or not inside.all():
         raise SizeError(f"{2*n}x{2*n} windows at these origins do not fit image {w}x{h}")
-    windows = sliding_window_view(degraded, (2 * n, 2 * n))
+    halves = sliding_window_view(degraded, (n, 2 * n))
+    quadrants = sliding_window_view(degraded, (n, n))
     blocks = sliding_window_view(clean, (n, n))
-    three_block = np.broadcast_to(three_block, ys.shape)
-    bounds = split_bounds(len(ys), SLAB_BYTES // max(1, 4 * n * n * out.windows.itemsize))
+    row_bytes = n * (out.upper.shape[2] + out.lower.shape[2]) * out.upper.itemsize
+    bounds = split_bounds(len(ys), SLAB_BYTES // max(1, row_bytes))
     for i, j in zip(bounds, bounds[1:]):
-        piece = out.windows[i:j]
-        piece[...] = windows[ys[i:j], xs[i:j]]
-        piece[:, n:, n:] = blocks[ys[i:j] + n, xs[i:j] + n]
-        piece[three_block[i:j], n:, :n] = out.fill
+        y, x = ys[i:j], xs[i:j]
+        out.upper[i:j] = halves[y, x]
+        if not out.three_block:
+            out.lower[i:j, :, :n] = quadrants[y + n, x]
+        out.lower[i:j, :, -n:] = blocks[y + n, x + n]
     return out
 
 
 def is_three_block(availability_mode: str) -> bool:
-    """cut_contexts' `three_block` flag for an AVAILABILITY_MODES name."""
+    """SampleSet.empty's `three_block` flag for an AVAILABILITY_MODES name."""
     if availability_mode not in AVAILABILITY_MODES:
         raise UsageError(f"unknown availability mode {availability_mode!r}")
     return availability_mode == THREE_BLOCK
@@ -354,19 +373,19 @@ def is_three_block(availability_mode: str) -> bool:
 def make_context(degraded: np.ndarray, clean: np.ndarray, origin: tuple[int, int],
                  n: int, availability_mode: str, fill: float) -> ContextBlock:
     """Cut one context/target pair at a window origin (top-left of 2n x 2n)."""
-    contexts, targets = cut_contexts(degraded, clean, [origin[0]], [origin[1]],
-                                     is_three_block(availability_mode),
-                                     SampleSet.empty(1, n, fill)).take(slice(None))
+    contexts, targets = cut_contexts(
+        degraded, clean, [origin[0]], [origin[1]],
+        SampleSet.empty(1, n, fill, is_three_block(availability_mode))).take(slice(None))
     return ContextBlock(context=contexts[0], target=targets[0])
 
 
-def fill_samples(samples: SampleSet, counts, source, availability_mode: str) -> SampleSet:
+def fill_samples(samples: SampleSet, counts, source) -> SampleSet:
     """Fill `samples` in order: counts[i] samples from source i, cut into its
     own slice; the counts sum to len(samples). source(i) gives that source's
     (clean, degraded, seed) and is called only for a source with a sample, so
     one source is loaded at a time. A source's window origins are drawn
     uniformly from its `seed`, all before its first window is cut."""
-    n = samples.windows.shape[1] // 2
+    n = samples.n
     offsets = np.cumsum([0, *counts])
     for i, (start, stop) in enumerate(zip(offsets, offsets[1:])):
         if stop > start:
@@ -377,8 +396,7 @@ def fill_samples(samples: SampleSet, counts, source, availability_mode: str) -> 
             gen = stream(seed, f"contexts/n{n}")
             ys = gen.integers(0, h - 2 * n + 1, size=stop - start)
             xs = gen.integers(0, w - 2 * n + 1, size=stop - start)
-            cut_contexts(degraded.pixels, clean.pixels, ys, xs,
-                         is_three_block(availability_mode), samples[start:stop])
+            cut_contexts(degraded.pixels, clean.pixels, ys, xs, samples[start:stop])
     return samples
 
 
@@ -475,7 +493,8 @@ def build_training_samples(images: list[GrayImage], n: int, count: int, seed: in
         raise UsageError("no source images")
     if count < 1:
         raise UsageError(f"sample count must be positive, got {count}")
-    samples = SampleSet.empty(count, n, fill)  # before any draw of `count` values
+    # before any draw of `count` values
+    samples = SampleSet.empty(count, n, fill, is_three_block(availability_mode))
     gen = stream(seed, "assign")
     per_image = np.bincount(gen.integers(0, len(images), size=count),
                             minlength=len(images))
@@ -484,4 +503,4 @@ def build_training_samples(images: list[GrayImage], n: int, count: int, seed: in
         img = images[i]
         return img, degrade(img, DegradeConfig(qp=qps[i % len(qps)])), seed + 7919 * i
 
-    return fill_samples(samples, per_image, source, availability_mode)
+    return fill_samples(samples, per_image, source)

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import (THREE_BLOCK, DegradeConfig, GrayImage, SampleSet, cut_contexts, degrade,
-                   is_three_block)
+from .data import (FOUR_BLOCK, THREE_BLOCK, DegradeConfig, GrayImage, SampleSet, cut_contexts,
+                   degrade, is_three_block)
 from .errors import ConfigError, DivergenceError, UsageError
 from .hadamard import SatdConfig, satd_batch, satd_loss_grad_batch
 from .intra import (DEFAULT_MODE_BITS, NETWORK, SPLIT_FLAG_BITS, ModeCost, best_modes,
@@ -198,16 +198,21 @@ def train(net: PsRnnNetwork, data, cfg: TrainConfig):
     The returned network is the checkpoint with the lowest validation loss
     inside the final selection window (it is `net` itself, with its
     parameters overwritten). Deterministic given cfg.seed. A set whose window
-    size or fill differs from the network config's is a ConfigError: the
-    network would learn one fill and be evaluated with another.
+    size, fill or availability differs from the network config's is a
+    ConfigError: the network would learn one context and be evaluated with
+    another.
     """
     samples = as_sample_set(data)
-    if samples.windows.shape[1] != net.config.context_size:
+    if 2 * samples.n != net.config.context_size:
         raise ConfigError(
-            f"samples sized {samples.windows.shape[1]} != context {net.config.context_size}")
+            f"samples sized {2 * samples.n} != context {net.config.context_size}")
     if samples.fill != net.config.fill_value:
         raise ConfigError(f"samples masked with fill {samples.fill} != the network's "
                           f"fill_value {net.config.fill_value}")
+    if samples.three_block != is_three_block(net.config.availability_mode):
+        cut = THREE_BLOCK if samples.three_block else FOUR_BLOCK
+        raise ConfigError(f"samples cut {cut} != the network's availability_mode "
+                          f"{net.config.availability_mode}")
 
     val_idx, train_idx = _validation_split(len(samples), cfg)
     val_ctx, val_tgt = samples.take(val_idx)
@@ -237,6 +242,7 @@ def train(net: PsRnnNetwork, data, cfg: TrainConfig):
         grads = backward_batch(net, caches, grad_pred)
         clip_global_norm(grads, cfg.clip_grad_norm)
         adam_step(params, grads, state, cfg.lr(it))
+        del preds, caches, grad_pred, grads  # not held through the next forward
         recent.append(loss)
 
         done = it + 1
@@ -353,8 +359,8 @@ def evaluate(nets: dict[int, PsRnnNetwork] | None, images: Iterable[GrayImage], 
 def _contexts(net: PsRnnNetwork, image: GrayImage, recon: GrayImage, origins) -> np.ndarray:
     c = net.config
     ys, xs = (np.array(origins, dtype=np.intp).reshape(-1, 2) - c.pu_size).T
-    return cut_contexts(recon.pixels, image.pixels, ys, xs, is_three_block(c.availability_mode),
-                        SampleSet.empty(len(ys), c.pu_size, c.fill_value)).take(slice(None))[0]
+    out = SampleSet.empty(len(ys), c.pu_size, c.fill_value, is_three_block(c.availability_mode))
+    return cut_contexts(recon.pixels, image.pixels, ys, xs, out).take(slice(None))[0]
 
 
 def _tile_origins(shape: tuple[int, int], n: int) -> np.ndarray:
@@ -482,6 +488,18 @@ def _make_report(records: list[BlockRecord], qp: int, lam: float) -> EvalReport:
 # ---------------------------------------------------------------------------
 
 
+def comparison_seeds(seeds) -> list[int]:
+    """compare_losses' seeds as a list: at least three, none repeated."""
+    seeds = list(seeds)
+    if len(seeds) < 3:
+        raise UsageError("loss comparison needs at least 3 seeds")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise UsageError(f"loss comparison seeds must differ; repeated: "
+                         f"{', '.join(map(str, repeated))}")
+    return seeds
+
+
 def compare_losses(data, cfg_base: TrainConfig, seeds, net_config: NetworkConfig) -> dict:
     """Train paired SATD/MSE models of net_config per seed on identical sample streams.
 
@@ -490,13 +508,7 @@ def compare_losses(data, cfg_base: TrainConfig, seeds, net_config: NetworkConfig
     arms plus the median SATD gap between the MSE and the SATD arm
     (positive favors SATD).
     """
-    seeds = list(seeds)
-    if len(seeds) < 3:
-        raise UsageError("loss comparison needs at least 3 seeds")
-    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
-    if repeated:
-        raise UsageError(f"loss comparison seeds must differ; repeated: "
-                         f"{', '.join(map(str, repeated))}")
+    seeds = comparison_seeds(seeds)
     samples = as_sample_set(data)
     rows = []
     for seed in seeds:
@@ -521,7 +533,7 @@ def ablate_units(data, unit_counts, cfg: TrainConfig, eval_images: list[GrayImag
     """Train one model per recurrent-unit count at a fixed budget: default
     widths but for the units, an 8-wide first unit and 4-wide others."""
     samples = as_sample_set(data)
-    n = samples.windows.shape[1] // 2
+    n = samples.n
     if min(unit_counts, default=1) < 1:
         raise UsageError("network must contain at least one recurrent unit")
     rows = []

@@ -81,10 +81,11 @@ class TestConfigHandling:
     @pytest.mark.parametrize("argv, named", [
         (("eval", "--set", "eval_size=8"), "block size 8"),
         (("train", *TRAIN_FAST, "--set", "samples=1"), "validation set"),
-        # 1.02 PB at N=8, past the 128 TiB a process maps: the allocation
-        # fails before any page is touched, and before the draws it sizes
+        # 768 TB of three-block samples at N=8, past the 128 TiB a process
+        # maps: the allocation fails before any page is touched, and before
+        # the draws it sizes
         (("train", *TRAIN_FAST, "--set", "samples=1000000000000"),
-         "samples=1000000000000 at N=8 asks for 1,024,000,000,000,000 bytes"),
+         "samples=1000000000000 at N=8 asks for 768,000,000,000,000 bytes"),
         # ablate-units cuts its samples, here zero-byte windows, before the
         # network config rejects the block size
         (("ablate-units", "--set", "n=0", "--set", "samples=50", "--set", "corpus_size=32",
@@ -109,6 +110,20 @@ class TestConfigHandling:
         assert run_cli("train", "--out", str(out), *TRAIN_FAST, "--set", "iters=2") == 1
         err = capsys.readouterr().err
         assert "fill 0.25 != the network's fill_value 0.5" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_availability_mismatch_exits_1(self, tmp_path, capsys, monkeypatch):
+        # as with the fill, only a set built with another availability than
+        # the network's reaches train's check
+        build = cli.D.build_training_samples
+        monkeypatch.setattr(cli.D, "build_training_samples", lambda *args, **kw: build(
+            *args, **{**kw, "availability_mode": cli.D.THREE_BLOCK}))
+        out = tmp_path / "out"
+        assert run_cli("train", "--out", str(out), *TRAIN_FAST, "--set", "iters=2",
+                       "--set", "availability=four-block") == 1
+        err = capsys.readouterr().err
+        assert ("samples cut three-block != the network's availability_mode four-block" in err
+                and "Traceback" not in err)
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [("eval", "--set", "eval_size=300000"),
@@ -554,6 +569,18 @@ class TestExperimentverbs:
                        "--set", "samples=64", "--set", "corpus_size=32",
                        "--set", "seeds=2,1,3,1") == 1
         assert "repeated: 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds, named", [("1,1,2", "repeated: 1"), ("1,2", "at least 3")])
+    def test_compare_losses_seeds_checked_before_samples(self, seeds, named, tmp_path, capsys,
+                                                         monkeypatch):
+        def no_samples(*args, **kwargs):
+            raise AssertionError("samples built before the seeds were checked")
+        monkeypatch.setattr(cli.D, "build_training_samples", no_samples)
+        out = tmp_path / "cmp"
+        assert run_cli("compare-losses", "--out", str(out), "--set", f"seeds={seeds}") == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
         assert not out.exists()
 
     def test_ablate_units_verb(self, tmp_path, capsys):

@@ -184,8 +184,8 @@ class TestDegrade:
 
 def one_source(img, deg, n, count, mode, seed=0, fill=D.CONTEXT_FILL):
     """fill_samples with one source: `count` samples of one image pair."""
-    return D.fill_samples(D.SampleSet.empty(count, n, fill), [count],
-                          lambda i: (img, deg, seed), mode)
+    return D.fill_samples(D.SampleSet.empty(count, n, fill, D.is_three_block(mode)), [count],
+                          lambda i: (img, deg, seed))
 
 
 class TestContexts:
@@ -205,7 +205,8 @@ class TestContexts:
         img, deg = self._pair()
         a = one_source(img, deg, 8, 20, D.FOUR_BLOCK, seed=9)
         b = one_source(img, deg, 8, 20, D.FOUR_BLOCK, seed=9)
-        np.testing.assert_array_equal(a.windows, b.windows)
+        for x, y in zip(a.take(slice(None)), b.take(slice(None))):
+            np.testing.assert_array_equal(x, y)
         a = sample_contexts_loop(img, deg, 8, 20, D.FOUR_BLOCK, seed=9)
         b = sample_contexts_loop(img, deg, 8, 20, D.FOUR_BLOCK, seed=9)
         for s, t in zip(a, b):
@@ -290,13 +291,13 @@ class TestContexts:
         with pytest.raises(SizeError):
             D.make_context(pixels, pixels, origin, 8, D.FOUR_BLOCK, D.CONTEXT_FILL)
         with pytest.raises(SizeError):
-            D.cut_contexts(pixels, pixels, [0, origin[0]], [0, origin[1]], True,
-                           D.SampleSet.empty(2, 8, D.CONTEXT_FILL))
+            D.cut_contexts(pixels, pixels, [0, origin[0]], [0, origin[1]],
+                           D.SampleSet.empty(2, 8, D.CONTEXT_FILL, True))
 
     def test_edge_windows_accepted(self):
         pixels = np.random.default_rng(1).random((40, 50)).astype(np.float32)
-        got = D.cut_contexts(pixels, pixels, [0, 24, 0, 24], [0, 0, 34, 34], False,
-                             D.SampleSet.empty(4, 8, D.CONTEXT_FILL)).take(slice(None))
+        got = D.cut_contexts(pixels, pixels, [0, 24, 0, 24], [0, 0, 34, 34],
+                             D.SampleSet.empty(4, 8, D.CONTEXT_FILL, False)).take(slice(None))
         want = stack_blocks([context_loop(pixels, pixels, (y, x), 8, D.FOUR_BLOCK)
                              for y, x in ((0, 0), (24, 0), (0, 34), (24, 34))], 8)
         assert got[0].tobytes() == want[0].tobytes()
@@ -305,8 +306,8 @@ class TestContexts:
     def test_origin_count_must_fill_the_set(self):
         pixels = np.zeros((40, 50), dtype=np.float32)
         with pytest.raises(ShapeError):
-            D.cut_contexts(pixels, pixels, [0, 8], [0, 8], False,
-                           D.SampleSet.empty(3, 8, D.CONTEXT_FILL))
+            D.cut_contexts(pixels, pixels, [0, 8], [0, 8],
+                           D.SampleSet.empty(3, 8, D.CONTEXT_FILL, False))
 
     def test_unknown_mode_rejected(self):
         img, deg = self._pair()
@@ -360,7 +361,7 @@ class TestSynthTextures:
                                              availability_mode=D.THREE_BLOCK)
         assert len(samples) == 120
         assert all(s.availability_mode == D.THREE_BLOCK for s in blocks)
-        assert samples.windows.shape == (120, 16, 16)
+        assert samples.upper.shape == (120, 8, 16) and samples.lower.shape == (120, 8, 8)
         contexts, targets = samples.take(slice(None))
         want = stack_blocks(blocks, 8)
         assert contexts.tobytes() == want[0].tobytes()
@@ -373,27 +374,32 @@ class TestSynthTextures:
 
 
 class TestBuildMemory:
-    # A set is allocated once and each source's windows are cut into its own
-    # slice one piece (at most SLAB_BYTES of windows) at a time, so building
+    # A set is allocated once and each source's samples are cut into its own
+    # slice one piece (at most SLAB_BYTES of samples) at a time, so building
     # it holds the set plus one piece. Joining per-source parts held it twice.
-    COUNT = 6000  # 5.9 MiB at N=8
+    # A set stores no bottom-left quadrant in three-block availability, so a
+    # sample costs 12 N^2 bytes there and 16 N^2 in four-block availability.
+    COUNT = 6000  # 4.4 MiB three-block, 5.9 MiB four-block at N=8
     MARGIN = 2**19  # the origin draws (24 bytes a sample) and degrade()'s buffers
 
-    def assert_one_set(self, build):
+    def assert_one_set(self, build, mode=D.THREE_BLOCK):
         tracemalloc.start()
         try:
             samples = build()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        set_bytes = samples.windows.nbytes
+        set_bytes = samples.upper.nbytes + samples.lower.nbytes
         assert len(samples) == self.COUNT
+        assert set_bytes == (12 if mode == D.THREE_BLOCK else 16) * self.COUNT * 8**2
         assert peak < set_bytes + SLAB_BYTES + self.MARGIN, (peak, set_bytes)
 
     @pytest.mark.parametrize("per_kind", [6, 1], ids=["many-images", "one-image"])
     def test_building_holds_one_set(self, per_kind):
         images = D.synthetic_corpus(64, seed=3, kinds=("sinusoid",), per_kind=per_kind)
-        self.assert_one_set(lambda: D.build_training_samples(images, 8, self.COUNT, seed=3))
+        for mode in D.AVAILABILITY_MODES:
+            self.assert_one_set(lambda: D.build_training_samples(
+                images, 8, self.COUNT, seed=3, availability_mode=mode), mode)
 
     def test_archive_holds_one_set(self, tmp_path):
         lines = []
@@ -402,16 +408,21 @@ class TestBuildMemory:
             D.save_pgm(D.degrade(img, D.DegradeConfig(qp=32)), tmp_path / f"{i}_qp32.pgm")
             lines.append(f"{i}_clean.pgm\t{i}_qp32.pgm\t0\t32\n")
         (tmp_path / "index.tsv").write_text("".join(lines))
-        resolved = cli.resolve("train", {"data": str(tmp_path), "samples": str(self.COUNT)}, {})
-        self.assert_one_set(lambda: cli._load_samples(resolved))
+        for mode in D.AVAILABILITY_MODES:
+            resolved = cli.resolve("train", {"data": str(tmp_path), "samples": str(self.COUNT),
+                                             "availability": mode}, {})
+            self.assert_one_set(lambda: cli._load_samples(resolved), mode)
 
     def test_unallocatable_set_is_a_usage_error(self):
-        # 10**12 samples at N=8 is 1.02 PB, past the 128 TiB a process maps,
-        # so the allocation fails before a page is touched, whatever the
-        # overcommit mode; it comes before the draws, which would ask for 8 TB
-        # each
+        # 10**12 samples at N=8 is 768 TB three-block and 1.02 PB four-block,
+        # past the 128 TiB a process maps, so the allocation fails before a
+        # page is touched, whatever the overcommit mode; it comes before the
+        # draws, which would ask for 8 TB each
         img = D.synth_texture("flat", 32)
-        for build in (lambda: one_source(img, img, 8, 10**12, D.THREE_BLOCK),
-                      lambda: D.build_training_samples([img], 8, 10**12, seed=3)):
-            with pytest.raises(UsageError, match="samples=1000000000000 .* 1,024,000,000,000,000"):
+        for build, size in (
+                (lambda: one_source(img, img, 8, 10**12, D.THREE_BLOCK), "768,000,000,000,000"),
+                (lambda: one_source(img, img, 8, 10**12, D.FOUR_BLOCK), "1,024,000,000,000,000"),
+                (lambda: D.build_training_samples([img], 8, 10**12, seed=3),
+                 "768,000,000,000,000")):
+            with pytest.raises(UsageError, match=f"samples=1000000000000 .* {size} bytes"):
                 build()

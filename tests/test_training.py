@@ -114,7 +114,7 @@ class TestTrain:
         with pytest.raises(UsageError):
             TR.train(net, [], small_cfg())
         with pytest.raises(UsageError):
-            TR.train(net, D.SampleSet.empty(0, 8, D.CONTEXT_FILL), small_cfg())
+            TR.train(net, D.SampleSet.empty(0, 8, D.CONTEXT_FILL, True), small_cfg())
 
     def test_sample_size_mismatch(self):
         # N=16 contexts are 32x32; the N=8 network reads 16x16
@@ -134,6 +134,19 @@ class TestTrain:
         with pytest.raises(ConfigError, match="fill 0.25 != the network's fill_value 0.5"):
             run(samples)
         net = build_network(replace(SMALL_NET, fill_value=0.25), seed=2)
+        assert len(TR.train(net, samples, small_cfg(total_iters=0))[1]) == 1
+
+    @pytest.mark.parametrize("set_mode, net_mode", [(D.FOUR_BLOCK, D.THREE_BLOCK),
+                                                    (D.THREE_BLOCK, D.FOUR_BLOCK)])
+    def test_availability_mismatch(self, set_mode, net_mode):
+        # a three-block set used to train a four-block network on the fill
+        images = D.synthetic_corpus(64, seed=0, per_kind=3)
+        samples = D.build_training_samples(images, 8, 120, seed=0, availability_mode=set_mode)
+        net = build_network(replace(SMALL_NET, availability_mode=net_mode), seed=2)
+        with pytest.raises(ConfigError, match=f"samples cut {set_mode} != the network's "
+                                              f"availability_mode {net_mode}"):
+            TR.train(net, samples, small_cfg())
+        net = build_network(replace(SMALL_NET, availability_mode=set_mode), seed=2)
         assert len(TR.train(net, samples, small_cfg(total_iters=0))[1]) == 1
 
     def test_validation_cap_must_be_positive(self):
@@ -185,7 +198,7 @@ class TestTrain:
     def test_divergence_reported_with_iteration(self):
         samples = make_samples(count=200)
         bad = TR.as_sample_set(samples)
-        bad.windows[0:: 2, 8:, 8:] = np.nan  # the targets
+        bad.lower[0:: 2, :, -8:] = np.nan  # the targets
         net = build_network(SMALL_NET, seed=2)
         with pytest.raises(DivergenceError) as exc:
             TR.train(net, bad, small_cfg())
